@@ -14,7 +14,7 @@ import json
 import sys
 from math import comb
 
-from ._rat import QQ, rat_str
+from ._rat import QQ, rat, rat_str
 from .cohochschild import cohomology_dimension
 from .core import (
     FormalSeriesTensor,
@@ -26,7 +26,6 @@ from .core import (
 )
 from .envelope import (
     TAG_G,
-    PBWElement,
     center,
     dual_bracket,
     invariants_s_dual,
@@ -274,7 +273,7 @@ def cmd_qt(alg, rmat, args) -> dict:
     if rmat is None:
         raise ParseError("input provides no r matrix")
     qt = qt_validate(alg, rmat)
-    s = QQ(args.s)
+    s = rat(args.s)
     maxdeg = args.maxdeg
     dims = c_s_graded_dims(s, maxdeg, qt)
     basis = c_s_basis(s, maxdeg, qt)
@@ -376,8 +375,8 @@ def main(argv=None) -> int:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1
     try:
-        QQ(args.s)
-    except (ValueError, ZeroDivisionError):
+        rat(args.s)
+    except ValueError:
         print(json.dumps({"error": {"type": "ParseError",
                                     "message": f"malformed --s value {args.s!r}"}}))
         return 2

@@ -59,35 +59,40 @@ class LieAlgebraSpec:
     def is_abelian(self) -> bool:
         return not self.bracket_rows
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.basis_names, self.c))
+
+    def __hash__(self):
+        # Memos key on the algebra; hashing c (dim^3 rationals) once, not per lookup.
+        return self._hash
+
     def name_index(self, name: str) -> int:
         return self.basis_names.index(name)
 
     def validate(self):
         d = self.dim
         c = self.c
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    if c[i][j][k] != -c[j][i][k]:
-                        raise AntisymmetryViolation(
-                            f"c[{i}][{j}][{k}] != -c[{j}][{i}][{k}]",
-                            triple=(i, j, k),
-                        )
-        # [x_i,[x_j,x_l]] + [x_j,[x_l,x_i]] + [x_l,[x_i,x_j]] = 0
-        for i in range(d):
-            for j in range(d):
-                for l in range(d):
-                    for k in range(d):
-                        s = ZERO
-                        for m in range(d):
-                            s += c[j][l][m] * c[i][m][k]
-                            s += c[l][i][m] * c[j][m][k]
-                            s += c[i][j][m] * c[l][m][k]
-                        if s != 0:
-                            raise JacobiViolation(
-                                f"Jacobi fails on basis triple ({i},{j},{l})",
-                                triple=(i, j, l),
-                            )
+        for i, j, k in itertools.product(range(d), repeat=3):
+            if c[i][j][k] != -c[j][i][k]:
+                raise AntisymmetryViolation(
+                    f"c[{i}][{j}][{k}] != -c[{j}][{i}][{k}]", triple=(i, j, k)
+                )
+        # [x_i,[x_j,x_l]] + [x_j,[x_l,x_i]] + [x_l,[x_i,x_j]] = 0. With c
+        # antisymmetric the Jacobiator is alternating, so the lex-first
+        # failing ordered triple is sorted: checking i < j < l suffices.
+        rows = self.bracket_rows
+        for i, j, l in itertools.combinations(range(d), 3):
+            acc = {}
+            for a, b, e in ((i, j, l), (j, l, i), (l, i, j)):
+                for m, u in rows.get(b, {}).get(e, ()):
+                    for k, v in rows.get(a, {}).get(m, ()):
+                        acc[k] = acc.get(k, ZERO) + u * v
+            if any(acc.values()):
+                raise JacobiViolation(
+                    f"Jacobi fails on basis triple ({i},{j},{l})",
+                    triple=(i, j, l),
+                )
         return self
 
 
@@ -128,11 +133,13 @@ def load_lie_algebra(source) -> "tuple[LieAlgebraSpec, RMatrix | None]":
         dim = data["dim"]
     except KeyError:
         raise ParseError("missing field: dim") from None
-    if not isinstance(dim, int) or dim < 0:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise ParseError(f"dim must be a nonnegative integer, got {dim!r}")
     basis = data.get("basis", [f"x{i}" for i in range(dim)])
     if len(basis) != dim or not all(isinstance(b, str) for b in basis):
         raise ParseError("basis must list one name per dimension")
+    if len(set(basis)) != dim:
+        raise ParseError(f"basis names must be distinct, got {basis!r}")
 
     c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     for ent in data.get("brackets", []):
@@ -614,20 +621,23 @@ def alt_project(f: FormalSeriesTensor) -> FormalSeriesTensor:
     return FormalSeriesTensor.make(f.alg, k, k, out)
 
 
-def cyb(r: RMatrix) -> FormalSeriesTensor:
+def cyb(r: RMatrix, require_antisymmetric: bool = True) -> FormalSeriesTensor:
     """[r^{12},r^{13}] + [r^{12},r^{23}] + [r^{13},r^{23}] in g^{(x)3}.
 
     For tensors of pure degree (1,1) the slot-wise Poisson bracket of the
     insertions coincides with the algebraic bracket on g^{(x)3}, so this
-    reuses poisson_bracket at N=3 with no truncation loss.
+    reuses poisson_bracket at N=3 with no truncation loss. With
+    require_antisymmetric=False any element of g(x)g is accepted (the
+    quasitriangular r').
     """
-    if r.kind != "antisymmetric-coboundary":
-        raise NotAntisymmetric("cyb needs an antisymmetric r")
-    d = r.alg.dim
-    for i in range(d):
-        for j in range(d):
-            if r.entries[i][j] != -r.entries[j][i]:
-                raise NotAntisymmetric(f"r[{i}][{j}] != -r[{j}][{i}]")
+    if require_antisymmetric:
+        if r.kind != "antisymmetric-coboundary":
+            raise NotAntisymmetric("cyb needs an antisymmetric r")
+        d = r.alg.dim
+        for i in range(d):
+            for j in range(d):
+                if r.entries[i][j] != -r.entries[j][i]:
+                    raise NotAntisymmetric(f"r[{i}][{j}] != -r[{j}][{i}]")
     rs = r.to_series(3)
     r12 = coproduct_insert(rs, ((0,), (1,)), 3)
     r13 = coproduct_insert(rs, ((0,), (2,)), 3)

@@ -3,8 +3,9 @@ on them: the dual Lie bracket induced by r, centers, invariants of S(g*),
 the co-Poisson cobracket, and the derivation it generates.
 
 Monomials are non-decreasing tuples of generator indices; straightening
-rewrites x_j x_i -> x_i x_j + [x_j, x_i] for j > i and is memoized per
-algebra, so canonical forms are cheap after warmup.
+rewrites x_j x_i -> x_i x_j + [x_j, x_i] for j > i. Straightened words,
+monomial cobrackets and D on generators are memoized per algebra, and an
+algebra hashes its structure constants only once, so lookups stay cheap.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from . import linsolve
 from ._rat import QQ, ZERO
 from .core import LieAlgebraSpec, RMatrix
-from .errors import AlgebraMismatch, JacobiViolation
+from .errors import AlgebraMismatch, IndexOutOfRange, UnsortedMonomial
 
 TAG_G = "U(g)"
 TAG_GSTAR = "U(g*)"
@@ -33,10 +34,10 @@ class PBWElement:
         coeffs = {}
         for mono, c in dict(items).items():
             mono = tuple(mono)
-            assert all(mono[i] <= mono[i + 1] for i in range(len(mono) - 1)), (
-                "PBW monomials must be sorted"
-            )
-            assert all(0 <= i < alg.dim for i in mono)
+            if any(mono[i] > mono[i + 1] for i in range(len(mono) - 1)):
+                raise UnsortedMonomial(f"PBW monomial {mono} is not sorted")
+            if not all(0 <= i < alg.dim for i in mono):
+                raise IndexOutOfRange(f"PBW monomial {mono} outside 0..{alg.dim - 1}")
             c = QQ(c)
             if c:
                 coeffs[mono] = c
@@ -185,7 +186,6 @@ def pbw_basis(dim: int, maxdeg: int):
 def center(alg: LieAlgebraSpec, maxdeg: int, tag: str = TAG_G) -> list:
     """Basis of {z : filtration <= maxdeg, [z, x_i] = 0 for all i}."""
     basis = pbw_basis(alg.dim, maxdeg)
-    index = {m: j for j, m in enumerate(basis)}
     target_index: dict = {}
     rows: list = []
 
@@ -420,18 +420,24 @@ def copoisson_delta(x: PBWElement, g: LieAlgebraSpec) -> PBWTensorSquare:
     return out
 
 
+_D_MEMO: dict = {}
+
+
 def derivation_D(x: PBWElement, g: LieAlgebraSpec) -> PBWElement:
     """bracket-after-cobracket of the dual algebra, extended as a derivation."""
     dual = x.alg
-    gen_img = []
-    for a in range(dual.dim):
-        acc = PBWElement.zero(dual, x.tag)
-        delta = _delta_generator(g, dual, a)
-        for ((m1, m2), c) in delta.coeffs.items():
-            i, j = m1[0], m2[0]
-            for tgt, w in dual.bracket_rows.get(i, {}).get(j, ()):
-                acc = acc + PBWElement.make(dual, x.tag, {(tgt,): c * w})
-        gen_img.append(acc)
+    gen_img = _D_MEMO.get((g, dual, x.tag))
+    if gen_img is None:
+        gen_img = []
+        for a in range(dual.dim):
+            acc = PBWElement.zero(dual, x.tag)
+            delta = _delta_generator(g, dual, a)
+            for ((m1, m2), c) in delta.coeffs.items():
+                i, j = m1[0], m2[0]
+                for tgt, w in dual.bracket_rows.get(i, {}).get(j, ()):
+                    acc = acc + PBWElement.make(dual, x.tag, {(tgt,): c * w})
+            gen_img.append(acc)
+        _D_MEMO[(g, dual, x.tag)] = gen_img
 
     out = PBWElement.zero(dual, x.tag)
     for mono, c in x.coeffs.items():

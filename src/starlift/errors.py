@@ -94,6 +94,10 @@ class AlgebraMismatch(StarliftError):
     code = "AlgebraMismatch"
 
 
+class UnsortedMonomial(StarliftError):
+    code = "UnsortedMonomial"
+
+
 class TruncationTooLow(StarliftError):
     code = "TruncationTooLow"
 

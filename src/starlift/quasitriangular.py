@@ -4,11 +4,13 @@ the central-element morphism into C_1, and the inner-derivation identity
 on U(g)."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linsolve
 from ._rat import QQ, ZERO
-from .core import FormalSeriesTensor, LieAlgebraSpec, RMatrix
+from .core import FormalSeriesTensor, LieAlgebraSpec, RMatrix, cyb
 from .envelope import (
     TAG_G,
     TAG_GSTAR,
@@ -22,23 +24,8 @@ from .envelope import (
     pbw_commutator,
     pbw_product,
 )
-from .core import coproduct_insert, poisson_bracket
-from .errors import CYBViolation, Degenerate, NotCentral, SingularPairing, TNotInvariant
-from .lifts import cyb
-
-
-def _cyb_general(r: RMatrix) -> FormalSeriesTensor:
-    """The Yang-Baxter residual for an arbitrary (not necessarily
-    antisymmetric) element of g(x)g."""
-    rs = r.to_series(3)
-    r12 = coproduct_insert(rs, ((0,), (1,)), 3)
-    r13 = coproduct_insert(rs, ((0,), (2,)), 3)
-    r23 = coproduct_insert(rs, ((1,), (2,)), 3)
-    return (
-        poisson_bracket(r12, r13)
-        + poisson_bracket(r12, r23)
-        + poisson_bracket(r13, r23)
-    )
+from .errors import (CYBViolation, Degenerate, NotCentral, RankCertificate,
+                     SingularPairing, TNotInvariant)
 
 
 @dataclass(frozen=True)
@@ -50,7 +37,7 @@ class QTStructure:
     Z: FormalSeriesTensor
     nondegenerate: bool
 
-    @property
+    @cached_property
     def dual(self) -> LieAlgebraSpec:
         return dual_bracket(self.r)
 
@@ -81,15 +68,6 @@ def _t_bracket_z(alg: LieAlgebraSpec, t) -> FormalSeriesTensor:
     return FormalSeriesTensor.make(alg, 3, 3, items)
 
 
-def _matrix_rank(mat, dim: int) -> int:
-    rows = []
-    for i in range(dim):
-        row = {j: mat[i][j] for j in range(dim) if mat[i][j]}
-        rows.append(row)
-    ker = linsolve.kernel_basis(rows, dim)
-    return dim - len(ker)
-
-
 def qt_validate(g: LieAlgebraSpec, rprime) -> QTStructure:
     """Check CYB(r') = 0 and invariance of the symmetric part, then package
     the derived data (antisymmetric half, t, the 3-slot element Z)."""
@@ -100,7 +78,7 @@ def qt_validate(g: LieAlgebraSpec, rprime) -> QTStructure:
         rp = RMatrix(g, tuple(tuple(QQ(v) for v in row) for row in rprime),
                      "quasitriangular-candidate")
 
-    res = _cyb_general(rp)
+    res = cyb(rp, require_antisymmetric=False)
     if not res.is_zero():
         raise CYBViolation("CYB(r') must vanish exactly",
                            residual_terms=len(res.coeffs))
@@ -109,15 +87,15 @@ def qt_validate(g: LieAlgebraSpec, rprime) -> QTStructure:
     t = tuple(tuple(ent[i][j] + ent[j][i] for j in range(d)) for i in range(d))
     # ad-invariance: sum_m (c_{km}^i t_{mj} + c_{km}^j t_{im}) = 0 for all k,i,j
     for k in range(d):
-        for i in range(d):
-            for j in range(d):
-                s = ZERO
-                for m in range(d):
-                    s += g.c[k][m][i] * t[m][j] + g.c[k][m][j] * t[i][m]
-                if s:
-                    raise TNotInvariant(
-                        f"symmetric part not ad-invariant at ({k},{i},{j})"
-                    )
+        s = [[ZERO] * d for _ in range(d)]
+        for m, targets in g.bracket_rows.get(k, {}).items():
+            for tgt, c in targets:
+                for q in range(d):
+                    s[tgt][q] += c * t[m][q]
+                    s[q][tgt] += c * t[q][m]
+        for i, j in itertools.product(range(d), repeat=2):
+            if s[i][j]:
+                raise TNotInvariant(f"symmetric part not ad-invariant at ({k},{i},{j})")
 
     rmat = RMatrix(
         g,
@@ -128,7 +106,8 @@ def qt_validate(g: LieAlgebraSpec, rprime) -> QTStructure:
     ).validate()
 
     Z = _t_bracket_z(g, t)
-    assert cyb(rmat) == Z, "internal check: CYB of the antisymmetric half"
+    if cyb(rmat) != Z:
+        raise RankCertificate("internal check: CYB of the antisymmetric half")
 
     return QTStructure(
         g=g,
@@ -136,12 +115,8 @@ def qt_validate(g: LieAlgebraSpec, rprime) -> QTStructure:
         r=rmat,
         t=t,
         Z=Z,
-        nondegenerate=_matrix_rank(t, d) == d,
+        nondegenerate=linsolve.rank([{j: v for j, v in enumerate(row) if v} for row in t]) == d,
     )
-
-
-def _tensor_square_keys(elt: PBWTensorSquare):
-    return elt.coeffs.items()
 
 
 def c_s_coderivation(x: PBWElement, g: LieAlgebraSpec) -> PBWElement:

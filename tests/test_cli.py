@@ -1,5 +1,6 @@
 """End-to-end command line behavior: certificates, exit codes, and
 byte-deterministic reports."""
+import hashlib
 import json
 
 import pytest
@@ -16,7 +17,7 @@ def run(capsys, *argv):
 
 
 def test_validate_all_bundled_inputs(capsys):
-    for name in ("abelian3", "nonabelian2", "sl2", "sl2-qt"):
+    for name in ("abelian3", "nonabelian2", "sl2", "sl2-qt", "sl3"):
         code, out = run(capsys, "validate", data_path(name))
         assert code == 0, name
         report = json.loads(out)
@@ -140,6 +141,36 @@ def test_malformed_s_exits_2(capsys):
     code, out = run(capsys, "qt", data_path("sl2-qt"), "--s", "one")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("s", ["0.5", "1e3", "1/0", " 1"])
+def test_s_must_be_a_rational_literal(capsys, s):
+    code, out = run(capsys, "qt", data_path("sl2-qt"), "--maxdeg", "1", f"--s={s}")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+def test_s_accepts_signed_fractions(capsys):
+    code, out = run(capsys, "qt", data_path("sl2-qt"), "--maxdeg", "1", "--s=-3/4")
+    assert code == 0
+    assert json.loads(out)["s"] == "-3/4"
+
+
+# SHA-256 of the sl3 reports, taken before the structure-constant caching
+# and sparse validation; any change to these bytes is a regression.
+SL3_GOLDEN = {
+    ("envelope", "--maxdeg", "3"):
+        "c2c62d331711d9784b79ad49d8e3a09dd2e5f6e029944805aea0b7b3543d13f3",
+    ("lift", "--degree", "3"):
+        "82cb89dfd5529f11128f2383a7e9ce948385a8ba2d8bd3994134a0aa1f670929",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SL3_GOLDEN), ids=lambda a: a[0])
+def test_sl3_report_bytes(capsys, argv):
+    code, out = run(capsys, argv[0], data_path("sl3"), *argv[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SL3_GOLDEN[argv]
 
 
 def test_kind_mismatch_is_structured_error(capsys):

@@ -27,7 +27,7 @@ from starlift.envelope import (
     coproduct_square,
     pbw_basis,
 )
-from starlift.errors import AlgebraMismatch
+from starlift.errors import AlgebraMismatch, IndexOutOfRange, UnsortedMonomial
 
 
 def gen(alg, i, tag=TAG_G):
@@ -40,6 +40,16 @@ def rand_elt(alg, tag, maxdeg, rng):
         if rng.random() < 0.3:
             coeffs[mono] = QQ(rng.randint(-5, 5), rng.randint(1, 4))
     return PBWElement.make(alg, tag, coeffs)
+
+
+def test_make_rejects_bad_monomials(sl2):
+    alg, _ = sl2
+    with pytest.raises(UnsortedMonomial):
+        PBWElement.make(alg, TAG_G, {(2, 0): QQ(1)})
+    with pytest.raises(IndexOutOfRange):
+        PBWElement.make(alg, TAG_G, {(0, 3): QQ(1)})
+    with pytest.raises(IndexOutOfRange):
+        PBWElement.make(alg, TAG_G, {(-1,): QQ(1)})
 
 
 def test_straightening_ef(sl2):

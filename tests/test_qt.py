@@ -11,6 +11,7 @@ from starlift import (
     center,
     check_inner_derivation,
     compare_images,
+    cyb,
     load_lie_algebra,
     pbw_commutator,
     pbw_product,
@@ -20,7 +21,7 @@ from starlift import (
 )
 from starlift._rat import QQ
 from starlift.envelope import TAG_G, TAG_GSTAR, PBWElement
-from starlift.errors import CYBViolation, Degenerate, NotCentral, TNotInvariant
+from starlift.errors import CYBViolation, Degenerate, NotAntisymmetric, NotCentral, TNotInvariant
 from starlift.quasitriangular import alpha_matrix_rank, mu_of_rprime
 
 
@@ -65,6 +66,18 @@ def test_qt_validate_rejects_noninvariant_t(sl2qt):
     )
     with pytest.raises((TNotInvariant, CYBViolation)):
         qt_validate(g, bad)
+
+
+def test_cyb_of_rprime_needs_the_opt_out(sl2qt):
+    g, rp = sl2qt
+    with pytest.raises(NotAntisymmetric):
+        cyb(rp)
+    assert cyb(rp, require_antisymmetric=False).is_zero()
+
+
+def test_dual_is_built_once(qt):
+    assert qt.dual is qt.dual
+    assert qt.dual.basis_names == ("e*", "h*", "f*")
 
 
 def test_antisymmetric_r_on_sl2_fails_cyb(sl2):

@@ -1,0 +1,173 @@
+"""Algebra validation and hashing: the sparse Jacobi and ad-invariance
+checks against the dense loops they replaced, the once-only hash of a
+spec, and strict parsing of algebra inputs."""
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from starlift import (
+    LieAlgebraSpec,
+    RMatrix,
+    center,
+    copoisson_delta,
+    dual_bracket,
+    load_lie_algebra,
+)
+from starlift._rat import QQ, ZERO, rat
+from starlift.envelope import TAG_GSTAR, PBWElement, _straighten
+from starlift.errors import (
+    AntisymmetryViolation,
+    JacobiViolation,
+    ParseError,
+    StarliftError,
+    TNotInvariant,
+)
+from starlift.quasitriangular import qt_validate
+
+LITERALS = ("1", "-1", "2", "-2", "1/2", "-3/2")
+
+
+def dense_validate(d, c):
+    """Reference oracle: the dense O(d^5) antisymmetry and Jacobi sweep."""
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                if c[i][j][k] != -c[j][i][k]:
+                    raise AntisymmetryViolation(
+                        f"c[{i}][{j}][{k}] != -c[{j}][{i}][{k}]", triple=(i, j, k)
+                    )
+    for i in range(d):
+        for j in range(d):
+            for l in range(d):
+                for k in range(d):
+                    s = ZERO
+                    for m in range(d):
+                        s += c[j][l][m] * c[i][m][k]
+                        s += c[l][i][m] * c[j][m][k]
+                        s += c[i][j][m] * c[l][m][k]
+                    if s != 0:
+                        raise JacobiViolation(
+                            f"Jacobi fails on basis triple ({i},{j},{l})", triple=(i, j, l)
+                        )
+
+
+def dense_invariance(g, t):
+    """Reference oracle: the dense (k, i, j) ad-invariance sweep of t."""
+    d = g.dim
+    for k in range(d):
+        for i in range(d):
+            for j in range(d):
+                s = ZERO
+                for m in range(d):
+                    s += g.c[k][m][i] * t[m][j] + g.c[k][m][j] * t[i][m]
+                if s:
+                    raise TNotInvariant(f"symmetric part not ad-invariant at ({k},{i},{j})")
+
+
+def outcome(fn, *args):
+    try:
+        fn(*args)
+    except StarliftError as exc:
+        return type(exc), str(exc), exc.context.get("triple")
+    return "ok"
+
+
+@st.composite
+def algebra_inputs(draw):
+    """A JSON algebra input of dim 2..5 with a few sparse bracket entries."""
+    d = draw(st.integers(2, 5))
+    idx = st.integers(0, d - 1)
+    term = st.tuples(idx, st.sampled_from(LITERALS)).map(list)
+    entry = st.tuples(idx, idx, st.lists(term, min_size=1, max_size=2)).map(list)
+    return {"dim": d, "brackets": draw(st.lists(entry, max_size=6))}
+
+
+def dense_c(data):
+    """The structure constants load_lie_algebra builds from ``data``."""
+    d = data["dim"]
+    c = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
+    for i, j, terms in data["brackets"]:
+        for k, v in terms:
+            c[i][j][k] += rat(v)
+            c[j][i][k] -= rat(v)
+    return c
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebra_inputs())
+def test_sparse_jacobi_matches_dense_oracle_on_load(data):
+    expected = outcome(dense_validate, data["dim"], dense_c(data))
+    assert outcome(load_lie_algebra, data) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebra_inputs(), st.data())
+def test_sparse_validate_matches_dense_oracle_without_antisymmetry(data, draw):
+    """Specs built directly may break antisymmetry, which is checked first."""
+    d = data["dim"]
+    c = dense_c(data)
+    for i, j, k, v in draw.draw(st.lists(st.tuples(
+            st.integers(0, d - 1), st.integers(0, d - 1), st.integers(0, d - 1),
+            st.sampled_from(LITERALS)), max_size=2)):
+        c[i][j][k] += rat(v)
+    spec = LieAlgebraSpec(d, tuple(f"x{i}" for i in range(d)),
+                          tuple(tuple(tuple(row) for row in plane) for plane in c))
+    assert outcome(spec.validate) == outcome(dense_validate, d, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_inputs(), st.data())
+def test_sparse_invariance_matches_dense_oracle(data, draw):
+    """r' = y(x)y has CYB(r') = 0 for every y, so qt_validate reaches the
+    ad-invariance check of t = 2 y(x)y, which holds iff y is central."""
+    try:
+        g, _ = load_lie_algebra(data)
+    except JacobiViolation:
+        assume(False)
+    d = g.dim
+    y = draw.draw(st.lists(st.sampled_from(("0",) + LITERALS), min_size=d, max_size=d))
+    y = [rat(v) for v in y]
+    rprime = tuple(tuple(y[i] * y[j] for j in range(d)) for i in range(d))
+    t = tuple(tuple(2 * v for v in row) for row in rprime)
+    assert outcome(qt_validate, g, rprime) == outcome(dense_invariance, g, t)
+
+
+class CountingTuple(tuple):
+    """A tuple that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        type(self).hashes += 1
+        return super().__hash__()
+
+
+def test_structure_constants_hashed_once(sl2):
+    alg, r = sl2
+    spec = LieAlgebraSpec(alg.dim, alg.basis_names, CountingTuple(alg.c))
+    CountingTuple.hashes = 0
+    assert len(center(spec, 2)) == 2
+    dual = dual_bracket(RMatrix(spec, r.entries))
+    for mono in ((0, 2), (1, 1, 2)):
+        copoisson_delta(PBWElement.make(dual, TAG_GSTAR, {mono: QQ(1)}), spec)
+    assert CountingTuple.hashes <= 1
+
+
+def test_equal_specs_hash_equal_and_share_memo(sl2):
+    alg, _ = sl2
+    twin = LieAlgebraSpec(alg.dim, tuple(alg.basis_names), tuple(tuple(p) for p in alg.c))
+    assert twin is not alg and twin == alg
+    assert hash(twin) == hash(alg) == hash((alg.dim, alg.basis_names, alg.c))
+    assert _straighten(twin, (2, 1, 0)) is _straighten(alg, (2, 1, 0))
+
+
+def test_dim_must_not_be_bool():
+    with pytest.raises(ParseError, match="dim"):
+        load_lie_algebra({"dim": True, "brackets": []})
+    with pytest.raises(ParseError, match="dim"):
+        load_lie_algebra('{"dim": false}')
+
+
+def test_basis_names_must_be_distinct():
+    with pytest.raises(ParseError, match="distinct"):
+        load_lie_algebra({"dim": 2, "basis": ["a", "a"], "brackets": []})
