@@ -173,6 +173,62 @@ def test_sl3_report_bytes(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == SL3_GOLDEN[argv]
 
 
+# Exit code and SHA-256 of the report of each command on each shipped input
+# it applies to, including two exit-1 error reports. Taken before the
+# linear-map assembly moved into linsolve; any change to these bytes is a
+# regression.
+GOLDEN = {
+    ("validate", "abelian3"):
+        (0, "8b054f70d7818338dab7bbf04a0adc7f9efeb9b8f7a488d76b38ccac043217e8"),
+    ("validate", "nonabelian2"):
+        (0, "a6217b1dceedbe008d6b58a270b53d1db4c6380e4e611e6b634c649e6498e83b"),
+    ("validate", "sl2"):
+        (0, "bcb3415364ef06a9dbb76c076ee13bcd17e3b503e0e6c20cecdf5252e491536f"),
+    ("validate", "sl2-qt"):
+        (0, "5e09a863c269b5181a0cdfc0c2217d35c2ec786ee026d4c588bf15418c287cd2"),
+    ("validate", "sl3"):
+        (0, "6167e2d94a8ddcc8b001780681f6aee0f4eb187a04cd0bf3a60f64d8aeec4630"),
+    ("lift", "sl2", "--degree", "5"):
+        (0, "47dea726411d9e65b650b48160c8e49d8b77555c6bf435cac96120f5adef8d72"),
+    ("lift", "nonabelian2", "--degree", "5"):
+        (0, "4c80aba76a79151c38d9b1e1233ad499620182ef297ae2e31c2ec2c3427f08ad"),
+    ("lift", "abelian3", "--degree", "5"):
+        (0, "9b59b6e7f6ef2e559d5189bd25f7a9d4b8d788f6a12e46bf2da73d303fefb3b1"),
+    ("cohomology", "sl2", "--degree", "4"):
+        (0, "68148a94039b7c23a8218d8ab8e04de95acef4a643b4923f20b8df365727d3eb"),
+    ("cohomology", "nonabelian2", "--degree", "4"):
+        (0, "f464ea40f4f8a94d0e3b960244f668e2125019b4ed38829ff64e7426c73c4714"),
+    ("cohomology", "abelian3", "--degree", "4"):
+        (0, "4de7f2706845d313a411fb194043b353c678109bac4447b04fe4cbf9fda2c56c"),
+    ("envelope", "sl2", "--maxdeg", "4"):
+        (0, "358b954b75968da4fdf4cbd7ba12ea125f2b2ebee72993cd6aa2680a6cc6263a"),
+    ("envelope", "nonabelian2", "--maxdeg", "4"):
+        (0, "0e1210e88876165662a8e4645618cecce0ee0d9dd33e8954a4449c945764ca35"),
+    ("envelope", "abelian3", "--maxdeg", "4"):
+        (0, "210ff65abcec052ddb8c52987485b2c605c50d41f00ac3e92e0997e3395fc097"),
+    ("theta", "sl2", "--degree", "3", "--maxdeg", "3"):
+        (0, "7ba8b26532180af98e5d4dda0d2bc168a4d7c0fd4d8086d4a5484a7b951e5399"),
+    ("theta", "nonabelian2", "--degree", "3", "--maxdeg", "3"):
+        (0, "7f40d8c102366cfbbbaa6b000c856779bb404a90225e2d3310142a3482409536"),
+    ("qt", "sl2-qt", "--maxdeg", "4", "--s=1"):
+        (0, "55a8db6f4e7a840509a1d2bb1824d9fbe605d01ff16f28603e0cca7add2ce2d3"),
+    ("qt", "sl2-qt", "--maxdeg", "4", "--s=0"):
+        (0, "af1f51e69604457c86b7f721f214e39ad1254d0dc5c9b2eb81b1ae784daab159"),
+    ("qt", "sl2-qt", "--maxdeg", "4", "--s=-3/4"):
+        (0, "8626a01b04a958d378e528194a4e257cff40b6c76e6b5f6a6f476f4870ab54b4"),
+    ("lift", "sl2-qt"):
+        (1, "add1f9018cb56f73048c1af6a946cbbfa9d8d8c17b032923b502d4e7b9720821"),
+    ("qt", "sl2"):
+        (1, "2b12391a60b72460864ad9b8752a15d263a405a4587e119fe635a745a9bf37ca"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
+def test_report_bytes(capsys, argv):
+    code, out = run(capsys, argv[0], data_path(argv[1]), *argv[2:])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
+
+
 def test_kind_mismatch_is_structured_error(capsys):
     code, out = run(capsys, "lift", data_path("sl2-qt"))
     assert code == 1
