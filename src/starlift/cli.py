@@ -60,10 +60,6 @@ def _pbw_terms(x) -> list:
     return [[list(mono), rat_str(c)] for mono, c in sorted(x.coeffs.items())]
 
 
-def _form_terms(l) -> list:
-    return [[list(vec), rat_str(c)] for vec, c in sorted(l.coeffs.items())]
-
-
 def _jsonable(obj):
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj

@@ -28,7 +28,6 @@ from .core import (
     g_action,
     is_invariant,
     key_degree,
-    slot_degrees,
 )
 from .errors import NotACocycle, NotInvariant, Obstruction, RankCertificate
 
@@ -162,57 +161,46 @@ def invariant_basis(alg: LieAlgebraSpec, k: int, N: int, keys=None):
         if ok:
             kept.append(key)
 
-    if not others:
-        vectors = [{j: QQ(1)} for j in range(len(kept))]
-    else:
-        rows = {}
-        for j, key in enumerate(kept):
-            mono = _monomial_fst(alg, key, N)
-            for i in others:
-                img = g_action(i, mono)
-                for rkey, v in img.coeffs.items():
-                    rows.setdefault((i, rkey), {})[j] = v
-        vectors = linsolve.kernel_basis(
-            [rows[rk] for rk in sorted(rows, key=repr)], len(kept)
-        )
+    images = []
+    for key in kept:
+        mono = _monomial_fst(alg, key, N)
+        col = {}
+        for i in others:
+            for rkey, v in g_action(i, mono).coeffs.items():
+                col[(i, rkey)] = v
+        images.append(col)
 
     out = []
-    for vec in vectors:
+    for vec in linsolve.kernel_of(images):
         items = {kept[j]: v for j, v in vec.items()}
         out.append(FormalSeriesTensor.make(alg, k, N, items))
     return out
 
 
-def _rank_of_columns(cols) -> int:
-    rows = {}
-    for j, col in enumerate(cols):
-        for rkey, v in col.items():
-            rows.setdefault(rkey, {})[j] = v
-    return linsolve.rank(rows.values())
+def _multidegree_blocks(keys, dim: int) -> dict:
+    """Group k-slot keys by multidegree (exponent sums over all slots).
+    d preserves multidegree, so each block is an independent piece of d."""
+    blocks = {}
+    for key in keys:
+        tot = tuple(sum(vec[i] for vec in key) for i in range(dim))
+        blocks.setdefault(tot, []).append(key)
+    return blocks
+
+
+def _rank_d_on(basis) -> int:
+    """Rank of d restricted to the span of the given cochains."""
+    return linsolve.rank_of([_d_raw(v).coeffs for v in basis])
 
 
 def _rank_d(alg, k: int, N: int) -> int:
     """Rank of d on (S^{>0})^{(x)k} in degree N, split by multidegree."""
     if k < 1 or N < k:
         return 0
-    keys = slot_positive_keys(alg.dim, k, N)
-    blocks = {}
-    for key in keys:
-        tot = tuple(sum(vec[i] for vec in key) for i in range(alg.dim))
-        blocks.setdefault(tot, []).append(key)
+    blocks = _multidegree_blocks(slot_positive_keys(alg.dim, k, N), alg.dim)
     total = 0
-    for tot in sorted(blocks):
-        cols = []
-        for key in blocks[tot]:
-            img = _d_raw(_monomial_fst(alg, key, N))
-            cols.append(img.coeffs)
-        total += _rank_of_columns(cols)
+    for keys in blocks.values():
+        total += _rank_d_on([_monomial_fst(alg, key, N) for key in keys])
     return total
-
-
-def _rank_d_invariant(alg, k: int, N: int, inv_basis) -> int:
-    cols = [_d_raw(v).coeffs for v in inv_basis]
-    return _rank_of_columns(cols)
 
 
 def cohomology_dimension(alg: LieAlgebraSpec, k: int, N: int,
@@ -225,9 +213,8 @@ def cohomology_dimension(alg: LieAlgebraSpec, k: int, N: int,
     if invariant_only:
         dom = invariant_basis(alg, k, N)
         below = invariant_basis(alg, k - 1, N) if k >= 2 else []
-        r_out = _rank_d_invariant(alg, k, N, dom)
-        r_in = _rank_d_invariant(alg, k - 1, N, below) if below else 0
-        return len(dom) - r_out - r_in
+        r_in = _rank_d_on(below) if below else 0
+        return len(dom) - _rank_d_on(dom) - r_in
     ncols = len(slot_positive_keys(alg.dim, k, N))
     return ncols - _rank_d(alg, k, N) - _rank_d(alg, k - 1, N)
 
@@ -251,51 +238,22 @@ def solve_coboundary(c: Cochain, invariant_only: bool = False,
 
     keys_low = slot_positive_keys(alg.dim, k - 1, N)
     if invariant_only:
-        basis = invariant_basis(alg, k - 1, N, keys_low)
-        sol = _solve_block(alg, basis, c.value.coeffs, N)
-        if sol is None:
-            _raise_unsolvable(c)
-        items = {}
-        value = FormalSeriesTensor.zero(alg, k - 1, N)
-        for j, x in sol.items():
-            value = value + basis[j].scale(x)
-        return Cochain.make(k - 1, N, value)
+        pieces = [(invariant_basis(alg, k - 1, N, keys_low), c.value.coeffs)]
+    else:
+        blocks = _multidegree_blocks(keys_low, alg.dim)
+        pieces = []
+        for tot, rhs_keys in sorted(_multidegree_blocks(c.value.coeffs, alg.dim).items()):
+            basis = [_monomial_fst(alg, key, N) for key in blocks.get(tot, [])]
+            pieces.append((basis, {key: c.value.coeffs[key] for key in rhs_keys}))
 
-    # multidegree blocks solve independently
-    blocks = {}
-    for key in keys_low:
-        tot = tuple(sum(vec[i] for vec in key) for i in range(alg.dim))
-        blocks.setdefault(tot, []).append(key)
-    rhs_blocks = {}
-    for key, v in c.value.coeffs.items():
-        tot = tuple(sum(vec[i] for vec in key) for i in range(alg.dim))
-        rhs_blocks.setdefault(tot, {})[key] = v
     value = FormalSeriesTensor.zero(alg, k - 1, N)
-    for tot, rhs in sorted(rhs_blocks.items()):
-        cols = blocks.get(tot, [])
-        basis = [_monomial_fst(alg, key, N) for key in cols]
-        sol = _solve_block(alg, basis, rhs, N)
+    for basis, target in pieces:
+        sol = linsolve.preimage([_d_raw(v).coeffs for v in basis], target)
         if sol is None:
             _raise_unsolvable(c)
         for j, x in sol.items():
             value = value + basis[j].scale(x)
     return Cochain.make(k - 1, N, value)
-
-
-def _solve_block(alg, basis, rhs, N):
-    rows = {}
-    for j, v in enumerate(basis):
-        img = _d_raw(v)
-        for rkey, coeff in img.coeffs.items():
-            rows.setdefault(rkey, {})[j] = coeff
-    for rkey in rhs:
-        rows.setdefault(rkey, {})
-    order = sorted(rows)
-    return linsolve.solve(
-        [rows[rk] for rk in order],
-        [rhs.get(rk, QQ(0)) for rk in order],
-        len(basis),
-    )
 
 
 def _raise_unsolvable(c: Cochain):

@@ -17,11 +17,10 @@ from ._rat import QQ, ZERO
 from .core import (
     FormalSeriesTensor,
     LieAlgebraSpec,
-    RMatrix,
     coproduct_insert,
     poisson_bracket,
 )
-from .envelope import TAG_GSTAR, PBWElement, dual_bracket, pbw_basis
+from .envelope import TAG_GSTAR, PBWElement, pbw_basis
 from .errors import NotATrace, NotInMSquared, SingularPairing, TruncationTooLow
 
 
@@ -221,15 +220,6 @@ def is_poisson_trace(l: LinearForm) -> bool:
     return True
 
 
-def _r_from_rho(rho: FormalSeriesTensor) -> RMatrix:
-    d = rho.alg.dim
-    mat = [[ZERO] * d for _ in range(d)]
-    for (v1, v2), c in rho.homogeneous_part(2).coeffs.items():
-        if sum(v1) == 1 and sum(v2) == 1:
-            mat[v1.index(1)][v2.index(1)] = c
-    return RMatrix(rho.alg, tuple(tuple(row) for row in mat)).validate()
-
-
 def convolution_bracket(rho: FormalSeriesTensor) -> LieAlgebraSpec:
     """The Lie algebra the convolution product induces on dual generators:
     structure constants read off the degree-1 part of form commutators.
@@ -259,19 +249,12 @@ def theta(f: LinearForm, rho: FormalSeriesTensor) -> PBWElement:
     """Express a Poisson trace as an element of the dual enveloping algebra:
     pair iterated convolution products of dual generators against monomials
     and solve the unitriangular change of basis."""
-    from .cohochschild import monomials
-
     alg = f.alg
     if not is_poisson_trace(f):
         raise NotATrace("theta is defined on Poisson traces only")
     n = f.order
     if rho.N < n:
         raise TruncationTooLow(f"rho truncated at {rho.N}, need degree {n}")
-
-    keys = []
-    for d in range(n + 1):
-        keys.extend(monomials(alg.dim, d))
-    key_index = {v: j for j, v in enumerate(keys)}
 
     basis = pbw_basis(alg.dim, n)
     forms = {(): LinearForm.one(alg)}
@@ -281,14 +264,7 @@ def theta(f: LinearForm, rho: FormalSeriesTensor) -> PBWElement:
         prefix = forms[mono[:-1]]
         forms[mono] = rho_product(prefix, LinearForm.generator(alg, mono[-1]), rho)
 
-    rows = [dict() for _ in keys]
-    for col, mono in enumerate(basis):
-        for vec, c in forms[mono].coeffs.items():
-            rows[key_index[vec]][col] = c
-    rhs = [ZERO] * len(keys)
-    for vec, c in f.coeffs.items():
-        rhs[key_index[vec]] = c
-    sol = linsolve.solve(rows, rhs, len(basis))
+    sol = linsolve.preimage([forms[mono].coeffs for mono in basis], f.coeffs)
     if sol is None:
         raise SingularPairing("convolution pairing matrix failed to solve")
     return PBWElement.make(theta_target(rho), TAG_GSTAR,

@@ -186,26 +186,17 @@ def pbw_basis(dim: int, maxdeg: int):
 def center(alg: LieAlgebraSpec, maxdeg: int, tag: str = TAG_G) -> list:
     """Basis of {z : filtration <= maxdeg, [z, x_i] = 0 for all i}."""
     basis = pbw_basis(alg.dim, maxdeg)
-    target_index: dict = {}
-    rows: list = []
-
-    def row_of(out_mono):
-        j = target_index.get(out_mono)
-        if j is None:
-            j = target_index[out_mono] = len(rows)
-            rows.append({})
-        return rows[j]
-
-    for col, mono in enumerate(basis):
+    gens = [PBWElement.generator(alg, tag, i) for i in range(alg.dim)]
+    images = []
+    for mono in basis:
         z = PBWElement.make(alg, tag, {mono: QQ(1)})
-        for i in range(alg.dim):
-            xi = PBWElement.generator(alg, tag, i)
-            comm = pbw_commutator(z, xi)
-            for m, c in comm.coeffs.items():
-                row_of((i, m))[col] = c
-    kernel = linsolve.kernel_basis(rows, len(basis))
+        col = {}
+        for i, xi in enumerate(gens):
+            for m, c in pbw_commutator(z, xi).coeffs.items():
+                col[(i, m)] = c
+        images.append(col)
     out = []
-    for vec in kernel:
+    for vec in linsolve.kernel_of(images):
         out.append(PBWElement.make(alg, tag,
                                    {basis[j]: c for j, c in vec.items()}))
     return out
@@ -248,14 +239,14 @@ def invariants_s_dual(alg: LieAlgebraSpec, maxdeg: int) -> list:
     out = []
     for d in range(maxdeg + 1):
         monos = monomials(alg.dim, d)
-        index = {m: j for j, m in enumerate(monos)}
-        rows = [dict() for _ in range(alg.dim * len(monos))]
-        for col, mono in enumerate(monos):
+        images = []
+        for mono in monos:
+            col = {}
             for i in range(alg.dim):
-                img = coadjoint_action(alg, i, {mono: QQ(1)})
-                for m, c in img.items():
-                    rows[i * len(monos) + index[m]][col] = c
-        for vec in linsolve.kernel_basis(rows, len(monos)):
+                for m, c in coadjoint_action(alg, i, {mono: QQ(1)}).items():
+                    col[(i, m)] = c
+            images.append(col)
+        for vec in linsolve.kernel_of(images):
             out.append(LinearForm.make(alg, {monos[j]: c for j, c in vec.items()}))
     return out
 

@@ -31,18 +31,16 @@ from .errors import (
 from .star import negate, star
 
 
-def _ins(f, blocks, n):
-    return coproduct_insert(f, blocks, n)
-
-
 def pentagon_defect(phi: FormalSeriesTensor) -> FormalSeriesTensor:
     """(phi^{1,2,34} * phi^{12,3,4}) * -(phi^{2,3,4} * phi^{1,23,4} * phi^{1,2,3})."""
     if not phi.in_m_tensor():
         raise NotInMTensor("phi must lie in m^{(x)3}")
-    lhs = star(_ins(phi, ((0,), (1,), (2, 3)), 4), _ins(phi, ((0, 1), (2,), (3,)), 4))
+    lhs = star(coproduct_insert(phi, ((0,), (1,), (2, 3)), 4),
+               coproduct_insert(phi, ((0, 1), (2,), (3,)), 4))
     rhs = star(
-        star(_ins(phi, ((1,), (2,), (3,)), 4), _ins(phi, ((0,), (1, 2), (3,)), 4)),
-        _ins(phi, ((0,), (1,), (2,)), 4),
+        star(coproduct_insert(phi, ((1,), (2,), (3,)), 4),
+             coproduct_insert(phi, ((0,), (1, 2), (3,)), 4)),
+        coproduct_insert(phi, ((0,), (1,), (2,)), 4),
     )
     return star(lhs, negate(rhs))
 
@@ -53,8 +51,9 @@ def cocycle_defect(rho: FormalSeriesTensor, phi: FormalSeriesTensor) -> FormalSe
         raise NotInMTensor("rho must lie in m^{(x)2}")
     if not phi.in_m_tensor():
         raise NotInMTensor("phi must lie in m^{(x)3}")
-    lhs = star(_ins(rho, ((0,), (1,)), 3), _ins(rho, ((0, 1), (2,)), 3))
-    rhs = star(star(_ins(rho, ((1,), (2,)), 3), _ins(rho, ((0,), (1, 2)), 3)), phi)
+    lhs = star(coproduct_insert(rho, ((0,), (1,)), 3), coproduct_insert(rho, ((0, 1), (2,)), 3))
+    rhs = star(star(coproduct_insert(rho, ((1,), (2,)), 3),
+                    coproduct_insert(rho, ((0,), (1, 2)), 3)), phi)
     return star(lhs, negate(rhs))
 
 
@@ -147,16 +146,17 @@ def gauge_phi(sigma: FormalSeriesTensor, phi: FormalSeriesTensor) -> FormalSerie
     if not is_invariant(sigma):
         raise NotInvariant("gauge element sigma must be g-invariant")
     neg = negate(sigma)
-    out = star(_ins(sigma, ((1,), (2,)), 3), _ins(sigma, ((0,), (1, 2)), 3))
+    out = star(coproduct_insert(sigma, ((1,), (2,)), 3),
+               coproduct_insert(sigma, ((0,), (1, 2)), 3))
     out = star(out, phi)
-    out = star(out, _ins(neg, ((0, 1), (2,)), 3))
-    return star(out, _ins(neg, ((0,), (1,)), 3))
+    out = star(out, coproduct_insert(neg, ((0, 1), (2,)), 3))
+    return star(out, coproduct_insert(neg, ((0,), (1,)), 3))
 
 
 def gauge_rho(lam: FormalSeriesTensor, rho: FormalSeriesTensor) -> FormalSeriesTensor:
     """lambda . rho = lambda^{1} * lambda^{2} * rho * (-lambda)^{12}."""
     if lam.k != 1 or not lam.in_m_squared():
         raise NotInMSquared("gauge element lambda must be a 1-slot element of m^2")
-    out = star(_ins(lam, ((0,),), 2), _ins(lam, ((1,),), 2))
+    out = star(coproduct_insert(lam, ((0,),), 2), coproduct_insert(lam, ((1,),), 2))
     out = star(out, rho)
-    return star(out, _ins(negate(lam), ((0, 1),), 2))
+    return star(out, coproduct_insert(negate(lam), ((0, 1),), 2))

@@ -4,10 +4,17 @@ Rows are dicts {column index: coefficient}. Elimination pivots on the
 smallest column index of each incoming row, which makes every result
 deterministic given the caller's column ordering. No floating point
 anywhere.
+
+Callers describe a map by its column images instead: entry j is the image
+of basis vector j, a dict {key: coefficient} over any hashable keys with
+no zero coefficient stored (elimination divides by leading entries).
+kernel_of, rank_of and preimage transpose images into rows; the reduced
+form is unique given the column order, so the key order changes nothing.
 """
 from __future__ import annotations
 
 from ._rat import QQ, ZERO
+from .errors import RankCertificate
 
 
 def _reduce_row(row: dict, echelon: dict) -> dict:
@@ -97,7 +104,8 @@ def solve(rows, rhs, ncols: int):
     set to zero, so the answer is the canonical pivot-order particular
     solution.
     """
-    assert len(rows) == len(rhs), "rows and rhs must align"
+    if len(rows) != len(rhs):
+        raise RankCertificate(f"{len(rows)} rows against {len(rhs)} right-hand sides")
     aug = ncols  # augmented column
     augmented = []
     for row, b in zip(rows, rhs):
@@ -114,3 +122,30 @@ def solve(rows, rhs, ncols: int):
         if coef:
             x[c] = -coef
     return x
+
+
+def _rows_of(images) -> dict:
+    """Transpose column images into {key: row}."""
+    rows = {}
+    for j, col in enumerate(images):
+        for key, v in col.items():
+            rows.setdefault(key, {})[j] = v
+    return rows
+
+
+def kernel_of(images) -> list:
+    """kernel_basis of the map whose column j is images[j]."""
+    return kernel_basis(list(_rows_of(images).values()), len(images))
+
+
+def rank_of(images) -> int:
+    """rank of the map whose column j is images[j]."""
+    return rank(list(_rows_of(images).values()))
+
+
+def preimage(images, target: dict):
+    """solve sum_j x[j] * images[j] = target for x; None when unsolvable."""
+    rows = _rows_of(images)
+    for key in target:
+        rows.setdefault(key, {})
+    return solve(list(rows.values()), [target.get(key, ZERO) for key in rows], len(images))

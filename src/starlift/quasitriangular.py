@@ -150,36 +150,26 @@ def c_s_basis(s, maxdeg: int, qt: QTStructure) -> list:
     """Basis of C_s = Ker(delta - s(D (x) id)Delta_0) inside the dual
     enveloping algebra, restricted to filtration <= maxdeg."""
     dual = qt.dual
-    g = qt.g
-    basis = pbw_basis(g.dim, maxdeg)
+    basis = pbw_basis(qt.g.dim, maxdeg)
     images = []
-    keyidx: dict = {}
     for mono in basis:
-        img = c_s_map(PBWElement.make(dual, TAG_GSTAR, {mono: QQ(1)}), g, s)
-        for key in img.coeffs:
-            keyidx.setdefault(key, len(keyidx))
-        images.append(img)
-
-    rows = [dict() for _ in range(len(keyidx))]
-    for col, img in enumerate(images):
-        for key, c in img.coeffs.items():
-            rows[keyidx[key]][col] = c
+        img = c_s_map(PBWElement.make(dual, TAG_GSTAR, {mono: QQ(1)}), qt.g, s)
+        images.append(img.coeffs)
     out = []
-    for vec in linsolve.kernel_basis(rows, len(basis)):
+    for vec in linsolve.kernel_of(images):
         out.append(PBWElement.make(dual, TAG_GSTAR,
                                    {basis[j]: c for j, c in vec.items()}))
     return out
 
 
 def c_s_graded_dims(s, maxdeg: int, qt: QTStructure) -> tuple:
-    """dim gr(C_s) per degree 0..maxdeg: successive differences of the
-    kernel dimensions at growing filtration cutoffs."""
-    dims = []
-    prev = 0
-    for d in range(maxdeg + 1):
-        cur = len(c_s_basis(s, d, qt))
-        dims.append(cur - prev)
-        prev = cur
+    """dim gr(C_s) per degree 0..maxdeg. Each c_s_basis vector is read off
+    the RREF over the graded PBW basis: 1 at its free column j, support in
+    columns <= j, so its filtration is len(basis[j]) and those of
+    filtration <= d are a basis of the cutoff-d kernel."""
+    dims = [0] * (maxdeg + 1)
+    for x in c_s_basis(s, maxdeg, qt):
+        dims[x.filtration] += 1
     return tuple(dims)
 
 
@@ -221,23 +211,21 @@ def sts_alpha(x: PBWElement, qt: QTStructure) -> PBWElement:
     return out
 
 
-def alpha_matrix_rank(qt: QTStructure, maxdeg: int) -> tuple:
-    """(rank, dimension) of alpha restricted to filtration <= maxdeg."""
-    dual = qt.dual
+def _alpha_images(qt: QTStructure, maxdeg: int) -> tuple:
+    """(basis, images): the PBW basis of the dual enveloping algebra up to
+    filtration maxdeg, and alpha of each basis monomial as a column image."""
     basis = pbw_basis(qt.g.dim, maxdeg)
-    keyidx: dict = {}
     images = []
     for mono in basis:
-        img = sts_alpha(PBWElement.make(dual, TAG_GSTAR, {mono: QQ(1)}), qt)
-        for key in img.coeffs:
-            keyidx.setdefault(key, len(keyidx))
-        images.append(img)
-    rows = [dict() for _ in range(len(keyidx))]
-    for col, img in enumerate(images):
-        for key, c in img.coeffs.items():
-            rows[keyidx[key]][col] = c
-    ker = linsolve.kernel_basis(rows, len(basis))
-    return (len(basis) - len(ker), len(basis))
+        img = sts_alpha(PBWElement.make(qt.dual, TAG_GSTAR, {mono: QQ(1)}), qt)
+        images.append(img.coeffs)
+    return basis, images
+
+
+def alpha_matrix_rank(qt: QTStructure, maxdeg: int) -> tuple:
+    """(rank, dimension) of alpha restricted to filtration <= maxdeg."""
+    basis, images = _alpha_images(qt, maxdeg)
+    return (linsolve.rank_of(images), len(basis))
 
 
 def sts_theta(z: PBWElement, qt: QTStructure) -> PBWElement:
@@ -250,29 +238,11 @@ def sts_theta(z: PBWElement, qt: QTStructure) -> PBWElement:
     if not qt.nondegenerate:
         raise Degenerate("t is singular; alpha is not invertible")
 
-    dual = qt.dual
-    n = z.filtration
-    basis = pbw_basis(g.dim, n)
-    keyidx: dict = {}
-    images = []
-    for mono in basis:
-        img = sts_alpha(PBWElement.make(dual, TAG_GSTAR, {mono: QQ(1)}), qt)
-        for key in img.coeffs:
-            keyidx.setdefault(key, len(keyidx))
-        images.append(img)
-    for key in z.coeffs:
-        keyidx.setdefault(key, len(keyidx))
-    rows = [dict() for _ in range(len(keyidx))]
-    for col, img in enumerate(images):
-        for key, c in img.coeffs.items():
-            rows[keyidx[key]][col] = c
-    rhs = [ZERO] * len(keyidx)
-    for key, c in z.coeffs.items():
-        rhs[keyidx[key]] = c
-    sol = linsolve.solve(rows, rhs, len(basis))
+    basis, images = _alpha_images(qt, z.filtration)
+    sol = linsolve.preimage(images, z.coeffs)
     if sol is None:
         raise SingularPairing("alpha did not reach the requested element")
-    return PBWElement.make(dual, TAG_GSTAR,
+    return PBWElement.make(qt.dual, TAG_GSTAR,
                            {basis[j]: c for j, c in sol.items()})
 
 
@@ -354,35 +324,12 @@ def compare_images(qt: QTStructure, maxdeg: int) -> dict:
     """Report whether C_0 and C_1 agree as subspaces at filtration <= maxdeg."""
     b0 = c_s_basis(QQ(0), maxdeg, qt)
     b1 = c_s_basis(QQ(1), maxdeg, qt)
-    basis = pbw_basis(qt.g.dim, maxdeg)
-    idx = {m: i for i, m in enumerate(basis)}
-
-    def span_rows(elts):
-        rows = []
-        for e in elts:
-            rows.append({idx[m]: c for m, c in e.coeffs.items()})
-        return rows
-
-    def rank(rows):
-        ker = linsolve.kernel_basis(
-            _transpose(rows, len(basis)), len(rows)
-        )
-        return len(rows) - len(ker)
-
-    r0 = rank(span_rows(b0))
-    r1 = rank(span_rows(b1))
-    rj = rank(span_rows(b0) + span_rows(b1))
+    r0 = linsolve.rank_of([e.coeffs for e in b0])
+    r1 = linsolve.rank_of([e.coeffs for e in b1])
+    rj = linsolve.rank_of([e.coeffs for e in b0 + b1])
     return {
         "dim_C0": r0,
         "dim_C1": r1,
         "dim_join": rj,
         "equal": rj == r0 == r1,
     }
-
-
-def _transpose(rows, ncols: int):
-    out = [dict() for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            out[j][i] = v
-    return out

@@ -1,0 +1,126 @@
+"""The column-image entry points of linsolve against sympy's DomainMatrix
+over QQ, their independence of key order, and c_s_graded_dims against the
+successive-difference computation it replaced."""
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ as SQQ
+from sympy.polys.matrices import DomainMatrix
+
+from starlift import c_s_basis, c_s_graded_dims, qt_validate
+from starlift._rat import QQ
+from starlift.linsolve import kernel_of, preimage, rank_of
+
+# Keys are arbitrary hashables, as the callers use them: ints, strings,
+# monomial tuples and (generator, monomial) pairs.
+KEYS = st.one_of(
+    st.integers(-3, 3),
+    st.text("abc", max_size=2),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.integers(0, 1), st.tuples(st.integers(0, 2))),
+)
+NONZERO = st.builds(QQ, st.integers(1, 4) | st.integers(-4, -1), st.integers(1, 3))
+
+
+@st.composite
+def systems(draw):
+    """(keys, images, target): columns and a right-hand side over keys."""
+    keys = draw(st.lists(KEYS, unique=True, max_size=6))
+    sparse = st.dictionaries(st.sampled_from(keys), NONZERO) if keys else st.just({})
+    images = draw(st.lists(sparse, max_size=6))
+    target = draw(sparse)
+    return keys, images, target
+
+
+def _oracle(keys, images, target=None):
+    """The map as a sympy matrix, rows in key order, with target appended
+    as a last column when given."""
+    cols = list(images) + ([target] if target is not None else [])
+    rows = [[SQQ(0)] * len(cols) for _ in keys]
+    for j, col in enumerate(cols):
+        for key, v in col.items():
+            rows[keys.index(key)][j] = SQQ(v.numerator, v.denominator)
+    return DomainMatrix(rows, (len(keys), len(cols)), SQQ)
+
+
+def _q(x):
+    return QQ(int(x.numerator), int(x.denominator))
+
+
+def _rref_nullspace(M, ncols):
+    """The kernel basis read off sympy's RREF, one vector per free column."""
+    R, pivots = M.rref()
+    R = R.to_list()
+    out = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = {j: QQ(1)}
+        for i, c in enumerate(pivots):
+            if R[i][j]:
+                vec[c] = -_q(R[i][j])
+        out.append(vec)
+    return out
+
+
+def _canonical_solution(M, ncols):
+    """The solution with free variables zero, read off the augmented RREF,
+    or None when the last column is a pivot."""
+    R, pivots = M.rref()
+    if ncols in pivots:
+        return None
+    R = R.to_list()
+    return {c: _q(R[i][ncols]) for i, c in enumerate(pivots) if R[i][ncols]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_entry_points_match_sympy(system):
+    keys, images, target = system
+    M = _oracle(keys, images)
+    assert rank_of(images) == M.rank()
+    assert kernel_of(images) == _rref_nullspace(M, len(images))
+    x = preimage(images, target)
+    assert x == _canonical_solution(_oracle(keys, images, target), len(images))
+    if x is not None:
+        image = {}
+        for j, xj in x.items():
+            for key, v in images[j].items():
+                image[key] = image.get(key, QQ(0)) + xj * v
+        assert {k: v for k, v in image.items() if v} == target
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.randoms(use_true_random=False))
+def test_key_order_changes_nothing(system, rnd):
+    keys, images, target = system
+    order = list(keys)
+    rnd.shuffle(order)
+
+    def reordered(col):
+        return {key: col[key] for key in order if key in col}
+
+    shuffled = [reordered(col) for col in images]
+    assert kernel_of(shuffled) == kernel_of(images)
+    assert rank_of(shuffled) == rank_of(images)
+    assert preimage(shuffled, reordered(target)) == preimage(images, target)
+
+
+def successive_difference_dims(s, maxdeg, qt):
+    """Reference: dim gr(C_s) as differences of kernel dimensions at each
+    filtration cutoff, one kernel per cutoff."""
+    dims = []
+    prev = 0
+    for d in range(maxdeg + 1):
+        cur = len(c_s_basis(s, d, qt))
+        dims.append(cur - prev)
+        prev = cur
+    return tuple(dims)
+
+
+@pytest.mark.parametrize("s", [QQ(1), QQ(0), QQ(-3, 4), QQ(2)], ids=str)
+def test_c_s_graded_dims_matches_successive_differences(sl2qt, s):
+    qt = qt_validate(*sl2qt)
+    reference = successive_difference_dims(s, 5, qt)
+    for maxdeg in range(6):
+        assert c_s_graded_dims(s, maxdeg, qt) == reference[:maxdeg + 1]
