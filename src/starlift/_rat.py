@@ -25,8 +25,8 @@ def rat(value) -> "QQ":
         if not _RAT_RE.match(value):
             raise ValueError(f"malformed rational literal: {value!r}")
         return QQ(value)
-    if isinstance(value, float):
-        raise TypeError("floats are not allowed; use 'p/q' strings")
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"{type(value).__name__} values are not allowed; use 'p/q' strings")
     return QQ(value)
 
 

@@ -349,6 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as "-3/4" for an unknown option, so bind it to --s here
+    while "--s" in argv[:-1]:
+        i = argv.index("--s")
+        argv[i:i + 2] = ["--s=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
     if args.command == "lift" and args.degree < 3:
         print(json.dumps({"error": {"type": "BadDegree",

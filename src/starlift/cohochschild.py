@@ -9,7 +9,7 @@ The differential on a k-cochain c is
 
 (slot labels 1-based as usual for insertion notation). The unit-fill
 contributions of the first and last terms cancel against the merge
-terms, so d lands back in slot-positive cochains; the code asserts this.
+terms, so d lands back in slot-positive cochains; Cochain.make checks this.
 Cohomology is wedge^k(g) (invariantly: wedge^k(g)^g) concentrated in
 degree N = k, realized by alt_project.
 """
@@ -29,7 +29,8 @@ from .core import (
     is_invariant,
     key_degree,
 )
-from .errors import NotACocycle, NotInvariant, Obstruction, RankCertificate
+from .errors import (NotACocycle, NotHomogeneous, NotInMTensor, NotInvariant,
+                     Obstruction, RankCertificate, SlotMismatch)
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,12 @@ class Cochain:
 
     @classmethod
     def make(cls, k: int, degree: int, value: FormalSeriesTensor) -> "Cochain":
-        assert value.k == k
-        for key in value.coeffs:
-            assert key_degree(key) == degree, "cochain must be homogeneous"
-            assert all(sum(v) >= 1 for v in key), "cochain slots must be positive"
+        if value.k != k:
+            raise SlotMismatch(f"a {value.k}-slot value cannot be a {k}-cochain")
+        if not value.in_m_tensor():
+            raise NotInMTensor("cochain slots must be positive")
+        if any(key_degree(key) != degree for key in value.coeffs):
+            raise NotHomogeneous(f"cochain must be homogeneous of degree {degree}")
         return cls(k, degree, value)
 
     def is_zero(self) -> bool:
@@ -105,10 +108,6 @@ def _d_raw(f: FormalSeriesTensor) -> FormalSeriesTensor:
     last_sign = 1 if (k + 1) % 2 == 0 else -1
     out = out + coproduct_insert(f, [(s,) for s in range(k)], n).scale(last_sign)
     return out
-
-
-def cohochschild_d(c: Cochain) -> Cochain:
-    return Cochain.make(c.k + 1, c.degree, _d_raw(c.value))
 
 
 def _diagonal_actions(alg: LieAlgebraSpec):

@@ -103,6 +103,11 @@ def _parse_rat(text, where: str):
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def _is_index(v, dim: int) -> bool:
+    """An integer, not a boolean, in 0..dim-1."""
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < dim
+
+
 def load_lie_algebra(source) -> "tuple[LieAlgebraSpec, RMatrix | None]":
     """Parse and validate a Lie algebra input.
 
@@ -136,7 +141,8 @@ def load_lie_algebra(source) -> "tuple[LieAlgebraSpec, RMatrix | None]":
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise ParseError(f"dim must be a nonnegative integer, got {dim!r}")
     basis = data.get("basis", [f"x{i}" for i in range(dim)])
-    if len(basis) != dim or not all(isinstance(b, str) for b in basis):
+    if (not isinstance(basis, list) or len(basis) != dim
+            or not all(isinstance(b, str) for b in basis)):
         raise ParseError("basis must list one name per dimension")
     if len(set(basis)) != dim:
         raise ParseError(f"basis names must be distinct, got {basis!r}")
@@ -147,14 +153,14 @@ def load_lie_algebra(source) -> "tuple[LieAlgebraSpec, RMatrix | None]":
             i, j, terms = ent
         except (TypeError, ValueError):
             raise ParseError(f"malformed bracket entry: {ent!r}") from None
-        if not (0 <= i < dim and 0 <= j < dim):
+        if not (_is_index(i, dim) and _is_index(j, dim)):
             raise ParseError(f"bracket indices out of range: {ent!r}")
         for term in terms:
             try:
                 k, coeff = term
             except (TypeError, ValueError):
                 raise ParseError(f"malformed bracket term: {term!r}") from None
-            if not 0 <= k < dim:
+            if not _is_index(k, dim):
                 raise ParseError(f"bracket target index out of range: {term!r}")
             val = _parse_rat(coeff, f"bracket [{i},{j}]")
             c[i][j][k] += val
@@ -174,7 +180,7 @@ def load_lie_algebra(source) -> "tuple[LieAlgebraSpec, RMatrix | None]":
                 i, j, coeff = ent
             except (TypeError, ValueError):
                 raise ParseError(f"malformed r entry: {ent!r}") from None
-            if not (0 <= i < dim and 0 <= j < dim):
+            if not (_is_index(i, dim) and _is_index(j, dim)):
                 raise ParseError(f"r indices out of range: {ent!r}")
             entries[i][j] += _parse_rat(coeff, f"r[{i},{j}]")
         kind = data.get("kind")

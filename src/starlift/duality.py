@@ -21,7 +21,8 @@ from .core import (
     poisson_bracket,
 )
 from .envelope import TAG_GSTAR, PBWElement, pbw_basis
-from .errors import NotATrace, NotInMSquared, SingularPairing, TruncationTooLow
+from .errors import (AlgebraMismatch, NotATrace, NotInMSquared, SingularPairing,
+                     SlotMismatch, TruncationTooLow)
 
 
 def _vec_factorial(vec) -> int:
@@ -43,7 +44,8 @@ class LinearForm:
         coeffs = {}
         for vec, c in dict(items).items():
             vec = tuple(vec)
-            assert len(vec) == alg.dim
+            if len(vec) != alg.dim:
+                raise AlgebraMismatch(f"exponent vector {vec} for an algebra of dim {alg.dim}")
             c = QQ(c)
             if c:
                 coeffs[vec] = c
@@ -66,7 +68,8 @@ class LinearForm:
         return not self.coeffs
 
     def __add__(self, other):
-        assert self.alg == other.alg
+        if self.alg != other.alg:
+            raise AlgebraMismatch("cannot add forms on different algebras")
         out = dict(self.coeffs)
         for v, c in other.coeffs.items():
             n = out.get(v, ZERO) + c
@@ -108,7 +111,8 @@ class LinearForm:
 
 def form_pair(l: LinearForm, f: FormalSeriesTensor):
     """<l, f> = sum_alpha l(alpha) * alpha! * [x^alpha](f)."""
-    assert f.k == 1
+    if f.k != 1:
+        raise SlotMismatch(f"forms pair with 1-slot series, got {f.k} slots")
     if l.order > f.N:
         raise TruncationTooLow(
             f"form of order {l.order} paired against truncation {f.N}"
@@ -139,7 +143,8 @@ def twisted_coproduct(f: FormalSeriesTensor, rho: FormalSeriesTensor) -> FormalS
     """rho * Delta_0(f) * (-rho) in the star group of the doubled algebra."""
     from .star import star_conjugate
 
-    assert f.k == 1
+    if f.k != 1:
+        raise SlotMismatch(f"the coproduct takes a 1-slot series, got {f.k} slots")
     if not (rho.k == 2 and rho.in_m_squared()):
         raise NotInMSquared("rho must be a 2-slot element of m^2")
     delta0 = coproduct_insert(f, ((0, 1),), 2)
@@ -181,22 +186,15 @@ def poisson_traces(alg: LieAlgebraSpec, maxdeg: int) -> list:
     for d in range(1, maxdeg + 1):
         cols = monomials(alg.dim, d)
         col_index = {v: j for j, v in enumerate(cols)}
-        rows = []
+        images = [{} for _ in cols]
         for da in range(1, d + 1):
-            db = d + 1 - da
-            if db < 1:
-                continue
             for va in monomials(alg.dim, da):
-                for vb in monomials(alg.dim, db):
+                for vb in monomials(alg.dim, d + 1 - da):
                     u = _monomial_series(alg, va, d)
                     v = _monomial_series(alg, vb, d)
-                    br = poisson_bracket(u, v)
-                    row = {}
-                    for (vec,), c in br.coeffs.items():
-                        row[col_index[vec]] = c * _vec_factorial(vec)
-                    if row:
-                        rows.append(row)
-        for ker in linsolve.kernel_basis(rows, len(cols)):
+                    for (vec,), c in poisson_bracket(u, v).coeffs.items():
+                        images[col_index[vec]][(va, vb)] = c * _vec_factorial(vec)
+        for ker in linsolve.kernel_of(images):
             out.append(LinearForm.make(alg, {cols[j]: c for j, c in ker.items()}))
     return out
 

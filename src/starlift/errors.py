@@ -57,6 +57,10 @@ class NotInMTensor(StarliftError):
     code = "NotInMTensor"
 
 
+class NotHomogeneous(StarliftError):
+    code = "NotHomogeneous"
+
+
 class NotACocycle(StarliftError):
     code = "NotACocycle"
 

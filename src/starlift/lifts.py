@@ -27,6 +27,7 @@ from .errors import (
     NotInWedge3,
     Obstruction,
     ObstructionAt4,
+    RankCertificate,
 )
 from .star import negate, star
 
@@ -73,7 +74,8 @@ def lift_associator(Z: FormalSeriesTensor, N: int) -> FormalSeriesTensor:
 
     for M in range(3, N):
         defect = pentagon_defect(phi.truncate(M + 1))
-        assert defect.min_degree() >= M + 1, "defect below current degree"
+        if defect.min_degree() < M + 1:
+            raise RankCertificate(f"defect below current degree {M + 1}")
         cls = defect.homogeneous_part(M + 1)
         if cls.is_zero():
             continue
@@ -116,7 +118,8 @@ def lift_twist(r: RMatrix, phi: FormalSeriesTensor, N: int) -> FormalSeriesTenso
     rho = r.to_series(N)
     for M in range(2, N):
         defect = cocycle_defect(rho.truncate(M + 1), phi.truncate(M + 1))
-        assert defect.min_degree() >= M + 1, "defect below current degree"
+        if defect.min_degree() < M + 1:
+            raise RankCertificate(f"defect below current degree {M + 1}")
         cls = defect.homogeneous_part(M + 1)
         if cls.is_zero():
             continue

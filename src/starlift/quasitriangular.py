@@ -115,7 +115,7 @@ def qt_validate(g: LieAlgebraSpec, rprime) -> QTStructure:
         r=rmat,
         t=t,
         Z=Z,
-        nondegenerate=linsolve.rank([{j: v for j, v in enumerate(row) if v} for row in t]) == d,
+        nondegenerate=linsolve.rank_of([{j: v for j, v in enumerate(row) if v} for row in t]) == d,
     )
 
 

@@ -156,6 +156,32 @@ def test_s_accepts_signed_fractions(capsys):
     assert json.loads(out)["s"] == "-3/4"
 
 
+def test_s_space_form_matches_equals_form(capsys):
+    _, spaced = run(capsys, "qt", data_path("sl2-qt"), "--maxdeg", "2", "--s", "-3/4")
+    code, joined = run(capsys, "qt", data_path("sl2-qt"), "--maxdeg", "2", "--s=-3/4")
+    assert code == 0
+    assert spaced == joined
+
+
+# JSON booleans are not indices or rationals, and a string is not a basis
+# list; the first case once loaded as [x_1, x_0] = x_1.
+@pytest.mark.parametrize("spec", [
+    '{"dim": 2, "brackets": [[true, 0, [[1, true]]]]}',
+    '{"dim": 2, "brackets": [[1, 0, [[true, "1"]]]]}',
+    '{"dim": 2, "brackets": [[1, 0, [[1, true]]]]}',
+    '{"dim": 2, "brackets": [], "r": [[true, 0, "1"], [0, 1, "-1"]]}',
+    '{"dim": 2, "brackets": [], "r": [[0, 1, true], [1, 0, "-1"]]}',
+    '{"dim": 3, "basis": "efh", "brackets": []}',
+], ids=["bracket-index", "bracket-target", "bracket-coefficient", "r-index",
+        "r-coefficient", "string-basis"])
+def test_booleans_and_string_basis_exit_2(capsys, tmp_path, spec):
+    src = tmp_path / "bad.json"
+    src.write_text(spec)
+    code, out = run(capsys, "validate", str(src))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
 # SHA-256 of the sl3 reports, taken before the structure-constant caching
 # and sparse validation; any change to these bytes is a regression.
 SL3_GOLDEN = {

@@ -21,6 +21,12 @@ def test_rat_rejects_floats():
         rat(0.5)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_rat_rejects_bools(value):
+    with pytest.raises(TypeError, match="bool"):
+        rat(value)
+
+
 def test_rat_rejects_garbage():
     with pytest.raises(Exception):
         rat("1/0")

@@ -1,6 +1,11 @@
 """Algebra validation and hashing: the sparse Jacobi and ad-invariance
 checks against the dense loops they replaced, the once-only hash of a
 spec, and strict parsing of algebra inputs."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -171,3 +176,32 @@ def test_dim_must_not_be_bool():
 def test_basis_names_must_be_distinct():
     with pytest.raises(ParseError, match="distinct"):
         load_lie_algebra({"dim": 2, "basis": ["a", "a"], "brackets": []})
+
+
+# Cochain.make and LinearForm.make must refuse bad values with typed errors
+# even when python -O strips assert statements.
+UNDER_O = """
+from starlift import FormalSeriesTensor, load_lie_algebra
+from starlift.cohochschild import Cochain
+from starlift.duality import LinearForm
+from starlift.errors import StarliftError
+
+print(__debug__)
+alg, _ = load_lie_algebra({"dim": 2, "brackets": []})
+mixed = FormalSeriesTensor.make(alg, 2, 4, {((1, 0), (0, 1)): 1, ((1, 0), (1, 1)): 1})
+for call in (lambda: Cochain.make(2, 2, mixed), lambda: LinearForm.make(alg, {(1,): 1})):
+    try:
+        call()
+    except StarliftError as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_typed_errors_survive_python_O():
+    import starlift
+
+    env = dict(os.environ, PYTHONPATH=str(Path(starlift.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "NotHomogeneous", "AlgebraMismatch"]
