@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import starlift
 from starlift import (
     LieAlgebraSpec,
     RMatrix,
@@ -198,8 +199,6 @@ for call in (lambda: Cochain.make(2, 2, mixed), lambda: LinearForm.make(alg, {(1
 
 
 def test_typed_errors_survive_python_O():
-    import starlift
-
     env = dict(os.environ, PYTHONPATH=str(Path(starlift.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-O", "-c", UNDER_O], env=env,
                           capture_output=True, text=True, timeout=60)
