@@ -1,8 +1,10 @@
 """Exact rational scalars.
 
-gmpy2.mpq when available (about 6x faster on bracket-heavy workloads),
-fractions.Fraction otherwise. Both parse "p/q" strings and print the same
-canonical form (reduced, denominator positive, "p" when integral).
+gmpy2.mpq when available, fractions.Fraction otherwise. No speed-up of
+gmpy2 over Fraction has been measured for this package, and the tensor
+kernels run their inner loops on Python ints with either backend. Both
+parse "p/q" strings and print the same canonical form (reduced,
+denominator positive, "p" when integral).
 """
 from __future__ import annotations
 

@@ -32,7 +32,7 @@ from .envelope import (
     pbw_commutator,
     pbw_product,
 )
-from .errors import CYBViolation, ParseError, StarliftError, TNotInvariant
+from .errors import BadDegree, CYBViolation, ParseError, StarliftError, TNotInvariant
 from .lifts import cocycle_defect, gauge_rho, lift, pentagon_defect
 from .quasitriangular import (
     alpha_matrix_rank,
@@ -355,40 +355,22 @@ def main(argv=None) -> int:
         i = argv.index("--s")
         argv[i:i + 2] = ["--s=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
-    if args.command == "lift" and args.degree < 3:
-        print(json.dumps({"error": {"type": "BadDegree",
-                                    "message": "lift needs --degree >= 3"}}))
-        return 1
-    if args.degree > DEGREE_CAP and not args.allow_large:
-        print(json.dumps({"error": {"type": "BadDegree",
-                                    "message": f"--degree > {DEGREE_CAP} needs --allow-large"}}))
-        return 1
-    if args.maxdeg < 0:
-        print(json.dumps({"error": {"type": "BadDegree",
-                                    "message": "--maxdeg must be >= 0"}}))
-        return 1
     try:
+        if args.command == "lift" and args.degree < 3:
+            raise BadDegree("lift needs --degree >= 3")
+        if args.degree > DEGREE_CAP and not args.allow_large:
+            raise BadDegree(f"--degree > {DEGREE_CAP} needs --allow-large")
+        if args.maxdeg < 0:
+            raise BadDegree("--maxdeg must be >= 0")
         alg, rmat = load_lie_algebra(args.input)
-    except ParseError as exc:
-        print(json.dumps({"error": {"type": "ParseError", "message": str(exc)}}))
-        return 2
-    except StarliftError as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return 1
-    try:
-        rat(args.s)
-    except ValueError:
-        print(json.dumps({"error": {"type": "ParseError",
-                                    "message": f"malformed --s value {args.s!r}"}}))
-        return 2
-    try:
+        try:
+            rat(args.s)
+        except ValueError:
+            raise ParseError(f"malformed --s value {args.s!r}") from None
         report = COMMANDS[args.command](alg, rmat, args)
-    except ParseError as exc:
-        print(json.dumps({"error": {"type": "ParseError", "message": str(exc)}}))
-        return 2
     except StarliftError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
     _print_report(report, args.output)
     return 0 if all(report.get("certificates", {}).values()) else 1
 

@@ -192,14 +192,27 @@ def _rank_d_on(basis) -> int:
 
 
 def _rank_d(alg, k: int, N: int) -> int:
-    """Rank of d on (S^{>0})^{(x)k} in degree N, split by multidegree."""
+    """Rank of d on (S^{>0})^{(x)k} in degree N, split by multidegree;
+    computed once per algebra instance."""
     if k < 1 or N < k:
         return 0
-    blocks = _multidegree_blocks(slot_positive_keys(alg.dim, k, N), alg.dim)
-    total = 0
-    for keys in blocks.values():
-        total += _rank_d_on([_monomial_fst(alg, key, N) for key in keys])
-    return total
+    memo = alg.memo
+    if ("rank_d", k, N) not in memo:
+        blocks = _multidegree_blocks(slot_positive_keys(alg.dim, k, N), alg.dim)
+        memo["rank_d", k, N] = sum(
+            _rank_d_on([_monomial_fst(alg, key, N) for key in keys])
+            for keys in blocks.values())
+    return memo["rank_d", k, N]
+
+
+def _invariant_dim_rank(alg, k: int, N: int) -> tuple:
+    """(dimension, rank of d) of the invariant k-cochains in degree N;
+    computed once per algebra instance."""
+    memo = alg.memo
+    if ("invariant_dim_rank", k, N) not in memo:
+        basis = invariant_basis(alg, k, N)
+        memo["invariant_dim_rank", k, N] = (len(basis), _rank_d_on(basis))
+    return memo["invariant_dim_rank", k, N]
 
 
 def cohomology_dimension(alg: LieAlgebraSpec, k: int, N: int,
@@ -210,10 +223,8 @@ def cohomology_dimension(alg: LieAlgebraSpec, k: int, N: int,
     if N < k:
         return 0
     if invariant_only:
-        dom = invariant_basis(alg, k, N)
-        below = invariant_basis(alg, k - 1, N) if k >= 2 else []
-        r_in = _rank_d_on(below) if below else 0
-        return len(dom) - _rank_d_on(dom) - r_in
+        dim, rank = _invariant_dim_rank(alg, k, N)
+        return dim - rank - (_invariant_dim_rank(alg, k - 1, N)[1] if k >= 2 else 0)
     ncols = len(slot_positive_keys(alg.dim, k, N))
     return ncols - _rank_d(alg, k, N) - _rank_d(alg, k - 1, N)
 

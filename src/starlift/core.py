@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from math import factorial
+from functools import cache, cached_property
+from math import factorial, lcm
+from operator import itemgetter
 
 from ._rat import QQ, ZERO, rat, rat_str
 from .errors import (
@@ -28,6 +29,7 @@ from .errors import (
 
 Vec = tuple  # exponent vector over the basis of g
 Key = tuple  # k-tuple of Vec
+_first = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,29 @@ class LieAlgebraSpec:
             if row:
                 rows[i] = row
         return rows
+
+    @cached_property
+    def integer_rows(self):
+        """(Dc, rows): bracket_rows with each c_ijk written as the integer
+        numerator of c_ijk = n / Dc, Dc the lcm of their denominators."""
+        ents = [ent for row in self.bracket_rows.values() for ent in row.values()]
+        Dc = lcm(*(v.denominator for ent in ents for _, v in ent))
+        rows = {i: {j: tuple((k, v.numerator * (Dc // v.denominator)) for k, v in ent)
+                    for j, ent in row.items()}
+                for i, row in self.bracket_rows.items()}
+        return Dc, rows
+
+    @cached_property
+    def slot_brackets(self) -> "_SlotBrackets":
+        # On the instance: a module memo keyed by the algebra would compare
+        # all structure constants whenever an equal spec was loaded before.
+        return _SlotBrackets(self.integer_rows[1])
+
+    @cached_property
+    def memo(self) -> dict:
+        """Per-instance cache for data other modules derive from this
+        algebra, keyed by tuples that start with the owner's name."""
+        return {}
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -96,6 +121,39 @@ class LieAlgebraSpec:
         return self
 
 
+class _SlotBrackets(dict):
+    """(af, ag) -> (af + ag, ((vec, n), ...)): the one-slot Lie-Poisson
+    bracket {x^af, x^ag} = sum n/Dc x^vec, built on first lookup. Terms are
+    merged per vec in first-hit order; a merged zero is kept, so callers
+    insert output keys in the order the unmerged sum would."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, pair):
+        af, ag = pair
+        base = tuple(a + b for a, b in zip(af, ag))
+        terms = {}
+        for i, ai in enumerate(af):
+            row = self.rows.get(i) if ai else None
+            if row is None:
+                continue
+            for j, aj in enumerate(ag):
+                ent = row.get(j) if aj else None
+                if ent is None:
+                    continue
+                for tgt, n in ent:
+                    vec = list(base)
+                    vec[i] -= 1
+                    vec[j] -= 1
+                    vec[tgt] += 1
+                    vec = tuple(vec)
+                    terms[vec] = terms.get(vec, 0) + ai * aj * n
+        self[pair] = entry = (base, tuple(terms.items()))
+        return entry
+
+
 def _parse_rat(text, where: str):
     try:
         return rat(text)
@@ -106,6 +164,12 @@ def _parse_rat(text, where: str):
 def _is_index(v, dim: int) -> bool:
     """An integer, not a boolean, in 0..dim-1."""
     return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < dim
+
+
+def _as_list(value, what: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 def load_lie_algebra(source) -> "tuple[LieAlgebraSpec, RMatrix | None]":
@@ -148,14 +212,14 @@ def load_lie_algebra(source) -> "tuple[LieAlgebraSpec, RMatrix | None]":
         raise ParseError(f"basis names must be distinct, got {basis!r}")
 
     c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for ent in data.get("brackets", []):
+    for ent in _as_list(data.get("brackets", []), "brackets"):
         try:
             i, j, terms = ent
         except (TypeError, ValueError):
             raise ParseError(f"malformed bracket entry: {ent!r}") from None
         if not (_is_index(i, dim) and _is_index(j, dim)):
             raise ParseError(f"bracket indices out of range: {ent!r}")
-        for term in terms:
+        for term in _as_list(terms, f"bracket [{i},{j}] terms"):
             try:
                 k, coeff = term
             except (TypeError, ValueError):
@@ -175,7 +239,7 @@ def load_lie_algebra(source) -> "tuple[LieAlgebraSpec, RMatrix | None]":
     rmat = None
     if "r" in data:
         entries = [[ZERO] * dim for _ in range(dim)]
-        for ent in data["r"]:
+        for ent in _as_list(data["r"], "r"):
             try:
                 i, j, coeff = ent
             except (TypeError, ValueError):
@@ -242,7 +306,7 @@ def _unit(dim: int, i: int) -> Vec:
 
 
 def key_degree(key: Key) -> int:
-    return sum(sum(v) for v in key)
+    return sum(map(sum, key))
 
 
 def slot_degrees(key: Key) -> tuple:
@@ -282,6 +346,22 @@ class FormalSeriesTensor:
         buckets = {}
         for key, val in self.coeffs.items():
             buckets.setdefault(key_degree(key), []).append((key, val))
+        return buckets
+
+    @cached_property
+    def numerators(self):
+        """(D, [(key, n), ...]) in coeffs order, each coefficient being n / D
+        with D the lcm of the coefficient denominators."""
+        ratios = [(key, v.as_integer_ratio()) for key, v in self.coeffs.items()]
+        D = lcm(*(q for _, (_, q) in ratios))
+        return D, [(key, p * (D // q)) for key, (p, q) in ratios]
+
+    @cached_property
+    def numerator_buckets(self):
+        """degree_buckets with the integer numerators of ``numerators``."""
+        buckets = {}
+        for key, n in self.numerators[1]:
+            buckets.setdefault(key_degree(key), []).append((key, n))
         return buckets
 
     # ---- predicates ------------------------------------------------
@@ -395,6 +475,13 @@ class FormalSeriesTensor:
         return " + ".join(bits) if bits else "0"
 
 
+def _from_numerators(alg, k, N, nums: dict, D: int) -> FormalSeriesTensor:
+    """FormalSeriesTensor.make for integer numerators over one common
+    denominator D: one rational per surviving key."""
+    return FormalSeriesTensor(alg, k, N, {key: QQ(n, D) for key, n in nums.items()
+                                          if n and key_degree(key) <= N})
+
+
 def multiply(f: FormalSeriesTensor, g: FormalSeriesTensor) -> FormalSeriesTensor:
     """Commutative product, slot-wise, truncated at N."""
     f._check_pair(g, "multiply")
@@ -425,49 +512,32 @@ def poisson_bracket(f: FormalSeriesTensor, g: FormalSeriesTensor) -> FormalSerie
     """
     f._check_pair(g, "bracket")
     alg = f.alg
-    rows = alg.bracket_rows
-    if not rows:
+    if alg.is_abelian:
         return FormalSeriesTensor.zero(alg, f.k, f.N)
     N = f.N
-    k = f.k
-    out = {}
-    for df, items_f in f.degree_buckets.items():
-        for dg, items_g in g.degree_buckets.items():
+    Df, buckets_f = f.numerators[0], f.numerator_buckets
+    Dg, buckets_g = g.numerators[0], g.numerator_buckets
+    lookup = alg.slot_brackets.__getitem__
+    out = {}  # integer numerators over Df * Dg * Dc
+    for df, items_f in buckets_f.items():
+        for dg, items_g in buckets_g.items():
             if df + dg - 1 > N:
                 continue
-            for key_f, cf in items_f:
-                for key_g, cg in items_g:
-                    c0 = cf * cg
-                    base = tuple(
-                        tuple(a + b for a, b in zip(key_f[s], key_g[s]))
-                        for s in range(k)
-                    )
-                    for s in range(k):
-                        af = key_f[s]
-                        ag = key_g[s]
-                        for i, ai in enumerate(af):
-                            if not ai:
-                                continue
-                            row = rows.get(i)
-                            if row is None:
-                                continue
-                            for j, aj in enumerate(ag):
-                                if not aj:
-                                    continue
-                                ent = row.get(j)
-                                if ent is None:
-                                    continue
-                                cc = c0 * (ai * aj)
-                                for tgt, ctgt in ent:
-                                    vec = list(base[s])
-                                    vec[i] -= 1
-                                    vec[j] -= 1
-                                    vec[tgt] += 1
-                                    nk = base[:s] + (tuple(vec),) + base[s + 1:]
-                                    val = out.get(nk)
-                                    term = cc * ctgt
-                                    out[nk] = term if val is None else val + term
-    return FormalSeriesTensor.make(alg, k, N, out)
+            for key_f, nf in items_f:
+                for key_g, ng in items_g:
+                    slots = list(map(lookup, zip(key_f, key_g)))
+                    base = None  # built only for pairs that bracket in some slot
+                    for s, (_, terms) in enumerate(slots):
+                        if not terms:
+                            continue
+                        if base is None:
+                            base = tuple(map(_first, slots))
+                            c0 = nf * ng
+                        head, tail = base[:s], base[s + 1:]
+                        for vec, n in terms:
+                            nk = head + (vec,) + tail
+                            out[nk] = out.get(nk, 0) + c0 * n
+    return _from_numerators(alg, f.k, N, out, Df * Dg * alg.integer_rows[0])
 
 
 def g_action(i: int, f: FormalSeriesTensor) -> FormalSeriesTensor:
@@ -475,40 +545,38 @@ def g_action(i: int, f: FormalSeriesTensor) -> FormalSeriesTensor:
     alg = f.alg
     if not 0 <= i < alg.dim:
         raise IndexOutOfRange(f"basis index {i} out of range for dim {alg.dim}")
-    rows = alg.bracket_rows.get(i)
+    Dc, int_rows = alg.integer_rows
+    rows = int_rows.get(i)
     if rows is None:
         return FormalSeriesTensor.zero(alg, f.k, f.N)
+    D, items = f.numerators
     out = {}
-    for key, cf in f.coeffs.items():
+    for key, nf in items:
         for s, vec in enumerate(key):
             for j, aj in enumerate(vec):
-                if not aj:
-                    continue
-                ent = rows.get(j)
+                ent = rows.get(j) if aj else None
                 if ent is None:
                     continue
-                cc = cf * aj
-                for tgt, ctgt in ent:
+                for tgt, n in ent:
                     new = list(vec)
                     new[j] -= 1
                     new[tgt] += 1
                     nk = key[:s] + (tuple(new),) + key[s + 1:]
-                    val = out.get(nk)
-                    term = cc * ctgt
-                    out[nk] = term if val is None else val + term
-    return FormalSeriesTensor.make(alg, f.k, f.N, out)
+                    out[nk] = out.get(nk, 0) + nf * aj * n
+    return _from_numerators(alg, f.k, f.N, out, D * Dc)
 
 
 def is_invariant(f: FormalSeriesTensor) -> bool:
     return all(g_action(i, f).is_zero() for i in range(f.alg.dim))
 
 
-def _splits(vec: Vec, parts: int):
+@cache
+def _splits(vec: Vec, parts: int) -> tuple:
     """All ways to write vec as an ordered sum of `parts` exponent vectors,
     with the multinomial weight prod_i a_i!/(prod_t parts_t,i!)."""
     if parts == 1:
-        yield (vec,), 1
-        return
+        return (((vec,), 1),)
+    out = []
     # combine per-coordinate compositions
     for combo in itertools.product(*_coordinate_splits(vec, parts)):
         weight = 1
@@ -517,7 +585,8 @@ def _splits(vec: Vec, parts: int):
             weight *= w
             cols.append(comp)
         vecs = tuple(tuple(col[t] for col in cols) for t in range(parts))
-        yield vecs, weight
+        out.append((vecs, weight))
+    return tuple(out)
 
 
 def _coordinate_splits(vec: Vec, parts: int):
@@ -567,25 +636,22 @@ def coproduct_insert(f: FormalSeriesTensor, blocks, n: int = None) -> FormalSeri
         if not 0 <= t < n:
             raise IndexOutOfRange(f"target slot {t} outside 0..{n - 1}")
 
-    dim = f.alg.dim
-    zero_vec = tuple([0] * dim)
+    zero_vec = tuple([0] * f.alg.dim)
+    D, items = f.numerators
     out = {}
-    for key, cf in f.coeffs.items():
+    for key, weight0 in items:
         # per original slot: distributions of its exponent vector over the block
-        per_slot = []
-        for s, block in enumerate(blocks):
-            per_slot.append(list(_splits(key[s], len(block))))
+        per_slot = [_splits(vec, len(block)) for vec, block in zip(key, blocks)]
         for combo in itertools.product(*per_slot):
-            weight = cf
+            weight = weight0
             new_key = [zero_vec] * n
             for block, (vecs, w) in zip(blocks, combo):
                 weight *= w
                 for t, v in zip(block, vecs):
                     new_key[t] = v
             nk = tuple(new_key)
-            val = out.get(nk)
-            out[nk] = weight if val is None else val + weight
-    return FormalSeriesTensor.make(f.alg, n, f.N, out)
+            out[nk] = out.get(nk, 0) + weight
+    return _from_numerators(f.alg, n, f.N, out, D)
 
 
 _SIGN_CACHE = {}

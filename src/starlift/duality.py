@@ -14,6 +14,7 @@ from math import factorial
 
 from . import linsolve
 from ._rat import QQ, ZERO
+from .cohochschild import _monomial_fst, monomials
 from .core import (
     FormalSeriesTensor,
     LieAlgebraSpec,
@@ -151,15 +152,9 @@ def twisted_coproduct(f: FormalSeriesTensor, rho: FormalSeriesTensor) -> FormalS
     return star_conjugate(rho, delta0)
 
 
-def _monomial_series(alg, vec, N) -> FormalSeriesTensor:
-    return FormalSeriesTensor.make(alg, 1, N, {(tuple(vec),): QQ(1)})
-
-
 def rho_product(l1: LinearForm, l2: LinearForm, rho: FormalSeriesTensor) -> LinearForm:
     """The convolution (l1 . l2)(f) = (l1 (x) l2)(rho * Delta_0(f) * (-rho)),
     returned as a form of order <= order(l1) + order(l2)."""
-    from .cohochschild import monomials
-
     alg = l1.alg
     n = l1.order + l2.order
     if rho.N < n:
@@ -170,7 +165,7 @@ def rho_product(l1: LinearForm, l2: LinearForm, rho: FormalSeriesTensor) -> Line
     out = {}
     for d in range(n + 1):
         for vec in monomials(alg.dim, d):
-            tc = twisted_coproduct(_monomial_series(alg, vec, n), rho_n)
+            tc = twisted_coproduct(_monomial_fst(alg, (vec,), n), rho_n)
             val = _pair_two(l1, l2, tc)
             if val:
                 out[vec] = val / _vec_factorial(vec)
@@ -180,8 +175,6 @@ def rho_product(l1: LinearForm, l2: LinearForm, rho: FormalSeriesTensor) -> Line
 def poisson_traces(alg: LieAlgebraSpec, maxdeg: int) -> list:
     """Basis of forms of order <= maxdeg annihilating all Poisson brackets,
     degree by degree (degree d forms against brackets of degree d)."""
-    from .cohochschild import monomials
-
     out = [LinearForm.one(alg)]
     for d in range(1, maxdeg + 1):
         cols = monomials(alg.dim, d)
@@ -190,8 +183,8 @@ def poisson_traces(alg: LieAlgebraSpec, maxdeg: int) -> list:
         for da in range(1, d + 1):
             for va in monomials(alg.dim, da):
                 for vb in monomials(alg.dim, d + 1 - da):
-                    u = _monomial_series(alg, va, d)
-                    v = _monomial_series(alg, vb, d)
+                    u = _monomial_fst(alg, (va,), d)
+                    v = _monomial_fst(alg, (vb,), d)
                     for (vec,), c in poisson_bracket(u, v).coeffs.items():
                         images[col_index[vec]][(va, vb)] = c * _vec_factorial(vec)
         for ker in linsolve.kernel_of(images):
@@ -201,8 +194,6 @@ def poisson_traces(alg: LieAlgebraSpec, maxdeg: int) -> list:
 
 def is_poisson_trace(l: LinearForm) -> bool:
     """Direct check that l kills {u, v} for all monomial pairs in range."""
-    from .cohochschild import monomials
-
     alg = l.alg
     n = l.order
     for da in range(1, n + 1):
@@ -210,8 +201,8 @@ def is_poisson_trace(l: LinearForm) -> bool:
             for va in monomials(alg.dim, da):
                 for vb in monomials(alg.dim, db):
                     br = poisson_bracket(
-                        _monomial_series(alg, va, n),
-                        _monomial_series(alg, vb, n),
+                        _monomial_fst(alg, (va,), n),
+                        _monomial_fst(alg, (vb,), n),
                     )
                     if form_pair(l, br):
                         return False
@@ -265,10 +256,5 @@ def theta(f: LinearForm, rho: FormalSeriesTensor) -> PBWElement:
     sol = linsolve.preimage([forms[mono].coeffs for mono in basis], f.coeffs)
     if sol is None:
         raise SingularPairing("convolution pairing matrix failed to solve")
-    return PBWElement.make(theta_target(rho), TAG_GSTAR,
+    return PBWElement.make(convolution_bracket(rho), TAG_GSTAR,
                            {basis[j]: c for j, c in sol.items()})
-
-
-def theta_target(rho: FormalSeriesTensor) -> LieAlgebraSpec:
-    """The dual Lie algebra underlying theta's codomain."""
-    return convolution_bracket(rho)

@@ -19,6 +19,12 @@ class ParseError(StarliftError):
     code = "ParseError"
 
 
+class BadDegree(StarliftError):
+    """A --degree or --maxdeg value outside what the command accepts."""
+
+    code = "BadDegree"
+
+
 class AntisymmetryViolation(StarliftError):
     code = "AntisymmetryViolation"
 

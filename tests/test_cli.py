@@ -137,6 +137,19 @@ def test_degree_cap(capsys):
     assert code == 0
 
 
+# Stdout bytes of each degree refusal, as printed before BadDegree became a
+# StarliftError raised through the common handler.
+@pytest.mark.parametrize("argv, message", [
+    (("lift", "--degree", "2"), "lift needs --degree >= 3"),
+    (("lift", "--degree", "9"), "--degree > 8 needs --allow-large"),
+    (("envelope", "--maxdeg", "-1"), "--maxdeg must be >= 0"),
+], ids=["lift-low", "cap", "maxdeg"])
+def test_bad_degree_bytes(capsys, argv, message):
+    code, out = run(capsys, argv[0], data_path("sl2"), *argv[1:])
+    assert code == 1
+    assert out == '{"error": {"type": "BadDegree", "message": "%s"}}\n' % message
+
+
 def test_malformed_s_exits_2(capsys):
     code, out = run(capsys, "qt", data_path("sl2-qt"), "--s", "one")
     assert code == 2
@@ -175,6 +188,20 @@ def test_s_space_form_matches_equals_form(capsys):
 ], ids=["bracket-index", "bracket-target", "bracket-coefficient", "r-index",
         "r-coefficient", "string-basis"])
 def test_booleans_and_string_basis_exit_2(capsys, tmp_path, spec):
+    src = tmp_path / "bad.json"
+    src.write_text(spec)
+    code, out = run(capsys, "validate", str(src))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+# Non-list brackets, bracket terms or r once escaped as a TypeError traceback.
+@pytest.mark.parametrize("spec", [
+    '{"dim": 2, "brackets": [[0, 1, 5]]}',
+    '{"dim": 2, "brackets": 5}',
+    '{"dim": 2, "brackets": [], "r": 3}',
+], ids=["bracket-terms", "brackets", "r"])
+def test_non_list_fields_exit_2(capsys, tmp_path, spec):
     src = tmp_path / "bad.json"
     src.write_text(spec)
     code, out = run(capsys, "validate", str(src))

@@ -93,3 +93,21 @@ def test_invariant_basis_elements_are_invariant(sl2):
     assert basis
     for b in basis:
         assert is_invariant(b)
+
+
+def test_invariant_table_builds_each_basis_once(sl2, monkeypatch):
+    """Row k reuses the invariant basis and rank of row k - 1; the memo
+    lives on the algebra instance, so a fresh equal spec starts empty."""
+    from starlift import LieAlgebraSpec, cohochschild
+
+    alg, _ = sl2
+    fresh = LieAlgebraSpec(alg.dim, alg.basis_names, alg.c)
+    built = []
+    real = cohochschild.invariant_basis
+    monkeypatch.setattr(cohochschild, "invariant_basis",
+                        lambda a, k, N: built.append((k, N)) or real(a, k, N))
+    table = {(k, N): cohomology_dimension(fresh, k, N, invariant_only=True)
+             for k in (1, 2, 3) for N in range(k, 5)}
+    assert sorted(built) == sorted(table)
+    # Lambda^k(sl2)^g is Q at k = 3 and zero below; nothing off the diagonal
+    assert table == {(k, N): int(k == N == 3) for k, N in table}

@@ -21,7 +21,7 @@ from starlift import (
     twisted_coproduct,
 )
 from starlift._rat import QQ
-from starlift.duality import LinearForm, theta_target
+from starlift.duality import LinearForm
 from starlift.envelope import TAG_GSTAR, PBWElement
 from starlift.errors import NotATrace, TruncationTooLow
 
@@ -103,7 +103,9 @@ def test_convolution_bracket_sl2_frozen(sl2rho):
         for j in range(3):
             got = {k: v for k, v in enumerate(cb.c[i][j]) if v}
             assert got == expected.get((i, j), {})
-    assert theta_target(rho) == cb
+    # theta lands in the enveloping algebra of exactly this bracket
+    for t in poisson_traces(alg, 2):
+        assert theta(t, rho).alg == cb
 
 
 def test_poisson_traces_sl2(sl2):
