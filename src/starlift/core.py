@@ -654,22 +654,17 @@ def coproduct_insert(f: FormalSeriesTensor, blocks, n: int = None) -> FormalSeri
     return _from_numerators(f.alg, n, f.N, out, D)
 
 
-_SIGN_CACHE = {}
-
-
-def _permutation_signs(k: int):
-    cached = _SIGN_CACHE.get(k)
-    if cached is None:
-        cached = []
-        for perm in itertools.permutations(range(k)):
-            inv = 0
-            for a in range(k):
-                for b in range(a + 1, k):
-                    if perm[a] > perm[b]:
-                        inv += 1
-            cached.append((perm, -1 if inv % 2 else 1))
-        _SIGN_CACHE[k] = cached
-    return cached
+@cache
+def _permutation_signs(k: int) -> tuple:
+    out = []
+    for perm in itertools.permutations(range(k)):
+        inv = 0
+        for a in range(k):
+            for b in range(a + 1, k):
+                if perm[a] > perm[b]:
+                    inv += 1
+        out.append((perm, -1 if inv % 2 else 1))
+    return tuple(out)
 
 
 def alt_project(f: FormalSeriesTensor) -> FormalSeriesTensor:

@@ -335,10 +335,6 @@ class PBWTensorSquare:
         return (self.tag == other.tag and self.alg == other.alg
                 and self.coeffs == other.coeffs)
 
-    def swap(self) -> "PBWTensorSquare":
-        return PBWTensorSquare(self.alg, self.tag,
-                               {(b, a): c for (a, b), c in self.coeffs.items()})
-
 
 def _mult_square(t: PBWTensorSquare, u: PBWTensorSquare) -> PBWTensorSquare:
     out = PBWTensorSquare.zero(t.alg, t.tag)
@@ -380,18 +376,16 @@ def _delta_generator(g: LieAlgebraSpec, dual: LieAlgebraSpec, a: int) -> PBWTens
     return out
 
 
-_DELTA_MEMO: dict = {}
-
-
 def copoisson_delta(x: PBWElement, g: LieAlgebraSpec) -> PBWTensorSquare:
     """The co-Poisson cobracket on U(g*): transpose structure constants on
     generators, co-Leibniz rule delta(xy) = delta(x)Delta0(y) + Delta0(x)delta(y)."""
     dual = x.alg
     out = PBWTensorSquare.zero(dual, x.tag)
+    memo = dual.memo
 
     def of_monomial(mono):
-        key = (g, dual, mono)
-        hit = _DELTA_MEMO.get(key)
+        key = ("copoisson_delta", g, mono)
+        hit = memo.get(key)
         if hit is not None:
             return hit
         if not mono:
@@ -403,7 +397,7 @@ def copoisson_delta(x: PBWElement, g: LieAlgebraSpec) -> PBWTensorSquare:
             rest = PBWElement.make(dual, x.tag, {mono[1:]: QQ(1)})
             res = _mult_square(of_monomial((mono[0],)), coproduct_square(rest))
             res = res + _mult_square(coproduct_square(head), of_monomial(mono[1:]))
-        _DELTA_MEMO[key] = res
+        memo[key] = res
         return res
 
     for mono, c in x.coeffs.items():
@@ -411,13 +405,11 @@ def copoisson_delta(x: PBWElement, g: LieAlgebraSpec) -> PBWTensorSquare:
     return out
 
 
-_D_MEMO: dict = {}
-
-
 def derivation_D(x: PBWElement, g: LieAlgebraSpec) -> PBWElement:
     """bracket-after-cobracket of the dual algebra, extended as a derivation."""
     dual = x.alg
-    gen_img = _D_MEMO.get((g, dual, x.tag))
+    key = ("derivation_D", g, x.tag)
+    gen_img = dual.memo.get(key)
     if gen_img is None:
         gen_img = []
         for a in range(dual.dim):
@@ -428,7 +420,7 @@ def derivation_D(x: PBWElement, g: LieAlgebraSpec) -> PBWElement:
                 for tgt, w in dual.bracket_rows.get(i, {}).get(j, ()):
                     acc = acc + PBWElement.make(dual, x.tag, {(tgt,): c * w})
             gen_img.append(acc)
-        _D_MEMO[(g, dual, x.tag)] = gen_img
+        dual.memo[key] = gen_img
 
     out = PBWElement.zero(dual, x.tag)
     for mono, c in x.coeffs.items():

@@ -5,65 +5,20 @@ bracket. Each letter lives in m^2, so an L-letter bracket word has total
 degree >= L+1 and only words with <= N-1 letters survive truncation at N:
 the series is finite and exact.
 
-Two evaluation paths produce the terms:
-  - a frozen table of nested-commutator coefficients for words of <= 7
-    letters (fast path, covers N <= 8);
-  - for longer words, the Dynkin projection of the exact associative
-    log(exp x exp y) computed in the truncated free algebra Q<x,y>.
-The paths are cross-checked exactly in the test suite.
+The terms are derived once per word length and process: the right-nested
+words whose last two letters differ span the free Lie algebra, and one
+exact solve against log(exp x exp y) in Q<x,y> keeps the pivot words.
 """
 from __future__ import annotations
 
+from functools import cache
+from itertools import product
 from math import factorial
-from threading import Lock
 
 from ._rat import QQ
 from .core import FormalSeriesTensor, poisson_bracket
-from .errors import NotInMSquared, SlotMismatch
-
-# Nested-commutator table: (coefficient, word) with word over {0,1},
-# 0 = first argument, 1 = second; word (a,b,c) means {a,{b,c}}.
-# Orders 6 and 7 follow Hofstaetter's exact BCH tables (the widely
-# reprinted order-6 expression fails the symmetry test and is not used).
-_BCH_TABLE = [
-    (QQ(1, 2), (0, 1)),
-    (QQ(1, 12), (0, 0, 1)),
-    (QQ(1, 12), (1, 1, 0)),
-    (QQ(-1, 24), (1, 0, 0, 1)),
-    (QQ(-1, 720), (1, 1, 1, 1, 0)),
-    (QQ(-1, 720), (0, 0, 0, 0, 1)),
-    (QQ(1, 360), (0, 1, 1, 1, 0)),
-    (QQ(1, 360), (1, 0, 0, 0, 1)),
-    (QQ(1, 120), (1, 0, 1, 0, 1)),
-    (QQ(1, 120), (0, 1, 0, 1, 0)),
-    (QQ(-1, 1440), (1, 0, 0, 0, 1, 0)),
-    (QQ(1, 720), (1, 1, 0, 0, 1, 0)),
-    (QQ(-1, 240), (1, 0, 1, 0, 1, 0)),
-    (QQ(1, 1440), (1, 1, 1, 0, 1, 0)),
-    (QQ(-1, 720), (1, 0, 1, 1, 1, 0)),
-    (QQ(-1, 30240), (0, 0, 0, 0, 0, 1, 0)),
-    (QQ(1, 10080), (1, 0, 0, 0, 0, 1, 0)),
-    (QQ(-1, 10080), (0, 1, 0, 0, 0, 1, 0)),
-    (QQ(-1, 3360), (1, 1, 0, 0, 0, 1, 0)),
-    (QQ(-1, 5040), (0, 0, 1, 0, 0, 1, 0)),
-    (QQ(1, 1260), (1, 0, 1, 0, 0, 1, 0)),
-    (QQ(1, 7560), (0, 1, 1, 0, 0, 1, 0)),
-    (QQ(-1, 7560), (1, 1, 1, 0, 0, 1, 0)),
-    (QQ(1, 10080), (0, 0, 1, 1, 0, 1, 0)),
-    (QQ(-1, 1008), (0, 1, 0, 1, 0, 1, 0)),
-    (QQ(1, 3360), (1, 1, 0, 1, 0, 1, 0)),
-    (QQ(1, 1680), (1, 0, 1, 1, 0, 1, 0)),
-    (QQ(-1, 3360), (0, 1, 1, 1, 0, 1, 0)),
-    (QQ(-1, 10080), (1, 1, 1, 1, 0, 1, 0)),
-    (QQ(-1, 5040), (0, 1, 0, 1, 1, 1, 0)),
-    (QQ(1, 2520), (1, 1, 0, 1, 1, 1, 0)),
-    (QQ(-1, 10080), (0, 1, 1, 1, 1, 1, 0)),
-    (QQ(1, 30240), (1, 1, 1, 1, 1, 1, 0)),
-]
-_TABLE_MAX = 7
-
-_dynkin_cache = {}
-_dynkin_lock = Lock()
+from .errors import NotInMSquared, RankCertificate, SlotMismatch
+from .linsolve import preimage
 
 
 def _free_mul(a: dict, b: dict, max_deg: int) -> dict:
@@ -101,23 +56,38 @@ def assoc_log_exp_exp(max_deg: int) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
-def bch_terms(max_len: int):
+def _expand(word) -> dict:
+    """The right-nested bracket word in Q<x,y>, as word -> coefficient."""
+    out = {word[-1:]: 1}
+    for s in reversed(word[:-1]):
+        nxt = {}
+        for w, c in out.items():
+            nxt[(s,) + w] = nxt.get((s,) + w, 0) + c
+            nxt[w + (s,)] = nxt.get(w + (s,), 0) - c
+        out = {w: c for w, c in nxt.items() if c}
+    return out
+
+
+@cache
+def bch_terms(max_len: int) -> tuple:
     """(coefficient, nested-commutator word) pairs for all BCH terms of
-    2..max_len letters. Table up to 7; Dynkin projection beyond."""
-    terms = [(c, w) for c, w in _BCH_TABLE if 2 <= len(w) <= max_len]
-    if max_len > _TABLE_MAX:
-        with _dynkin_lock:
-            extra = _dynkin_cache.get(max_len)
-            if extra is None:
-                log = assoc_log_exp_exp(max_len)
-                extra = [
-                    (c / len(w), w)
-                    for w, c in log.items()
-                    if len(w) > _TABLE_MAX
-                ]
-                _dynkin_cache[max_len] = extra
-        terms += extra
-    return terms
+    2..max_len letters; word (a,b,c) over {0,1} means {a,{b,c}}, with
+    0 = first argument and 1 = second.
+
+    Length L solves for the length-L part of log(exp x exp y) over the
+    words ending in two different letters, in itertools.product order.
+    They span the free Lie algebra's length-L part, and the canonical
+    solution keeps only pivot words, so the list is unique and its words
+    of each length are linearly independent.
+    """
+    if max_len < 2:
+        return ()
+    words = [w for w in product((0, 1), repeat=max_len) if w[-1] != w[-2]]
+    target = {w: c for w, c in assoc_log_exp_exp(max_len).items() if len(w) == max_len}
+    x = preimage([_expand(w) for w in words], target)
+    if x is None:
+        raise RankCertificate(f"BCH terms of length {max_len} are not a Lie element")
+    return bch_terms(max_len - 1) + tuple((x[j], words[j]) for j in sorted(x))
 
 
 def _check_star_pair(f, g):

@@ -2,9 +2,14 @@
 byte-deterministic reports."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import starlift
 from starlift.cli import main
 
 from conftest import data_path
@@ -247,6 +252,14 @@ GOLDEN = {
         (0, "4c80aba76a79151c38d9b1e1233ad499620182ef297ae2e31c2ec2c3427f08ad"),
     ("lift", "abelian3", "--degree", "5"):
         (0, "9b59b6e7f6ef2e559d5189bd25f7a9d4b8d788f6a12e46bf2da73d303fefb3b1"),
+    # BCH words of 5 to 8 letters; taken on the hand-entered word table and
+    # Dynkin projection that the derived word list replaced.
+    ("lift", "sl2", "--degree", "6"):
+        (0, "8fd87c90e6a07c1a3e48a2b8e2f4adc1e3900ad1ad6b270573e5ab7cf7f97569"),
+    ("lift", "nonabelian2", "--degree", "8"):
+        (0, "76c188f73199d96059ff2fbe66c9dc90125020b69420eaf87097a685724a5ca3"),
+    ("lift", "nonabelian2", "--degree", "9", "--allow-large"):
+        (0, "c25ec341c14a4fd76da2876a94d6e3951e110191bcb99e9489b44405e847307c"),
     ("cohomology", "sl2", "--degree", "4"):
         (0, "68148a94039b7c23a8218d8ab8e04de95acef4a643b4923f20b8df365727d3eb"),
     ("cohomology", "nonabelian2", "--degree", "4"):
@@ -280,6 +293,19 @@ GOLDEN = {
 def test_report_bytes(capsys, argv):
     code, out = run(capsys, argv[0], data_path(argv[1]), *argv[2:])
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
+
+
+# The BCH derivation and its RankCertificate guard must hold when python -O
+# strips assert statements.
+@pytest.mark.parametrize("argv", [("lift", "sl2", "--degree", "5"),
+                                  ("lift", "nonabelian2", "--degree", "9", "--allow-large")],
+                         ids=" ".join)
+def test_report_bytes_under_python_O(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(starlift.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-O", "-m", "starlift.cli", argv[0],
+                           data_path(argv[1]), *argv[2:]],
+                          env=env, capture_output=True, timeout=120)
+    assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[argv]
 
 
 def test_kind_mismatch_is_structured_error(capsys):

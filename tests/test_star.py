@@ -1,18 +1,22 @@
 """The BCH star group on series of augmentation order >= 2.
 
-The word-coefficient table is cross-checked against an independent
+The derived word-coefficient list is cross-checked against an independent
 oracle: the nilpotent-matrix logarithm log(exp(A) exp(B)) computed with
 exact Fraction arithmetic. Strictly upper triangular seeds kill every
-bracket word longer than n-1 letters, so the check is an exact identity,
-and n = 9 exercises the beyond-table projection branch as well.
+bracket word longer than n-1 letters, so the check is an exact identity
+for each length up to n - 1 = 8.
 """
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starlift import FormalSeriesTensor, load_lie_algebra, negate, star, star_conjugate
 from starlift._rat import QQ
 from starlift.star import assoc_log_exp_exp, bch_terms
+
+from conftest import data_path
 
 
 def _mat_mul(a, b):
@@ -55,7 +59,7 @@ def _eval_word(word, a, b):
     return cur
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 9])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9])
 def test_bch_terms_match_matrix_log(n):
     a = [[Fraction(0)] * n for _ in range(n)]
     b = [[Fraction(0)] * n for _ in range(n)]
@@ -72,11 +76,43 @@ def test_bch_terms_match_matrix_log(n):
     assert acc == _mat_log_exp_exp(a, b, n)
 
 
+def _free_bracket(a, b):
+    """[a, b] = ab - ba in Q<x,y>, elements as word -> coefficient."""
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            out[wa + wb] = out.get(wa + wb, 0) + ca * cb
+            out[wb + wa] = out.get(wb + wa, 0) - ca * cb
+    return {w: c for w, c in out.items() if c}
+
+
+def _free_sum(terms):
+    """sum of coefficient * right-nested word, expanded in Q<x,y>."""
+    out = {}
+    for coeff, word in terms:
+        elem = {word[-1:]: 1}
+        for s in reversed(word[:-1]):
+            elem = _free_bracket({(s,): 1}, elem)
+        for w, c in elem.items():
+            out[w] = out.get(w, 0) + coeff * c
+    return {w: c for w, c in out.items() if c}
+
+
 def test_low_order_coefficients():
-    terms = {w: c for c, w in bch_terms(3)}
-    assert terms[(0, 1)] == QQ(1, 2)
-    assert terms[(0, 0, 1)] == QQ(1, 12)
-    assert terms[(1, 1, 0)] == QQ(1, 12)
+    # 1/2 [x,y] + 1/12 [x,[x,y]] + 1/12 [y,[y,x]], whichever words the list uses
+    expected = [(QQ(1, 2), (0, 1)), (QQ(1, 12), (0, 0, 1)), (QQ(1, 12), (1, 1, 0))]
+    assert _free_sum(bch_terms(3)) == _free_sum(expected)
+
+
+def test_bch_word_list_shape():
+    for max_len, brackets in ((4, 4), (7, 39), (8, 56)):
+        terms = bch_terms(max_len)
+        words = [w for _, w in terms]
+        assert len(set(words)) == len(words)
+        assert all(c for c, _ in terms)
+        assert all(w[-1] != w[-2] for w in words)
+        suffixes = {w[i:] for w in words for i in range(len(w) - 1)}
+        assert len(suffixes) == brackets
 
 
 def test_assoc_log_low_words():
@@ -139,3 +175,36 @@ def test_star_conjugate_is_group_conjugation(sl2triple):
     rhs = star(star_conjugate(h, f), star_conjugate(h, g))
     assert lhs == rhs
     assert star_conjugate(h, f) == star(star(h, f), negate(h))
+
+
+def _series(alg, N):
+    """Small 1-slot series with 1-3 terms of total degree 2-3."""
+    vec = st.lists(st.integers(0, alg.dim - 1), min_size=2, max_size=3).map(
+        lambda idx: (tuple(idx.count(i) for i in range(alg.dim)),))
+    coeff = st.builds(QQ, st.integers(-3, 3).filter(bool), st.sampled_from((1, 2, 3)))
+    return st.dictionaries(vec, coeff, min_size=1, max_size=3).map(
+        lambda items: FormalSeriesTensor.make(alg, 1, N, items))
+
+
+def _check_group_laws(f, g, h):
+    zero = FormalSeriesTensor.zero(f.alg, 1, f.N)
+    assert star(zero, f) == f == star(f, zero)
+    assert star(f, negate(f)).is_zero() and star(negate(f), f).is_zero()
+    assert star(star(f, g), h) == star(f, star(g, h))
+
+
+SL3, _ = load_lie_algebra(data_path("sl3"))
+SL2, _ = load_lie_algebra(data_path("sl2"))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_series(SL3, 6), _series(SL3, 6), _series(SL3, 6))
+def test_star_group_laws_sl3(f, g, h):
+    _check_group_laws(f, g, h)
+
+
+# N = 10 needs words of up to 9 letters.
+@settings(max_examples=8, deadline=None)
+@given(_series(SL2, 10), _series(SL2, 10), _series(SL2, 10))
+def test_star_group_laws_sl2_deep(f, g, h):
+    _check_group_laws(f, g, h)
