@@ -51,9 +51,6 @@ class Cochain:
             raise NotHomogeneous(f"cochain must be homogeneous of degree {degree}")
         return cls(k, degree, value)
 
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
-
 
 def monomials(dim: int, degree: int):
     """All exponent vectors over dim variables with the given total degree,
@@ -138,11 +135,10 @@ def _monomial_fst(alg, key, N):
     return FormalSeriesTensor(alg, len(key), N, {key: QQ(1)})
 
 
-def invariant_basis(alg: LieAlgebraSpec, k: int, N: int, keys=None):
+def invariant_basis(alg: LieAlgebraSpec, k: int, N: int):
     """Basis of ((S^{>0}(g))^{(x)k})^g_N as a list of FormalSeriesTensor,
-    deterministic. `keys` may restrict/fix the monomial ordering."""
-    if keys is None:
-        keys = slot_positive_keys(alg.dim, k, N)
+    deterministic."""
+    keys = slot_positive_keys(alg.dim, k, N)
     diag, others = _diagonal_actions(alg)
 
     kept = []
@@ -229,15 +225,14 @@ def cohomology_dimension(alg: LieAlgebraSpec, k: int, N: int,
     return ncols - _rank_d(alg, k, N) - _rank_d(alg, k - 1, N)
 
 
-def solve_coboundary(c: Cochain, invariant_only: bool = False,
-                     alg: LieAlgebraSpec = None) -> Cochain:
+def solve_coboundary(c: Cochain, invariant_only: bool = False) -> Cochain:
     """Find beta with d(beta) = c (restricted to invariants when flagged).
 
     Raises NotACocycle if d(c) != 0; raises Obstruction carrying the
     alt_project class when N = k and the class is nonzero; a failed solve
     at N > k raises RankCertificate since the cohomology there vanishes.
     """
-    alg = alg or c.value.alg
+    alg = c.value.alg
     k, N = c.k, c.degree
     if k < 2:
         raise ValueError("solving needs at least 2 slots")
@@ -246,11 +241,10 @@ def solve_coboundary(c: Cochain, invariant_only: bool = False,
     if invariant_only and not is_invariant(c.value):
         raise NotInvariant("cochain is not g-invariant")
 
-    keys_low = slot_positive_keys(alg.dim, k - 1, N)
     if invariant_only:
-        pieces = [(invariant_basis(alg, k - 1, N, keys_low), c.value.coeffs)]
+        pieces = [(invariant_basis(alg, k - 1, N), c.value.coeffs)]
     else:
-        blocks = _multidegree_blocks(keys_low, alg.dim)
+        blocks = _multidegree_blocks(slot_positive_keys(alg.dim, k - 1, N), alg.dim)
         pieces = []
         for tot, rhs_keys in sorted(_multidegree_blocks(c.value.coeffs, alg.dim).items()):
             basis = [_monomial_fst(alg, key, N) for key in blocks.get(tot, [])]

@@ -15,7 +15,7 @@ from functools import cache, cached_property
 from math import factorial, lcm
 from operator import itemgetter
 
-from ._rat import QQ, ZERO, rat, rat_str
+from ._rat import QQ, ZERO, rat
 from .errors import (
     AntisymmetryViolation,
     BlockOverlap,
@@ -313,8 +313,63 @@ def slot_degrees(key: Key) -> tuple:
     return tuple(sum(v) for v in key)
 
 
+class _SparseVec:
+    """Linear structure shared by the sparse types: a frozen dataclass whose
+    last field ``coeffs`` maps basis keys to nonzero rationals. The other
+    fields, ``_frame()``, say which space a vector lives in, and
+    ``_check_pair(other, op)`` raises the type's own error when two spaces
+    differ. Each subclass defines both."""
+
+    def _like(self, coeffs):
+        return type(self)(*self._frame(), coeffs)
+
+    @classmethod
+    def zero(cls, *frame):
+        return cls(*frame, {})
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def add_term(self, key, c):
+        """Accumulate c at key in place; only for building a fresh result,
+        whose cached views (FormalSeriesTensor.numerators) are not yet read."""
+        v = self.coeffs.get(key, ZERO) + c
+        if v:
+            self.coeffs[key] = v
+        else:
+            self.coeffs.pop(key, None)
+
+    def __add__(self, other):
+        self._check_pair(other)
+        out = dict(self.coeffs)
+        for key, val in other.coeffs.items():
+            s = out.get(key, ZERO) + val
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, scalar):
+        scalar = QQ(scalar)
+        if not scalar:
+            return self._like({})
+        return self._like({key: val * scalar for key, val in self.coeffs.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._frame() == other._frame() and self.coeffs == other.coeffs
+
+
 @dataclass(frozen=True, eq=False)
-class FormalSeriesTensor:
+class FormalSeriesTensor(_SparseVec):
     """Sparse element of S(g)^{(x)k} truncated at total degree N."""
 
     alg: LieAlgebraSpec
@@ -329,10 +384,6 @@ class FormalSeriesTensor:
             if val and key_degree(key) <= N:
                 clean[key] = val
         return cls(alg, k, N, clean)
-
-    @classmethod
-    def zero(cls, alg, k, N) -> "FormalSeriesTensor":
-        return cls(alg, k, N, {})
 
     @classmethod
     def generator(cls, alg, i, N, k=1, slot=0) -> "FormalSeriesTensor":
@@ -366,9 +417,6 @@ class FormalSeriesTensor:
 
     # ---- predicates ------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def in_m_tensor(self) -> bool:
         """Every slot of every key has degree >= 1 (element of m^{(x)k})."""
         return all(
@@ -385,33 +433,12 @@ class FormalSeriesTensor:
 
     # ---- linear structure -------------------------------------------
 
-    def __add__(self, other):
-        self._check_pair(other)
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            s = out.get(key, ZERO) + val
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return FormalSeriesTensor(self.alg, self.k, self.N, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, scalar) -> "FormalSeriesTensor":
-        scalar = QQ(scalar)
-        if not scalar:
-            return FormalSeriesTensor(self.alg, self.k, self.N, {})
-        return FormalSeriesTensor(
-            self.alg, self.k, self.N,
-            {key: val * scalar for key, val in self.coeffs.items()},
-        )
+    def _frame(self) -> tuple:
+        return self.alg, self.k, self.N
 
     def __eq__(self, other):
+        """Equal coefficients over the same algebra and slot count; N is
+        not compared."""
         if not isinstance(other, FormalSeriesTensor):
             return NotImplemented
         return (
@@ -456,23 +483,6 @@ class FormalSeriesTensor:
     def __repr__(self):
         n = len(self.coeffs)
         return f"FormalSeriesTensor(k={self.k}, N={self.N}, {n} terms)"
-
-    def pretty(self, max_terms=12) -> str:
-        names = self.alg.basis_names
-        bits = []
-        for key, val in self.sorted_items()[:max_terms]:
-            slots = []
-            for vec in key:
-                mono = "*".join(
-                    f"{names[i]}^{e}" if e > 1 else names[i]
-                    for i, e in enumerate(vec)
-                    if e
-                )
-                slots.append(mono or "1")
-            bits.append(f"({rat_str(val)})·" + "⊗".join(slots))
-        if len(self.coeffs) > max_terms:
-            bits.append(f"... ({len(self.coeffs)} terms)")
-        return " + ".join(bits) if bits else "0"
 
 
 def _from_numerators(alg, k, N, nums: dict, D: int) -> FormalSeriesTensor:

@@ -18,6 +18,7 @@ from .cohochschild import _monomial_fst, monomials
 from .core import (
     FormalSeriesTensor,
     LieAlgebraSpec,
+    _SparseVec,
     coproduct_insert,
     poisson_bracket,
 )
@@ -34,7 +35,7 @@ def _vec_factorial(vec) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class LinearForm:
+class LinearForm(_SparseVec):
     """Form on the formal function algebra, supported in degrees <= order."""
 
     alg: LieAlgebraSpec
@@ -65,38 +66,16 @@ class LinearForm:
     def order(self) -> int:
         return max((sum(v) for v in self.coeffs), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _frame(self) -> tuple:
+        return (self.alg,)
 
-    def __add__(self, other):
+    def _check_pair(self, other, op="combine"):
         if self.alg != other.alg:
-            raise AlgebraMismatch("cannot add forms on different algebras")
-        out = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            n = out.get(v, ZERO) + c
-            if n:
-                out[v] = n
-            else:
-                out.pop(v, None)
-        return LinearForm(self.alg, out)
-
-    def __sub__(self, other):
-        return self + other.scale(QQ(-1))
-
-    def scale(self, scalar) -> "LinearForm":
-        scalar = QQ(scalar)
-        if not scalar:
-            return LinearForm(self.alg, {})
-        return LinearForm(self.alg, {v: c * scalar for v, c in self.coeffs.items()})
+            raise AlgebraMismatch(f"cannot {op} forms on different algebras")
 
     def homogeneous_part(self, degree: int) -> "LinearForm":
         return LinearForm(self.alg,
                           {v: c for v, c in self.coeffs.items() if sum(v) == degree})
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return self.alg == other.alg and self.coeffs == other.coeffs
 
     def __repr__(self):
         terms = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import linsolve
 from ._rat import QQ, ZERO
-from .core import LieAlgebraSpec, RMatrix
+from .core import LieAlgebraSpec, RMatrix, _SparseVec
 from .errors import AlgebraMismatch, IndexOutOfRange, UnsortedMonomial
 
 TAG_G = "U(g)"
@@ -22,7 +22,7 @@ TAG_GSTAR = "U(g*)"
 
 
 @dataclass(frozen=True, eq=False)
-class PBWElement:
+class PBWElement(_SparseVec):
     """Element of an enveloping algebra in the sorted-monomial basis."""
 
     alg: LieAlgebraSpec
@@ -44,10 +44,6 @@ class PBWElement:
         return cls(alg, tag, coeffs)
 
     @classmethod
-    def zero(cls, alg, tag) -> "PBWElement":
-        return cls(alg, tag, {})
-
-    @classmethod
     def one(cls, alg, tag) -> "PBWElement":
         return cls(alg, tag, {(): QQ(1)})
 
@@ -58,9 +54,6 @@ class PBWElement:
     @property
     def filtration(self) -> int:
         return max((len(m) for m in self.coeffs), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def top_symbol(self) -> dict:
         """Leading-filtration part as exponent vectors (the gr image)."""
@@ -74,38 +67,14 @@ class PBWElement:
                 out[tuple(vec)] = out.get(tuple(vec), ZERO) + c
         return {k: v for k, v in out.items() if v}
 
-    def _check(self, other):
+    def _frame(self) -> tuple:
+        return self.alg, self.tag
+
+    def _check_pair(self, other, op="combine"):
         if self.tag != other.tag or self.alg != other.alg:
             raise AlgebraMismatch(
-                f"cannot combine {self.tag} element with {other.tag} element"
+                f"cannot {op} {self.tag} element with {other.tag} element"
             )
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            v = out.get(m, ZERO) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return PBWElement(self.alg, self.tag, out)
-
-    def __sub__(self, other):
-        return self + other.scale(QQ(-1))
-
-    def scale(self, scalar) -> "PBWElement":
-        scalar = QQ(scalar)
-        if not scalar:
-            return PBWElement(self.alg, self.tag, {})
-        return PBWElement(self.alg, self.tag,
-                          {m: c * scalar for m, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, PBWElement):
-            return NotImplemented
-        return (self.tag == other.tag and self.alg == other.alg
-                and self.coeffs == other.coeffs)
 
     def __repr__(self):
         if not self.coeffs:
@@ -153,7 +122,7 @@ def _straighten(alg: LieAlgebraSpec, word: tuple) -> dict:
 
 def pbw_product(a: PBWElement, b: PBWElement) -> PBWElement:
     """Product in the enveloping algebra, straightened to the sorted basis."""
-    a._check(b)
+    a._check_pair(b, "multiply")
     out = {}
     for ma, ca in a.coeffs.items():
         for mb, cb in b.coeffs.items():
@@ -292,48 +261,15 @@ def dual_bracket(r: RMatrix) -> LieAlgebraSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class PBWTensorSquare:
+class PBWTensorSquare(_SparseVec):
     """Element of U(a)^{(x)2} with keys = pairs of sorted monomials."""
 
     alg: LieAlgebraSpec
     tag: str
     coeffs: dict
 
-    @classmethod
-    def zero(cls, alg, tag):
-        return cls(alg, tag, {})
-
-    def add_term(self, key, c):
-        v = self.coeffs.get(key, ZERO) + c
-        if v:
-            self.coeffs[key] = v
-        else:
-            self.coeffs.pop(key, None)
-
-    def __add__(self, other):
-        out = PBWTensorSquare(self.alg, self.tag, dict(self.coeffs))
-        for k, c in other.coeffs.items():
-            out.add_term(k, c)
-        return out
-
-    def scale(self, scalar):
-        scalar = QQ(scalar)
-        if not scalar:
-            return PBWTensorSquare(self.alg, self.tag, {})
-        return PBWTensorSquare(self.alg, self.tag,
-                               {k: c * scalar for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(QQ(-1))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, PBWTensorSquare):
-            return NotImplemented
-        return (self.tag == other.tag and self.alg == other.alg
-                and self.coeffs == other.coeffs)
+    _frame = PBWElement._frame
+    _check_pair = PBWElement._check_pair
 
 
 def _mult_square(t: PBWTensorSquare, u: PBWTensorSquare) -> PBWTensorSquare:
@@ -362,9 +298,10 @@ def coproduct_square(x: PBWElement) -> PBWTensorSquare:
     return out
 
 
-def _delta_generator(g: LieAlgebraSpec, dual: LieAlgebraSpec, a: int) -> PBWTensorSquare:
+def _delta_generator(g: LieAlgebraSpec, dual: LieAlgebraSpec, tag: str,
+                     a: int) -> PBWTensorSquare:
     """Cobracket of the dual generator a: the transpose of g's bracket."""
-    out = PBWTensorSquare.zero(dual, TAG_GSTAR)
+    out = PBWTensorSquare.zero(dual, tag)
     for i, targets in g.bracket_rows.items():
         for j, pairs in targets.items():
             if i >= j:
@@ -384,14 +321,14 @@ def copoisson_delta(x: PBWElement, g: LieAlgebraSpec) -> PBWTensorSquare:
     memo = dual.memo
 
     def of_monomial(mono):
-        key = ("copoisson_delta", g, mono)
+        key = ("copoisson_delta", g, x.tag, mono)
         hit = memo.get(key)
         if hit is not None:
             return hit
         if not mono:
             res = PBWTensorSquare.zero(dual, x.tag)
         elif len(mono) == 1:
-            res = _delta_generator(g, dual, mono[0])
+            res = _delta_generator(g, dual, x.tag, mono[0])
         else:
             head = PBWElement.generator(dual, x.tag, mono[0])
             rest = PBWElement.make(dual, x.tag, {mono[1:]: QQ(1)})
@@ -414,7 +351,7 @@ def derivation_D(x: PBWElement, g: LieAlgebraSpec) -> PBWElement:
         gen_img = []
         for a in range(dual.dim):
             acc = PBWElement.zero(dual, x.tag)
-            delta = _delta_generator(g, dual, a)
+            delta = _delta_generator(g, dual, x.tag, a)
             for ((m1, m2), c) in delta.coeffs.items():
                 i, j = m1[0], m2[0]
                 for tgt, w in dual.bracket_rows.get(i, {}).get(j, ()):

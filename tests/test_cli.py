@@ -295,10 +295,13 @@ def test_report_bytes(capsys, argv):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
 
 
-# The BCH derivation and its RankCertificate guard must hold when python -O
-# strips assert statements.
+# The BCH derivation, its RankCertificate guard and the typed operand checks
+# of the four sparse types must hold when python -O strips assert statements.
 @pytest.mark.parametrize("argv", [("lift", "sl2", "--degree", "5"),
-                                  ("lift", "nonabelian2", "--degree", "9", "--allow-large")],
+                                  ("lift", "nonabelian2", "--degree", "9", "--allow-large"),
+                                  ("cohomology", "sl2", "--degree", "4"),
+                                  ("theta", "sl2", "--degree", "3", "--maxdeg", "3"),
+                                  ("qt", "sl2-qt", "--maxdeg", "4", "--s=1")],
                          ids=" ".join)
 def test_report_bytes_under_python_O(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(starlift.__file__).parent.parent))

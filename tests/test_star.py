@@ -9,7 +9,7 @@ for each length up to n - 1 = 8.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from starlift import FormalSeriesTensor, load_lie_algebra, negate, star, star_conjugate
@@ -203,8 +203,10 @@ def test_star_group_laws_sl3(f, g, h):
     _check_group_laws(f, g, h)
 
 
-# N = 10 needs words of up to 9 letters.
-@settings(max_examples=8, deadline=None)
+# N = 10 needs words of up to 9 letters. Shrinking is off: at about 0.4 s
+# per example it would hold a failure back for minutes.
+@settings(max_examples=8, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(_series(SL2, 10), _series(SL2, 10), _series(SL2, 10))
 def test_star_group_laws_sl2_deep(f, g, h):
     _check_group_laws(f, g, h)
