@@ -356,8 +356,9 @@ def main(argv=None) -> int:
         argv[i:i + 2] = ["--s=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "lift" and args.degree < 3:
-            raise BadDegree("lift needs --degree >= 3")
+        least = {"lift": 3, "cohomology": 1}.get(args.command, args.degree)
+        if args.degree < least:
+            raise BadDegree(f"{args.command} needs --degree >= {least}")
         if args.degree > DEGREE_CAP and not args.allow_large:
             raise BadDegree(f"--degree > {DEGREE_CAP} needs --allow-large")
         if args.maxdeg < 0:

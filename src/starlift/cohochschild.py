@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from . import linsolve
 from ._rat import QQ
 from .core import (
     FormalSeriesTensor,
     LieAlgebraSpec,
+    _from_numerators,
+    _insert_key,
     alt_project,
     coproduct_insert,
     g_action,
@@ -85,26 +88,33 @@ def _compositions_positive(total: int, parts: int):
             yield (first,) + rest
 
 
+@cache
+def _d_faces(k: int) -> tuple:
+    """(sign, 0-based blocks) of the k + 2 terms of d on k-cochains, in order."""
+    return ((1, tuple((s + 1,) for s in range(k))),
+            *(((-1) ** i, tuple((s,) if s < i - 1 else (s, s + 1) if s == i - 1 else (s + 1,)
+                                for s in range(k))) for i in range(1, k + 1)),
+            ((-1) ** (k + 1), tuple((s,) for s in range(k))))
+
+
 def _d_raw(f: FormalSeriesTensor) -> FormalSeriesTensor:
-    """The differential on the underlying tensor (no validation)."""
-    k = f.k
-    n = k + 1
-    out = coproduct_insert(f, [(s + 1,) for s in range(k)], n)
-    sign = 1
-    for i in range(1, k + 1):
-        sign = -sign
-        blocks = []
-        for s in range(k):
-            if s < i - 1:
-                blocks.append((s,))
-            elif s == i - 1:
-                blocks.append((i - 1, i))
-            else:
-                blocks.append((s + 1,))
-        out = out + coproduct_insert(f, blocks, n).scale(sign)
-    last_sign = 1 if (k + 1) % 2 == 0 else -1
-    out = out + coproduct_insert(f, [(s,) for s in range(k)], n).scale(last_sign)
-    return out
+    """The differential on the underlying tensor (no validation). Each face
+    puts every coefficient of f, unchanged, on a key no other term of f
+    reaches, so every face's numerators share f's denominator."""
+    nums = {}
+    for sign, blocks in _d_faces(f.k):
+        for key, n in coproduct_insert(f, blocks, f.k + 1).numerators[1]:
+            nums[key] = nums.get(key, 0) + sign * n
+    return _from_numerators(f.alg, f.k + 1, f.N, nums, f.numerators[0])
+
+
+@cache
+def _d_monomial(key) -> tuple:
+    """d of the monomial x^key as ((key, integer), ...); no algebra enters."""
+    out = {}
+    for sign, blocks in _d_faces(len(key)):
+        _insert_key(out, key, sign, blocks, [tuple([0] * len(key[0]))] * (len(key) + 1))
+    return tuple((nk, n) for nk, n in out.items() if n)
 
 
 def _diagonal_actions(alg: LieAlgebraSpec):
@@ -196,7 +206,7 @@ def _rank_d(alg, k: int, N: int) -> int:
     if ("rank_d", k, N) not in memo:
         blocks = _multidegree_blocks(slot_positive_keys(alg.dim, k, N), alg.dim)
         memo["rank_d", k, N] = sum(
-            _rank_d_on([_monomial_fst(alg, key, N) for key in keys])
+            linsolve.rank_of([dict(_d_monomial(key)) for key in keys])
             for keys in blocks.values())
     return memo["rank_d", k, N]
 
@@ -242,22 +252,25 @@ def solve_coboundary(c: Cochain, invariant_only: bool = False) -> Cochain:
         raise NotInvariant("cochain is not g-invariant")
 
     if invariant_only:
-        pieces = [(invariant_basis(alg, k - 1, N), c.value.coeffs)]
+        basis = invariant_basis(alg, k - 1, N)
+        pieces = [([_d_raw(v).coeffs for v in basis], [v.coeffs for v in basis], c.value.coeffs)]
     else:
         blocks = _multidegree_blocks(slot_positive_keys(alg.dim, k - 1, N), alg.dim)
         pieces = []
         for tot, rhs_keys in sorted(_multidegree_blocks(c.value.coeffs, alg.dim).items()):
-            basis = [_monomial_fst(alg, key, N) for key in blocks.get(tot, [])]
-            pieces.append((basis, {key: c.value.coeffs[key] for key in rhs_keys}))
+            keys = blocks.get(tot, [])
+            pieces.append(([dict(_d_monomial(key)) for key in keys], [{key: 1} for key in keys],
+                           {key: c.value.coeffs[key] for key in rhs_keys}))
 
-    value = FormalSeriesTensor.zero(alg, k - 1, N)
-    for basis, target in pieces:
-        sol = linsolve.preimage([_d_raw(v).coeffs for v in basis], target)
+    items = {}
+    for images, basis, target in pieces:
+        sol = linsolve.preimage(images, target)
         if sol is None:
             _raise_unsolvable(c)
         for j, x in sol.items():
-            value = value + basis[j].scale(x)
-    return Cochain.make(k - 1, N, value)
+            for key, v in basis[j].items():
+                items[key] = items.get(key, 0) + x * v
+    return Cochain.make(k - 1, N, FormalSeriesTensor.make(alg, k - 1, N, items))
 
 
 def _raise_unsolvable(c: Cochain):

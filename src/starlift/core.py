@@ -646,22 +646,27 @@ def coproduct_insert(f: FormalSeriesTensor, blocks, n: int = None) -> FormalSeri
         if not 0 <= t < n:
             raise IndexOutOfRange(f"target slot {t} outside 0..{n - 1}")
 
-    zero_vec = tuple([0] * f.alg.dim)
+    unit_fill = [tuple([0] * f.alg.dim)] * n
     D, items = f.numerators
     out = {}
-    for key, weight0 in items:
-        # per original slot: distributions of its exponent vector over the block
-        per_slot = [_splits(vec, len(block)) for vec, block in zip(key, blocks)]
-        for combo in itertools.product(*per_slot):
-            weight = weight0
-            new_key = [zero_vec] * n
-            for block, (vecs, w) in zip(blocks, combo):
-                weight *= w
-                for t, v in zip(block, vecs):
-                    new_key[t] = v
-            nk = tuple(new_key)
-            out[nk] = out.get(nk, 0) + weight
+    for key, weight in items:
+        _insert_key(out, key, weight, blocks, unit_fill)
     return _from_numerators(f.alg, n, f.N, out, D)
+
+
+def _insert_key(out: dict, key: Key, weight0: int, blocks, unit_fill: list) -> None:
+    """Add weight0 times the insertion of the monomial key to the integer dict
+    out, in first-hit key order; unit_fill is the all-units target key."""
+    per_slot = [_splits(vec, len(block)) for vec, block in zip(key, blocks)]
+    for combo in itertools.product(*per_slot):
+        weight = weight0
+        new_key = unit_fill.copy()
+        for block, (vecs, w) in zip(blocks, combo):
+            weight *= w
+            for t, v in zip(block, vecs):
+                new_key[t] = v
+        nk = tuple(new_key)
+        out[nk] = out.get(nk, 0) + weight
 
 
 @cache

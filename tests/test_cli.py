@@ -143,12 +143,15 @@ def test_degree_cap(capsys):
 
 
 # Stdout bytes of each degree refusal, as printed before BadDegree became a
-# StarliftError raised through the common handler.
+# StarliftError raised through the common handler. A cohomology table below
+# degree 1 would be empty and its "concentrated" certificate vacuous.
 @pytest.mark.parametrize("argv, message", [
     (("lift", "--degree", "2"), "lift needs --degree >= 3"),
     (("lift", "--degree", "9"), "--degree > 8 needs --allow-large"),
     (("envelope", "--maxdeg", "-1"), "--maxdeg must be >= 0"),
-], ids=["lift-low", "cap", "maxdeg"])
+    (("cohomology", "--degree", "0"), "cohomology needs --degree >= 1"),
+    (("cohomology", "--degree", "-3"), "cohomology needs --degree >= 1"),
+], ids=["lift-low", "cap", "maxdeg", "cohomology-zero", "cohomology-negative"])
 def test_bad_degree_bytes(capsys, argv, message):
     code, out = run(capsys, argv[0], data_path("sl2"), *argv[1:])
     assert code == 1
@@ -221,10 +224,17 @@ SL3_GOLDEN = {
         "c2c62d331711d9784b79ad49d8e3a09dd2e5f6e029944805aea0b7b3543d13f3",
     ("lift", "--degree", "3"):
         "82cb89dfd5529f11128f2383a7e9ce948385a8ba2d8bd3994134a0aa1f670929",
+    # taken before the co-Hochschild differential moved to integers
+    ("lift", "--degree", "4"):
+        "b84a191e3a45ccbc649ff0a89141824031e26c78cab9f13da5cebf10615abe30",
+    ("cohomology", "--degree", "3"):
+        "eda885daa63ce70bf8b3106639c2ca45b61209ec04904806cd74e321dc1f6dcf",
+    ("cohomology", "--degree", "4"):
+        "e117deb2117ac8b7702310a760d2db8027972690c200739cc32d65786ee0aa7a",
 }
 
 
-@pytest.mark.parametrize("argv", sorted(SL3_GOLDEN), ids=lambda a: a[0])
+@pytest.mark.parametrize("argv", sorted(SL3_GOLDEN), ids=" ".join)
 def test_sl3_report_bytes(capsys, argv):
     code, out = run(capsys, argv[0], data_path("sl3"), *argv[1:])
     assert code == 0
@@ -309,6 +319,17 @@ def test_report_bytes_under_python_O(argv):
                            data_path(argv[1]), *argv[2:]],
                           env=env, capture_output=True, timeout=120)
     assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[argv]
+
+
+# The co-Hochschild and lift unit tests themselves, with assert statements
+# stripped from the package.
+def test_cohochschild_and_lift_tests_under_python_O():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(Path(starlift.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "tests/test_cohochschild.py", "tests/test_lifts.py"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:]
 
 
 def test_kind_mismatch_is_structured_error(capsys):
