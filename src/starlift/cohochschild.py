@@ -91,16 +91,21 @@ def _compositions_positive(total: int, parts: int):
 @cache
 def _d_faces(k: int) -> tuple:
     """(sign, 0-based blocks) of the k + 2 terms of d on k-cochains, in order."""
-    return ((1, tuple((s + 1,) for s in range(k))),
-            *(((-1) ** i, tuple((s,) if s < i - 1 else (s, s + 1) if s == i - 1 else (s + 1,)
-                                for s in range(k))) for i in range(1, k + 1)),
-            ((-1) ** (k + 1), tuple((s,) for s in range(k))))
+    faces = [(1, tuple((s + 1,) for s in range(k)))]
+    for i in range(1, k + 1):
+        # slots before i - 1 stay, slot i - 1 splits over i - 1 and i, the rest shift
+        blocks = [(s,) for s in range(i - 1)] + [(i - 1, i)] + [(s + 1,) for s in range(i, k)]
+        faces.append(((-1) ** i, tuple(blocks)))
+    faces.append(((-1) ** (k + 1), tuple((s,) for s in range(k))))
+    return tuple(faces)
 
 
 def _d_raw(f: FormalSeriesTensor) -> FormalSeriesTensor:
-    """The differential on the underlying tensor (no validation). Each face
-    puts every coefficient of f, unchanged, on a key no other term of f
-    reaches, so every face's numerators share f's denominator."""
+    """The differential on the underlying tensor (no validation). The
+    numerators of every face share f's denominator: distinct keys of f reach
+    disjoint keys (merging the blocks gives the key back), and each key has
+    a split of weight 1, so each face keeps every numerator of f and with
+    it f's lowest common denominator."""
     nums = {}
     for sign, blocks in _d_faces(f.k):
         for key, n in coproduct_insert(f, blocks, f.k + 1).numerators[1]:
@@ -108,13 +113,12 @@ def _d_raw(f: FormalSeriesTensor) -> FormalSeriesTensor:
     return _from_numerators(f.alg, f.k + 1, f.N, nums, f.numerators[0])
 
 
-@cache
-def _d_monomial(key) -> tuple:
-    """d of the monomial x^key as ((key, integer), ...); no algebra enters."""
+def _d_monomial(key) -> dict:
+    """d of the monomial x^key as {key: integer}; no algebra enters."""
     out = {}
     for sign, blocks in _d_faces(len(key)):
         _insert_key(out, key, sign, blocks, [tuple([0] * len(key[0]))] * (len(key) + 1))
-    return tuple((nk, n) for nk, n in out.items() if n)
+    return {nk: n for nk, n in out.items() if n}
 
 
 def _diagonal_actions(alg: LieAlgebraSpec):
@@ -206,7 +210,7 @@ def _rank_d(alg, k: int, N: int) -> int:
     if ("rank_d", k, N) not in memo:
         blocks = _multidegree_blocks(slot_positive_keys(alg.dim, k, N), alg.dim)
         memo["rank_d", k, N] = sum(
-            linsolve.rank_of([dict(_d_monomial(key)) for key in keys])
+            linsolve.rank_of([_d_monomial(key) for key in keys])
             for keys in blocks.values())
     return memo["rank_d", k, N]
 
@@ -259,7 +263,7 @@ def solve_coboundary(c: Cochain, invariant_only: bool = False) -> Cochain:
         pieces = []
         for tot, rhs_keys in sorted(_multidegree_blocks(c.value.coeffs, alg.dim).items()):
             keys = blocks.get(tot, [])
-            pieces.append(([dict(_d_monomial(key)) for key in keys], [{key: 1} for key in keys],
+            pieces.append(([_d_monomial(key) for key in keys], [{key: 1} for key in keys],
                            {key: c.value.coeffs[key] for key in rhs_keys}))
 
     items = {}

@@ -7,8 +7,7 @@ the series is finite and exact.
 
 The terms are derived once per word length and process: the right-nested
 words whose last two letters differ span the free Lie algebra, and one
-exact solve against log(exp x exp y) in Q<x,y> keeps the pivot words. One
-expansion of log(exp x exp y) serves every length not yet derived.
+exact solve against log(exp x exp y) in Q<x,y> keeps the pivot words.
 """
 from __future__ import annotations
 
@@ -69,9 +68,6 @@ def _expand(word) -> dict:
     return out
 
 
-_BCH_BY_LENGTH = {}  # word length -> its (coefficient, word) pairs
-
-
 @cache
 def bch_terms(max_len: int) -> tuple:
     """(coefficient, nested-commutator word) pairs for all BCH terms of
@@ -84,15 +80,14 @@ def bch_terms(max_len: int) -> tuple:
     solution keeps only pivot words, so the list is unique and its words
     of each length are linearly independent.
     """
-    missing = [L for L in range(2, max_len + 1) if L not in _BCH_BY_LENGTH]
-    log = assoc_log_exp_exp(max_len) if missing else {}
-    for L in missing:
-        words = [w for w in product((0, 1), repeat=L) if w[-1] != w[-2]]
-        x = preimage([_expand(w) for w in words], {w: c for w, c in log.items() if len(w) == L})
-        if x is None:
-            raise RankCertificate(f"BCH terms of length {L} are not a Lie element")
-        _BCH_BY_LENGTH[L] = tuple((x[j], words[j]) for j in sorted(x))
-    return tuple(t for L in range(2, max_len + 1) for t in _BCH_BY_LENGTH[L])
+    if max_len < 2:
+        return ()
+    words = [w for w in product((0, 1), repeat=max_len) if w[-1] != w[-2]]
+    target = {w: c for w, c in assoc_log_exp_exp(max_len).items() if len(w) == max_len}
+    x = preimage([_expand(w) for w in words], target)
+    if x is None:
+        raise RankCertificate(f"BCH terms of length {max_len} are not a Lie element")
+    return bch_terms(max_len - 1) + tuple((x[j], words[j]) for j in sorted(x))
 
 
 def _check_star_pair(f, g):

@@ -6,7 +6,6 @@ exact Fraction arithmetic. Strictly upper triangular seeds kill every
 bracket word longer than n-1 letters, so the check is an exact identity
 for each length up to n - 1 = 8.
 """
-import importlib
 from fractions import Fraction
 
 import pytest
@@ -114,23 +113,6 @@ def test_bch_word_list_shape():
         assert all(w[-1] != w[-2] for w in words)
         suffixes = {w[i:] for w in words for i in range(len(w) - 1)}
         assert len(suffixes) == brackets
-
-
-def test_missing_lengths_share_one_expansion(monkeypatch):
-    """A call expands log(exp x exp y) once for all the lengths it lacks,
-    and not at all when every length was derived before."""
-    want = {n: bch_terms(n) for n in (4, 5, 7)}
-    star_module = importlib.import_module("starlift.star")
-    real = star_module.assoc_log_exp_exp
-    expanded = []
-    monkeypatch.setattr(star_module, "assoc_log_exp_exp",
-                        lambda max_deg: expanded.append(max_deg) or real(max_deg))
-    monkeypatch.setattr(star_module, "_BCH_BY_LENGTH", {})
-    derive = bch_terms.__wrapped__  # past the cache keyed by max_len
-    assert derive(4) == want[4]
-    assert derive(7) == want[7]
-    assert derive(5) == want[5]
-    assert expanded == [4, 7]
 
 
 def test_assoc_log_low_words():
