@@ -337,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="series truncation degree (default 5, capped at "
                             f"{DEGREE_CAP} without --allow-large)")
         p.add_argument("--maxdeg", type=int, default=4,
-                       help="filtration bound for envelope-side computations")
+                       help="filtration bound for envelope-side computations "
+                            "(theta lifts to it, so the --degree cap applies)")
         p.add_argument("--s", default="1",
                        help="the scalar s of the C_s family (qt only)")
         p.add_argument("--output", choices=("json", "text"), default="json")
@@ -361,6 +362,8 @@ def main(argv=None) -> int:
             raise BadDegree(f"{args.command} needs --degree >= {least}")
         if args.degree > DEGREE_CAP and not args.allow_large:
             raise BadDegree(f"--degree > {DEGREE_CAP} needs --allow-large")
+        if args.command == "theta" and args.maxdeg > DEGREE_CAP and not args.allow_large:
+            raise BadDegree(f"theta --maxdeg > {DEGREE_CAP} needs --allow-large")
         if args.maxdeg < 0:
             raise BadDegree("--maxdeg must be >= 0")
         alg, rmat = load_lie_algebra(args.input)

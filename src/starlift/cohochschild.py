@@ -121,60 +121,20 @@ def _d_monomial(key) -> dict:
     return {nk: n for nk, n in out.items() if n}
 
 
-def _diagonal_actions(alg: LieAlgebraSpec):
-    """Split basis indices into (diagonal, other): index i is diagonal when
-    ad(x_i) x_j is a multiple of x_j for every j. Diagonal actions scale
-    monomials, so their kernels are coordinate subspaces - a cheap filter
-    in front of the kernel elimination."""
-    diag = {}
-    others = []
-    for i in range(alg.dim):
-        row = alg.bracket_rows.get(i, {})
-        lam = [QQ(0)] * alg.dim
-        ok = True
-        for j, ent in row.items():
-            if len(ent) == 1 and ent[0][0] == j:
-                lam[j] = ent[0][1]
-            else:
-                ok = False
-                break
-        if ok:
-            diag[i] = lam
-        else:
-            others.append(i)
-    return diag, others
-
-
 def _monomial_fst(alg, key, N):
     return FormalSeriesTensor(alg, len(key), N, {key: QQ(1)})
 
 
 def invariant_basis(alg: LieAlgebraSpec, k: int, N: int):
     """Basis of ((S^{>0}(g))^{(x)k})^g_N as a list of FormalSeriesTensor,
-    deterministic."""
-    keys = slot_positive_keys(alg.dim, k, N)
-    diag, others = _diagonal_actions(alg)
-
-    kept = []
-    for key in keys:
-        ok = True
-        for lam in diag.values():
-            w = QQ(0)
-            for vec in key:
-                for j, a in enumerate(vec):
-                    if a:
-                        w += a * lam[j]
-            if w:
-                ok = False
-                break
-        if ok:
-            kept.append(key)
-
+    deterministic: the kernel over the weight-zero keys of alg.actors' gens."""
+    kept = [key for key in slot_positive_keys(alg.dim, k, N)
+            if alg.weight_zero(tuple(map(sum, zip(*key))))]
     images = []
     for key in kept:
         mono = _monomial_fst(alg, key, N)
         col = {}
-        for i in others:
+        for i in alg.actors[1]:
             for rkey, v in g_action(i, mono).coeffs.items():
                 col[(i, rkey)] = v
         images.append(col)

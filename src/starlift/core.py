@@ -15,6 +15,7 @@ from functools import cache, cached_property
 from math import factorial, lcm
 from operator import itemgetter
 
+from . import linsolve
 from ._rat import QQ, ZERO, rat
 from .errors import (
     AntisymmetryViolation,
@@ -83,6 +84,44 @@ class LieAlgebraSpec:
     @cached_property
     def is_abelian(self) -> bool:
         return not self.bracket_rows
+
+    @cached_property
+    def actors(self) -> tuple:
+        """(weights, gens). weights maps each diagonal index i, with
+        ad(x_i) x_j = w_j x_j for every j, to w; gens are the other indices,
+        taken greedily in index order until they and the diagonal ones
+        generate g as a Lie algebra. A diagonal x_i scales x^a by sum a_j w_j,
+        and if x and y act by 0 so does [x, y]: an element is g-invariant iff
+        it has weight zero and every gens element kills it."""
+        rows = self.bracket_rows
+        weights = {}
+        for i in range(self.dim):
+            row = rows.get(i, {})
+            if all(len(ent) == 1 and ent[0][0] == j for j, ent in row.items()):
+                weights[i] = tuple(row[j][0][1] if j in row else ZERO for j in range(self.dim))
+        gens = []
+        span = [{i: QQ(1)} for i in weights]  # the subalgebra the actors generate
+        for i in range(self.dim):
+            if i in weights or linsolve.rank_of(span + [{i: QQ(1)}]) == len(span):
+                continue
+            gens.append(i)
+            closed = len(span)  # span[:closed] is closed under ad of the earlier actors
+            span.append({i: QQ(1)})
+            for n, u in enumerate(span):  # grows until closed under ad of every actor
+                for a in ([i] if n < closed else [*weights, *gens]):
+                    w = {}
+                    for b, cb in u.items():
+                        for k, v in rows.get(a, {}).get(b, ()):
+                            w[k] = w.get(k, ZERO) + cb * v
+                    w = {k: v for k, v in w.items() if v}
+                    if w and linsolve.rank_of(span + [w]) > len(span):
+                        span.append(w)
+        return weights, tuple(gens)
+
+    def weight_zero(self, vec) -> bool:
+        """Whether every diagonal actor kills x^vec (vec an exponent vector)."""
+        return not any(sum(a * w for a, w in zip(vec, lam) if a)
+                       for lam in self.actors[0].values())
 
     @cached_property
     def _hash(self) -> int:
@@ -577,7 +616,8 @@ def g_action(i: int, f: FormalSeriesTensor) -> FormalSeriesTensor:
 
 
 def is_invariant(f: FormalSeriesTensor) -> bool:
-    return all(g_action(i, f).is_zero() for i in range(f.alg.dim))
+    weights, gens = f.alg.actors
+    return all(g_action(i, f).is_zero() for i in (*weights, *gens))
 
 
 @cache

@@ -153,15 +153,17 @@ def pbw_basis(dim: int, maxdeg: int):
 
 
 def center(alg: LieAlgebraSpec, maxdeg: int, tag: str = TAG_G) -> list:
-    """Basis of {z : filtration <= maxdeg, [z, x_i] = 0 for all i}."""
-    basis = pbw_basis(alg.dim, maxdeg)
-    gens = [PBWElement.generator(alg, tag, i) for i in range(alg.dim)]
+    """Basis of {z : filtration <= maxdeg, [z, x_i] = 0 for all i}: the
+    kernel over the weight-zero monomials of the commutators with
+    alg.actors' gens (see LieAlgebraSpec.actors)."""
+    basis = [mono for mono in pbw_basis(alg.dim, maxdeg)
+             if alg.weight_zero(tuple(map(mono.count, range(alg.dim))))]
     images = []
     for mono in basis:
-        z = PBWElement.make(alg, tag, {mono: QQ(1)})
+        z = PBWElement(alg, tag, {mono: QQ(1)})
         col = {}
-        for i, xi in enumerate(gens):
-            for m, c in pbw_commutator(z, xi).coeffs.items():
+        for i in alg.actors[1]:
+            for m, c in pbw_commutator(z, PBWElement.generator(alg, tag, i)).coeffs.items():
                 col[(i, m)] = c
         images.append(col)
     out = []
@@ -201,17 +203,18 @@ def coadjoint_action(alg: LieAlgebraSpec, i: int, form: dict) -> dict:
 
 def invariants_s_dual(alg: LieAlgebraSpec, maxdeg: int) -> list:
     """Graded basis of S(g*)^g up to degree maxdeg (coadjoint kernel per
-    degree), returned as LinearForms."""
+    degree over the weight-zero monomials, acting by alg.actors' gens),
+    returned as LinearForms."""
     from .duality import LinearForm
     from .cohochschild import monomials
 
     out = []
     for d in range(maxdeg + 1):
-        monos = monomials(alg.dim, d)
+        monos = [mono for mono in monomials(alg.dim, d) if alg.weight_zero(mono)]
         images = []
         for mono in monos:
             col = {}
-            for i in range(alg.dim):
+            for i in alg.actors[1]:
                 for m, c in coadjoint_action(alg, i, {mono: QQ(1)}).items():
                     col[(i, m)] = c
             images.append(col)

@@ -131,13 +131,22 @@ def c_s_coderivation(x: PBWElement, g: LieAlgebraSpec) -> PBWElement:
 
 
 def _d_tensor_id(x: PBWElement, g: LieAlgebraSpec) -> PBWTensorSquare:
-    """(D (x) id) applied to Delta_0(x)."""
+    """(D (x) id) applied to Delta_0(x), memoized per monomial of x like
+    copoisson_delta: C_s at every s shares these images."""
     dual = x.alg
     out = PBWTensorSquare.zero(dual, x.tag)
-    for (m1, m2), c in coproduct_square(x).coeffs.items():
-        dm1 = c_s_coderivation(PBWElement.make(dual, x.tag, {m1: QQ(1)}), g)
-        for mono, v in dm1.coeffs.items():
-            out.add_term((mono, m2), c * v)
+    for mono, c in x.coeffs.items():
+        key = ("_d_tensor_id", g, x.tag, mono)
+        img = dual.memo.get(key)
+        if img is None:
+            img = PBWTensorSquare.zero(dual, x.tag)
+            unit = PBWElement(dual, x.tag, {mono: QQ(1)})
+            for (m1, m2), w in coproduct_square(unit).coeffs.items():
+                dm1 = c_s_coderivation(PBWElement.make(dual, x.tag, {m1: QQ(1)}), g)
+                for m, v in dm1.coeffs.items():
+                    img.add_term((m, m2), w * v)
+            dual.memo[key] = img
+        out = out + img.scale(c)
     return out
 
 
@@ -213,12 +222,17 @@ def sts_alpha(x: PBWElement, qt: QTStructure) -> PBWElement:
 
 def _alpha_images(qt: QTStructure, maxdeg: int) -> tuple:
     """(basis, images): the PBW basis of the dual enveloping algebra up to
-    filtration maxdeg, and alpha of each basis monomial as a column image."""
+    filtration maxdeg, and alpha of each basis monomial as a column image,
+    memoized per monomial and r' (with it g) on the dual."""
     basis = pbw_basis(qt.g.dim, maxdeg)
     images = []
     for mono in basis:
-        img = sts_alpha(PBWElement.make(qt.dual, TAG_GSTAR, {mono: QQ(1)}), qt)
-        images.append(img.coeffs)
+        key = ("sts_alpha", qt.rprime, mono)
+        img = qt.dual.memo.get(key)
+        if img is None:
+            unit = PBWElement(qt.dual, TAG_GSTAR, {mono: QQ(1)})
+            img = qt.dual.memo[key] = sts_alpha(unit, qt).coeffs
+        images.append(img)
     return basis, images
 
 

@@ -144,14 +144,16 @@ def test_degree_cap(capsys):
 
 # Stdout bytes of each degree refusal, as printed before BadDegree became a
 # StarliftError raised through the common handler. A cohomology table below
-# degree 1 would be empty and its "concentrated" certificate vacuous.
+# degree 1 would be empty and its "concentrated" certificate vacuous. theta
+# lifts to max(--degree, --maxdeg), so its --maxdeg is capped too.
 @pytest.mark.parametrize("argv, message", [
     (("lift", "--degree", "2"), "lift needs --degree >= 3"),
     (("lift", "--degree", "9"), "--degree > 8 needs --allow-large"),
     (("envelope", "--maxdeg", "-1"), "--maxdeg must be >= 0"),
     (("cohomology", "--degree", "0"), "cohomology needs --degree >= 1"),
     (("cohomology", "--degree", "-3"), "cohomology needs --degree >= 1"),
-], ids=["lift-low", "cap", "maxdeg", "cohomology-zero", "cohomology-negative"])
+    (("theta", "--maxdeg", "9"), "theta --maxdeg > 8 needs --allow-large"),
+], ids=["lift-low", "cap", "maxdeg", "cohomology-zero", "cohomology-negative", "theta-maxdeg"])
 def test_bad_degree_bytes(capsys, argv, message):
     code, out = run(capsys, argv[0], data_path("sl2"), *argv[1:])
     assert code == 1
@@ -231,6 +233,9 @@ SL3_GOLDEN = {
         "eda885daa63ce70bf8b3106639c2ca45b61209ec04904806cd74e321dc1f6dcf",
     ("cohomology", "--degree", "4"):
         "e117deb2117ac8b7702310a760d2db8027972690c200739cc32d65786ee0aa7a",
+    # taken before the kernels moved to weight-zero columns and a generating set
+    ("envelope", "--maxdeg", "4"):
+        "ce9cd5162995fd48c2fa2a8d2137952cac5c4e652d460663cfdb0c879f6757b4",
 }
 
 
@@ -292,6 +297,12 @@ GOLDEN = {
         (0, "af1f51e69604457c86b7f721f214e39ad1254d0dc5c9b2eb81b1ae784daab159"),
     ("qt", "sl2-qt", "--maxdeg", "4", "--s=-3/4"):
         (0, "8626a01b04a958d378e528194a4e257cff40b6c76e6b5f6a6f476f4870ab54b4"),
+    # taken before the kernels moved to weight-zero columns and a generating
+    # set, and before the C_s and alpha images were memoized
+    ("envelope", "sl2", "--maxdeg", "6"):
+        (0, "6e6470d2c689de6ec6da4997babea668a4efa6d9baf39b967e091124b9582559"),
+    ("qt", "sl2-qt", "--maxdeg", "6", "--s=1/2"):
+        (0, "611e49e2153b1b4b07536a95c21b91df045c5fa9e5c4b00a6191f07a203c2ba2"),
     ("lift", "sl2-qt"):
         (1, "add1f9018cb56f73048c1af6a946cbbfa9d8d8c17b032923b502d4e7b9720821"),
     ("qt", "sl2"):
@@ -321,13 +332,14 @@ def test_report_bytes_under_python_O(argv):
     assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[argv]
 
 
-# The co-Hochschild and lift unit tests themselves, with assert statements
-# stripped from the package.
-def test_cohochschild_and_lift_tests_under_python_O():
+# The co-Hochschild, lift, envelope and qt unit tests themselves, with
+# assert statements stripped from the package.
+def test_unit_tests_under_python_O():
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(Path(starlift.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "tests/test_cohochschild.py", "tests/test_lifts.py"],
+                           "tests/test_cohochschild.py", "tests/test_lifts.py",
+                           "tests/test_envelope.py", "tests/test_qt.py"],
                           cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:]
 

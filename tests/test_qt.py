@@ -1,5 +1,6 @@
 """Quasitriangular candidates: validation, the C_s family, the transport
 of central elements, and the inner-derivation identity."""
+import collections
 import itertools
 
 import pytest
@@ -19,10 +20,15 @@ from starlift import (
     sts_alpha,
     sts_theta,
 )
+from starlift import envelope, linsolve, quasitriangular
 from starlift._rat import QQ
-from starlift.envelope import TAG_G, TAG_GSTAR, PBWElement
+from starlift.cli import main
+from starlift.envelope import (TAG_G, TAG_GSTAR, PBWElement, PBWTensorSquare, copoisson_delta,
+                               coproduct_square, pbw_basis)
 from starlift.errors import CYBViolation, Degenerate, NotAntisymmetric, NotCentral, TNotInvariant
-from starlift.quasitriangular import alpha_matrix_rank, mu_of_rprime
+from starlift.quasitriangular import alpha_matrix_rank, c_s_coderivation, mu_of_rprime
+
+from conftest import data_path
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +193,77 @@ def test_alpha_on_generators_contracts_t(qt):
 def test_compare_images_c0_differs_from_c1(qt):
     rep = compare_images(qt, 4)
     assert rep == {"dim_C0": 3, "dim_C1": 3, "dim_join": 5, "equal": False}
+
+
+# ---- the unmemoized (D (x) id)Delta_0 and C_s kernel, kept as the oracle ----
+
+
+def ref_d_tensor_id(x, g):
+    dual = x.alg
+    out = PBWTensorSquare.zero(dual, x.tag)
+    for (m1, m2), c in coproduct_square(x).coeffs.items():
+        dm1 = c_s_coderivation(PBWElement.make(dual, x.tag, {m1: QQ(1)}), g)
+        for mono, v in dm1.coeffs.items():
+            out.add_term((mono, m2), c * v)
+    return out
+
+
+def ref_c_s_basis(s, maxdeg, qt):
+    basis = pbw_basis(qt.g.dim, maxdeg)
+    images = []
+    for mono in basis:
+        x = PBWElement.make(qt.dual, TAG_GSTAR, {mono: QQ(1)})
+        images.append((copoisson_delta(x, qt.g) - ref_d_tensor_id(x, qt.g).scale(QQ(s))).coeffs)
+    return [PBWElement.make(qt.dual, TAG_GSTAR, {basis[j]: c for j, c in vec.items()})
+            for vec in linsolve.kernel_of(images)]
+
+
+@pytest.mark.parametrize("name, maxdeg", [("sl2-qt", 4), ("nonabelian2", 3)])
+def test_c_s_basis_matches_unmemoized_kernel(name, maxdeg):
+    """One structure's memo serves every s, in any order, and twice."""
+    g, r = load_lie_algebra(data_path(name))
+    fresh = qt_validate(g, r)
+    oracle = qt_validate(g, r)
+    for s in ("1", "0", "-3/4", "2", "1"):
+        want = [x.coeffs for x in ref_c_s_basis(QQ(s), maxdeg, oracle)]
+        assert [x.coeffs for x in c_s_basis(QQ(s), maxdeg, fresh)] == want
+
+
+class _CountingMemo(dict):
+    """A memo that counts lookups per (owner, hit) and records every store."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = collections.Counter()
+        self.stored = []
+
+    def get(self, key, default=None):
+        self.lookups[key[0], key in self] += 1
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def test_one_qt_run_builds_each_image_once(monkeypatch, capsys):
+    memos = []
+
+    def counting_dual(r):
+        spec = envelope.dual_bracket(r)
+        memos.append(spec.__dict__.setdefault("memo", _CountingMemo()))
+        return spec
+
+    alpha_args = []
+    sts = quasitriangular.sts_alpha
+    monkeypatch.setattr(quasitriangular, "dual_bracket", counting_dual)
+    monkeypatch.setattr(quasitriangular, "sts_alpha",
+                        lambda x, qt: alpha_args.append(tuple(x.coeffs)) or sts(x, qt))
+    assert main(["qt", data_path("sl2-qt"), "--maxdeg", "4"]) == 0
+    capsys.readouterr()
+    (memo,) = memos
+    for owner in ("_d_tensor_id", "sts_alpha"):
+        monos = [key[-1] for key in memo.stored if key[0] == owner]
+        assert len(monos) == len(set(monos)) == memo.lookups[owner, False] == 35
+        assert memo.lookups[owner, True] > 0
+    assert len(alpha_args) == len(set(alpha_args)) == 35
