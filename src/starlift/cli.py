@@ -50,10 +50,7 @@ DEGREE_CAP = 8
 
 
 def _series_terms(f: FormalSeriesTensor) -> list:
-    out = []
-    for key in sorted(f.coeffs):
-        out.append([[list(vec) for vec in key], rat_str(f.coeffs[key])])
-    return out
+    return [[[list(vec) for vec in key], rat_str(f.coeffs[key])] for key in sorted(f.coeffs)]
 
 
 def _pbw_terms(x) -> list:

@@ -432,6 +432,11 @@ class FormalSeriesTensor(_SparseVec):
         return cls(alg, k, N, {key: QQ(1)})
 
     @cached_property
+    def memo(self) -> dict:
+        """Per-instance cache, like LieAlgebraSpec.memo."""
+        return {}
+
+    @cached_property
     def degree_buckets(self):
         buckets = {}
         for key, val in self.coeffs.items():

@@ -13,18 +13,20 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import linsolve
-from ._rat import QQ, ZERO
+from ._rat import ONE, QQ, ZERO
 from .cohochschild import _monomial_fst, monomials
 from .core import (
     FormalSeriesTensor,
     LieAlgebraSpec,
     _SparseVec,
     coproduct_insert,
+    multiply,
     poisson_bracket,
 )
 from .envelope import TAG_GSTAR, PBWElement, pbw_basis
 from .errors import (AlgebraMismatch, NotATrace, NotInMSquared, SingularPairing,
                      SlotMismatch, TruncationTooLow)
+from .star import star_conjugate
 
 
 def _vec_factorial(vec) -> int:
@@ -121,34 +123,55 @@ def _pair_two(l1: LinearForm, l2: LinearForm, t: FormalSeriesTensor):
 
 def twisted_coproduct(f: FormalSeriesTensor, rho: FormalSeriesTensor) -> FormalSeriesTensor:
     """rho * Delta_0(f) * (-rho) in the star group of the doubled algebra."""
-    from .star import star_conjugate
-
     if f.k != 1:
         raise SlotMismatch(f"the coproduct takes a 1-slot series, got {f.k} slots")
     if not (rho.k == 2 and rho.in_m_squared()):
         raise NotInMSquared("rho must be a 2-slot element of m^2")
-    delta0 = coproduct_insert(f, ((0, 1),), 2)
-    return star_conjugate(rho, delta0)
+    return star_conjugate(rho, coproduct_insert(f, ((0, 1),), 2))
+
+
+def _coproduct_images(rho: FormalSeriesTensor, n: int) -> dict:
+    """{vec: twisted_coproduct(x^vec, rho truncated at n)} for every monomial
+    of degree <= n, in degree-then-lex order, kept in rho.memo. Only the
+    generators are conjugated; each other monomial is one multiply."""
+    if ("coproduct_images", n) not in rho.memo:
+        alg, rho_n, one = rho.alg, rho.truncate(n), (0,) * rho.alg.dim
+        gens = [twisted_coproduct(FormalSeriesTensor.generator(alg, i, n), rho_n)
+                for i in range(alg.dim)]
+        table = rho.memo["coproduct_images", n] = {
+            one: FormalSeriesTensor(alg, 2, n, {(one, one): ONE})}
+        for vec in (v for d in range(1, n + 1) for v in monomials(alg.dim, d)):
+            i = max(j for j, e in enumerate(vec) if e)
+            lower = vec[:i] + (vec[i] - 1,) + vec[i + 1:]  # x^vec = x^lower * x_i
+            table[vec] = multiply(table[lower], gens[i])
+    return rho.memo["coproduct_images", n]
 
 
 def rho_product(l1: LinearForm, l2: LinearForm, rho: FormalSeriesTensor) -> LinearForm:
     """The convolution (l1 . l2)(f) = (l1 (x) l2)(rho * Delta_0(f) * (-rho)),
-    returned as a form of order <= order(l1) + order(l2)."""
-    alg = l1.alg
+    returned as a form of order <= order(l1) + order(l2). f runs over the
+    monomials, whose twisted coproducts are products of the generators'
+    images: Delta_0 is an algebra map and exp({rho, .}) an algebra
+    automorphism of the truncated function algebra ({rho, .} a derivation)."""
     n = l1.order + l2.order
     if rho.N < n:
-        raise TruncationTooLow(
-            f"rho truncated at {rho.N}, need degree {n} for this product"
-        )
-    rho_n = rho.truncate(n)
+        raise TruncationTooLow(f"rho truncated at {rho.N}, need degree {n} for this product")
     out = {}
-    for d in range(n + 1):
-        for vec in monomials(alg.dim, d):
-            tc = twisted_coproduct(_monomial_fst(alg, (vec,), n), rho_n)
-            val = _pair_two(l1, l2, tc)
-            if val:
-                out[vec] = val / _vec_factorial(vec)
-    return LinearForm.make(alg, out)
+    for vec, tc in _coproduct_images(rho, n).items():
+        val = _pair_two(l1, l2, tc)
+        if val:
+            out[vec] = val / _vec_factorial(vec)
+    return LinearForm.make(l1.alg, out)
+
+
+def _monomial_brackets(alg: LieAlgebraSpec, d: int, N: int):
+    """(va, vb, {x^va, x^vb} truncated at N) over the monomial pairs whose
+    bracket has degree d."""
+    for da in range(1, d + 1):
+        for va in monomials(alg.dim, da):
+            for vb in monomials(alg.dim, d + 1 - da):
+                yield va, vb, poisson_bracket(_monomial_fst(alg, (va,), N),
+                                              _monomial_fst(alg, (vb,), N))
 
 
 def poisson_traces(alg: LieAlgebraSpec, maxdeg: int) -> list:
@@ -159,13 +182,9 @@ def poisson_traces(alg: LieAlgebraSpec, maxdeg: int) -> list:
         cols = monomials(alg.dim, d)
         col_index = {v: j for j, v in enumerate(cols)}
         images = [{} for _ in cols]
-        for da in range(1, d + 1):
-            for va in monomials(alg.dim, da):
-                for vb in monomials(alg.dim, d + 1 - da):
-                    u = _monomial_fst(alg, (va,), d)
-                    v = _monomial_fst(alg, (vb,), d)
-                    for (vec,), c in poisson_bracket(u, v).coeffs.items():
-                        images[col_index[vec]][(va, vb)] = c * _vec_factorial(vec)
+        for va, vb, br in _monomial_brackets(alg, d, d):
+            for (vec,), c in br.coeffs.items():
+                images[col_index[vec]][(va, vb)] = c * _vec_factorial(vec)
         for ker in linsolve.kernel_of(images):
             out.append(LinearForm.make(alg, {cols[j]: c for j, c in ker.items()}))
     return out
@@ -173,19 +192,9 @@ def poisson_traces(alg: LieAlgebraSpec, maxdeg: int) -> list:
 
 def is_poisson_trace(l: LinearForm) -> bool:
     """Direct check that l kills {u, v} for all monomial pairs in range."""
-    alg = l.alg
     n = l.order
-    for da in range(1, n + 1):
-        for db in range(1, n + 2 - da):
-            for va in monomials(alg.dim, da):
-                for vb in monomials(alg.dim, db):
-                    br = poisson_bracket(
-                        _monomial_fst(alg, (va,), n),
-                        _monomial_fst(alg, (vb,), n),
-                    )
-                    if form_pair(l, br):
-                        return False
-    return True
+    return not any(form_pair(l, br) for d in range(1, n + 1)
+                   for _, _, br in _monomial_brackets(l.alg, d, n))
 
 
 def convolution_bracket(rho: FormalSeriesTensor) -> LieAlgebraSpec:
@@ -195,6 +204,8 @@ def convolution_bracket(rho: FormalSeriesTensor) -> LieAlgebraSpec:
     This recovers the dual Lie bracket up to the single global scaling fixed
     by rho's own normalization, and it is the bracket that makes theta a
     morphism of filtered algebras on the nose."""
+    if ("convolution_bracket",) in rho.memo:
+        return rho.memo[("convolution_bracket",)]
     alg = rho.alg
     d = alg.dim
     gens = [LinearForm.generator(alg, i) for i in range(d)]
@@ -206,11 +217,12 @@ def convolution_bracket(rho: FormalSeriesTensor) -> LieAlgebraSpec:
                 a = vec.index(1)
                 c[i][j][a] = val
                 c[j][i][a] = -val
-    return LieAlgebraSpec(
+    rho.memo[("convolution_bracket",)] = LieAlgebraSpec(
         dim=d,
         basis_names=tuple(n + "*" for n in alg.basis_names),
         c=tuple(tuple(tuple(row) for row in plane) for plane in c),
     ).validate()
+    return rho.memo[("convolution_bracket",)]
 
 
 def theta(f: LinearForm, rho: FormalSeriesTensor) -> PBWElement:

@@ -146,10 +146,7 @@ def sorted_monomials(dim: int, length: int):
 
 def pbw_basis(dim: int, maxdeg: int):
     """All sorted monomials of length <= maxdeg, graded order."""
-    out = []
-    for ln in range(maxdeg + 1):
-        out.extend(sorted_monomials(dim, ln))
-    return out
+    return [mono for ln in range(maxdeg + 1) for mono in sorted_monomials(dim, ln)]
 
 
 def center(alg: LieAlgebraSpec, maxdeg: int, tag: str = TAG_G) -> list:

@@ -1,10 +1,13 @@
 """Inductive construction of the associator phi and the twist rho.
 
-Both lifts run the same loop: compute the star-group defect of the
-current truncation, extract its lowest homogeneous class, check it is a
+Both lifts run the same loop: compute the defect of the current
+truncation, extract its lowest homogeneous class, check it is a
 d-cocycle, solve d(beta) = class, and add beta. Degree bookkeeping makes
-each step kill one more degree, and the group form of the defect
-(LHS * -RHS) keeps "zero defect" meaningful at every truncation.
+each step kill one more degree.
+
+A defect is LHS - RHS, not the group form LHS * -RHS: the two vanish
+together, and if RHS - LHS starts in degree m, each BCH word of L >= 2
+letters in LHS and -RHS has degree >= m + L - 1, so their lowest parts agree.
 """
 from __future__ import annotations
 
@@ -33,7 +36,8 @@ from .star import negate, star
 
 
 def pentagon_defect(phi: FormalSeriesTensor) -> FormalSeriesTensor:
-    """(phi^{1,2,34} * phi^{12,3,4}) * -(phi^{2,3,4} * phi^{1,23,4} * phi^{1,2,3})."""
+    """(phi^{1,2,34} * phi^{12,3,4}) - (phi^{2,3,4} * phi^{1,23,4} * phi^{1,2,3}):
+    zero iff LHS * -RHS is, with the same lowest part (see the module doc)."""
     if not phi.in_m_tensor():
         raise NotInMTensor("phi must lie in m^{(x)3}")
     lhs = star(coproduct_insert(phi, ((0,), (1,), (2, 3)), 4),
@@ -43,11 +47,12 @@ def pentagon_defect(phi: FormalSeriesTensor) -> FormalSeriesTensor:
              coproduct_insert(phi, ((0,), (1, 2), (3,)), 4)),
         coproduct_insert(phi, ((0,), (1,), (2,)), 4),
     )
-    return star(lhs, negate(rhs))
+    return lhs - rhs
 
 
 def cocycle_defect(rho: FormalSeriesTensor, phi: FormalSeriesTensor) -> FormalSeriesTensor:
-    """(rho^{1,2} * rho^{12,3}) * -(rho^{2,3} * rho^{1,23} * phi)."""
+    """(rho^{1,2} * rho^{12,3}) - (rho^{2,3} * rho^{1,23} * phi): zero iff
+    LHS * -RHS is, with the same lowest part (see the module doc)."""
     if not rho.in_m_tensor():
         raise NotInMTensor("rho must lie in m^{(x)2}")
     if not phi.in_m_tensor():
@@ -55,7 +60,7 @@ def cocycle_defect(rho: FormalSeriesTensor, phi: FormalSeriesTensor) -> FormalSe
     lhs = star(coproduct_insert(rho, ((0,), (1,)), 3), coproduct_insert(rho, ((0, 1), (2,)), 3))
     rhs = star(star(coproduct_insert(rho, ((1,), (2,)), 3),
                     coproduct_insert(rho, ((0,), (1, 2)), 3)), phi)
-    return star(lhs, negate(rhs))
+    return lhs - rhs
 
 
 def lift_associator(Z: FormalSeriesTensor, N: int) -> FormalSeriesTensor:
@@ -91,8 +96,7 @@ def lift_associator(Z: FormalSeriesTensor, N: int) -> FormalSeriesTensor:
                 "nonzero obstruction class in wedge^4(g)^g at degree 4",
                 cls=exc.context.get("cls"),
             ) from exc
-        correction = FormalSeriesTensor.make(alg, 3, N, beta.value.coeffs)
-        phi = phi + correction
+        phi = phi + FormalSeriesTensor.make(alg, 3, N, beta.value.coeffs)
     return phi
 
 
@@ -127,8 +131,7 @@ def lift_twist(r: RMatrix, phi: FormalSeriesTensor, N: int) -> FormalSeriesTenso
             raise NotACocycle(f"twist defect class at degree {M + 1} is not a cocycle")
         cochain = Cochain.make(3, M + 1, cls.truncate(M + 1))
         beta = solve_coboundary(cochain, invariant_only=False)
-        correction = FormalSeriesTensor.make(alg, 2, N, beta.value.coeffs)
-        rho = rho + correction
+        rho = rho + FormalSeriesTensor.make(alg, 2, N, beta.value.coeffs)
     return rho
 
 

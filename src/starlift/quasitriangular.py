@@ -157,18 +157,17 @@ def c_s_map(x: PBWElement, g: LieAlgebraSpec, s) -> PBWTensorSquare:
 
 def c_s_basis(s, maxdeg: int, qt: QTStructure) -> list:
     """Basis of C_s = Ker(delta - s(D (x) id)Delta_0) inside the dual
-    enveloping algebra, restricted to filtration <= maxdeg."""
+    enveloping algebra, restricted to filtration <= maxdeg; computed once
+    per (s, maxdeg) on the dual."""
     dual = qt.dual
-    basis = pbw_basis(qt.g.dim, maxdeg)
-    images = []
-    for mono in basis:
-        img = c_s_map(PBWElement.make(dual, TAG_GSTAR, {mono: QQ(1)}), qt.g, s)
-        images.append(img.coeffs)
-    out = []
-    for vec in linsolve.kernel_of(images):
-        out.append(PBWElement.make(dual, TAG_GSTAR,
-                                   {basis[j]: c for j, c in vec.items()}))
-    return out
+    key = ("c_s_basis", QQ(s), maxdeg)
+    if key not in dual.memo:
+        basis = pbw_basis(qt.g.dim, maxdeg)
+        images = [c_s_map(PBWElement.make(dual, TAG_GSTAR, {mono: QQ(1)}), qt.g, s).coeffs
+                  for mono in basis]
+        dual.memo[key] = [PBWElement.make(dual, TAG_GSTAR, {basis[j]: c for j, c in vec.items()})
+                          for vec in linsolve.kernel_of(images)]
+    return list(dual.memo[key])
 
 
 def c_s_graded_dims(s, maxdeg: int, qt: QTStructure) -> tuple:

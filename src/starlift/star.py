@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
-from ._rat import QQ
+from ._rat import ONE, QQ
 from .core import FormalSeriesTensor, poisson_bracket
 from .errors import NotInMSquared, RankCertificate, SlotMismatch
 from .linsolve import preimage
@@ -95,6 +95,7 @@ def _check_star_pair(f, g):
         raise SlotMismatch(f"star needs equal slot counts, got {f.k} and {g.k}")
     if not f.in_m_squared() or not g.in_m_squared():
         raise NotInMSquared("star arguments must have every term of degree >= 2")
+    f._check_pair(g)
 
 
 def _nested(word, f, g, cache):
@@ -111,15 +112,22 @@ def _nested(word, f, g, cache):
 
 
 def star(f: FormalSeriesTensor, g: FormalSeriesTensor) -> FormalSeriesTensor:
-    """The BCH product f * g on (m^2, { , }), truncated at N."""
+    """The BCH product f * g on (m^2, { , }), truncated at N: f, g and the
+    nonzero words summed in one pass over integer numerators."""
     _check_star_pair(f, g)
-    result = f + g
+    terms = [(ONE, f), (ONE, g)]
     cache = {}
     for coeff, word in bch_terms(max(f.N - 1, 1)):
         term = _nested(word, f, g, cache)
         if not term.is_zero():
-            result = result + term.scale(coeff)
-    return result
+            terms.append((coeff, term))
+    D = lcm(*(c.denominator * t.numerators[0] for c, t in terms))
+    out = {}
+    for c, t in terms:
+        m = c.numerator * (D // (c.denominator * t.numerators[0]))
+        for key, n in t.numerators[1]:
+            out[key] = out.get(key, 0) + m * n
+    return FormalSeriesTensor(f.alg, f.k, f.N, {key: QQ(n, D) for key, n in out.items() if n})
 
 
 def negate(f: FormalSeriesTensor) -> FormalSeriesTensor:

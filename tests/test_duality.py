@@ -21,7 +21,8 @@ from starlift import (
     twisted_coproduct,
 )
 from starlift._rat import QQ
-from starlift.duality import LinearForm
+from starlift.cohochschild import _monomial_fst, monomials
+from starlift.duality import LinearForm, _coproduct_images
 from starlift.envelope import TAG_GSTAR, PBWElement
 from starlift.errors import NotATrace, TruncationTooLow
 
@@ -178,8 +179,6 @@ def test_theta_rejects_non_traces(sl2rho):
 
 
 def test_theta_gauge_independent(sl2rho):
-    from starlift.cohochschild import monomials
-
     alg, r, rho = sl2rho
     traces = poisson_traces(alg, 4)
     base = [theta(t, rho) for t in traces]
@@ -210,3 +209,33 @@ def test_theta_identity_on_abelian(abelian3):
                 mono += (i,) * m
             want[mono] = c
         assert th.coeffs == want
+
+
+# ---- the twisted coproduct from its generator images -------------------------
+
+
+@pytest.mark.parametrize("name", ["sl2", "nonabelian2"])
+def test_coproduct_images_match_twisted_coproduct(name, request):
+    alg, r = request.getfixturevalue(name)
+    n = 4
+    lam = FormalSeriesTensor.make(alg, 1, n, {
+        (vec,): QQ(1 + pos % 3, 1 + d % 2)
+        for d in range(2, n + 1) for pos, vec in enumerate(monomials(alg.dim, d)) if pos % 2 == 0})
+    for rho in (r.to_series(n), gauge_rho(lam, lift(r, n)["rho"])):
+        assert not rho.is_zero()
+        for m in range(1, n + 1):
+            table = _coproduct_images(rho, m)
+            assert list(table) == [v for d in range(m + 1) for v in monomials(alg.dim, d)]
+            for vec, image in table.items():
+                assert image == twisted_coproduct(_monomial_fst(alg, (vec,), m), rho.truncate(m))
+
+
+def test_equal_rhos_keep_separate_memos(sl2rho):
+    alg, r, rho = sl2rho
+    first, second = (FormalSeriesTensor(alg, rho.k, rho.N, dict(rho.coeffs)) for _ in range(2))
+    traces = poisson_traces(alg, 4)
+    images = [theta(t, first) for t in traces]
+    assert [theta(t, second) for t in traces] == images
+    assert first.memo.keys() == second.memo.keys() != set()
+    for key in first.memo:
+        assert first.memo[key] is not second.memo[key]

@@ -8,6 +8,7 @@ from starlift import (
     FormalSeriesTensor,
     alt_project,
     cocycle_defect,
+    coproduct_insert,
     cyb,
     gauge_phi,
     gauge_rho,
@@ -15,10 +16,13 @@ from starlift import (
     lift,
     lift_associator,
     lift_twist,
+    negate,
     pentagon_defect,
+    star,
 )
 from starlift._rat import QQ
 from starlift.cohochschild import invariant_basis, monomials
+from starlift.lifts import TWIST_CLASS_RATIO
 from starlift.errors import (
     CompatibilityViolation,
     NotInMSquared,
@@ -165,3 +169,49 @@ def test_gauge_rho_rejects_linear_lambda(sl2):
     lam = FormalSeriesTensor.generator(alg, 0, 4)
     with pytest.raises(NotInMSquared):
         gauge_rho(lam, rho)
+
+
+# ---- the defects against their star-group form LHS * -RHS -------------------
+
+
+def group_pentagon_defect(phi):
+    lhs = star(coproduct_insert(phi, ((0,), (1,), (2, 3)), 4),
+               coproduct_insert(phi, ((0, 1), (2,), (3,)), 4))
+    rhs = star(star(coproduct_insert(phi, ((1,), (2,), (3,)), 4),
+                    coproduct_insert(phi, ((0,), (1, 2), (3,)), 4)),
+               coproduct_insert(phi, ((0,), (1,), (2,)), 4))
+    return star(lhs, negate(rhs))
+
+
+def group_cocycle_defect(rho, phi):
+    lhs = star(coproduct_insert(rho, ((0,), (1,)), 3), coproduct_insert(rho, ((0, 1), (2,)), 3))
+    rhs = star(star(coproduct_insert(rho, ((1,), (2,)), 3),
+                    coproduct_insert(rho, ((0,), (1, 2)), 3)), phi)
+    return star(lhs, negate(rhs))
+
+
+def _same_lowest_part(got, want):
+    assert not want.is_zero() and not got.is_zero()
+    m = want.min_degree()
+    assert got.min_degree() == m
+    assert got.homogeneous_part(m) == want.homogeneous_part(m)
+
+
+def test_defects_match_group_form_on_non_solutions(sl2):
+    alg, r = sl2
+    N = 5
+    embedded = FormalSeriesTensor.make(alg, 3, N, cyb(r).scale(TWIST_CLASS_RATIO).coeffs)
+    _same_lowest_part(pentagon_defect(embedded), group_pentagon_defect(embedded))
+    rho0 = r.to_series(N)
+    for phi in (FormalSeriesTensor.zero(alg, 3, N), lift(r, N)["phi"]):
+        _same_lowest_part(cocycle_defect(rho0, phi), group_cocycle_defect(rho0, phi))
+
+
+@pytest.mark.parametrize("name", ["sl2", "nonabelian2"])
+def test_defects_and_group_form_vanish_on_lifts(name, request):
+    alg, r = request.getfixturevalue(name)
+    res = lift(r, 5)
+    phi, rho = res["phi"], res["rho"]
+    for defect in (pentagon_defect(phi), group_pentagon_defect(phi),
+                   cocycle_defect(rho, phi), group_cocycle_defect(rho, phi)):
+        assert defect.is_zero()

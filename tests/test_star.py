@@ -12,9 +12,11 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from starlift import FormalSeriesTensor, load_lie_algebra, negate, star, star_conjugate
+from starlift import (FormalSeriesTensor, LieAlgebraSpec, load_lie_algebra, negate, star,
+                      star_conjugate)
 from starlift._rat import QQ
-from starlift.star import assoc_log_exp_exp, bch_terms
+from starlift.errors import TruncationMismatch
+from starlift.star import _check_star_pair, _nested, assoc_log_exp_exp, bch_terms
 
 from conftest import data_path
 
@@ -210,3 +212,55 @@ def test_star_group_laws_sl3(f, g, h):
 @given(_series(SL2, 10), _series(SL2, 10), _series(SL2, 10))
 def test_star_group_laws_sl2_deep(f, g, h):
     _check_group_laws(f, g, h)
+
+
+# ---- reference oracle: the per-word Fraction star, kept verbatim -------------
+
+
+def ref_star(f, g):
+    _check_star_pair(f, g)
+    result = f + g
+    cache = {}
+    for coeff, word in bch_terms(max(f.N - 1, 1)):
+        term = _nested(word, f, g, cache)
+        if not term.is_zero():
+            result = result + term.scale(coeff)
+    return result
+
+
+def _rescaled(alg, q):
+    """The same bracket times q: non-integer structure constants for q = 2/3."""
+    c = tuple(tuple(tuple(v * q for v in row) for row in plane) for plane in alg.c)
+    return LieAlgebraSpec(alg.dim, alg.basis_names, c).validate()
+
+
+ORACLE_ALGEBRAS = {"sl2": SL2, "sl3": SL3, "sl2*2/3": _rescaled(SL2, QQ(2, 3))}
+
+
+@st.composite
+def _oracle_pair(draw):
+    alg = ORACLE_ALGEBRAS[draw(st.sampled_from(sorted(ORACLE_ALGEBRAS)))]
+    N = draw(st.integers(2, 6))
+    vec = st.lists(st.integers(0, alg.dim - 1), min_size=2, max_size=min(N, 4)).map(
+        lambda idx: (tuple(idx.count(i) for i in range(alg.dim)),))
+    coeff = st.builds(QQ, st.integers(-7, 7).filter(bool), st.sampled_from((1, 2, 3, 4, 6, 9)))
+    series = st.dictionaries(vec, coeff, min_size=1, max_size=4).map(
+        lambda items: FormalSeriesTensor.make(alg, 1, N, items))
+    return draw(series), draw(series)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_pair())
+def test_star_matches_per_word_oracle(pair):
+    f, g = pair
+    got, want = star(f, g), ref_star(f, g)
+    assert (got.alg, got.k, got.N) == (want.alg, want.k, want.N)
+    assert got.coeffs == want.coeffs
+
+
+def test_star_rejects_mixed_truncations():
+    """At N = 2 no BCH word is summed, so only the operand check catches it."""
+    f = FormalSeriesTensor.make(SL2, 1, 2, {((1, 1, 0),): QQ(1)})
+    g = FormalSeriesTensor.make(SL2, 1, 3, {((0, 2, 0),): QQ(1)})
+    with pytest.raises(TruncationMismatch):
+        star(f, g)
