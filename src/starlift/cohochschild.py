@@ -16,8 +16,10 @@ degree N = k, realized by alt_project.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from math import factorial, perm, prod
 
 from . import linsolve
 from ._rat import QQ
@@ -127,23 +129,30 @@ def _monomial_fst(alg, key, N):
 
 def invariant_basis(alg: LieAlgebraSpec, k: int, N: int):
     """Basis of ((S^{>0}(g))^{(x)k})^g_N as a list of FormalSeriesTensor,
-    deterministic: the kernel over the weight-zero keys of alg.actors' gens."""
-    kept = [key for key in slot_positive_keys(alg.dim, k, N)
-            if alg.weight_zero(tuple(map(sum, zip(*key))))]
-    images = []
-    for key in kept:
-        mono = _monomial_fst(alg, key, N)
-        col = {}
-        for i in alg.actors[1]:
-            for rkey, v in g_action(i, mono).coeffs.items():
-                col[(i, rkey)] = v
-        images.append(col)
-
-    out = []
-    for vec in linsolve.kernel_of(images):
-        items = {kept[j]: v for j, v in vec.items()}
-        out.append(FormalSeriesTensor.make(alg, k, N, items))
-    return out
+    deterministic: the kernel over the weight-zero keys of alg.actors' gens.
+    g keeps each slot's degree, so each slot-degree composition is its own
+    kernel; merged by free column, the largest key of a reduced kernel
+    vector, they list what the one kernel over all keys would."""
+    weight_zero = {}
+    vecs = []
+    for degs in _compositions_positive(N, k):
+        kept = []
+        for key in itertools.product(*(monomials(alg.dim, d) for d in degs)):
+            tot = tuple(map(sum, zip(*key)))
+            if tot not in weight_zero:
+                weight_zero[tot] = alg.weight_zero(tot)
+            if weight_zero[tot]:
+                kept.append(key)
+        images = []
+        for key in kept:
+            mono = _monomial_fst(alg, key, N)
+            col = {}
+            for i in alg.actors[1]:
+                for rkey, v in g_action(i, mono).coeffs.items():
+                    col[(i, rkey)] = v
+            images.append(col)
+        vecs += [{kept[j]: v for j, v in vec.items()} for vec in linsolve.kernel_of(images)]
+    return [FormalSeriesTensor.make(alg, k, N, items) for items in sorted(vecs, key=max)]
 
 
 def _multidegree_blocks(keys, dim: int) -> dict:
@@ -161,17 +170,39 @@ def _rank_d_on(basis) -> int:
     return linsolve.rank_of([_d_raw(v).coeffs for v in basis])
 
 
+def _multidegree_keys(tot, k: int) -> list:
+    """The slot-positive k-slot keys of multidegree tot, sorted."""
+    splits = [[tuple(a - 1 for a in c) for c in _compositions_positive(t + k, k)] for t in tot]
+    keys = (tuple(zip(*cols)) for cols in itertools.product(*splits))
+    return sorted(key for key in keys if all(map(any, key)))
+
+
+def _exponent_shapes(dim: int, N: int) -> list:
+    """(shape, count) per partition shape of N into at most dim parts, count
+    being the number of multidegrees over dim variables whose nonzero parts
+    sort to shape: dim! / ((dim - len(shape))! prod mult!)."""
+    def parts(n, top):
+        if n == 0:
+            yield ()
+        for first in range(min(n, top), 0, -1):
+            yield from ((first,) + rest for rest in parts(n - first, first))
+    return [(shape, perm(dim, len(shape)) // prod(map(factorial, Counter(shape).values())))
+            for shape in parts(N, N) if len(shape) <= dim]
+
+
 def _rank_d(alg, k: int, N: int) -> int:
-    """Rank of d on (S^{>0})^{(x)k} in degree N, split by multidegree;
-    computed once per algebra instance."""
+    """Rank of d on (S^{>0})^{(x)k} in degree N; computed once per algebra
+    instance. d splits by multidegree, reads no algebra, and commutes with
+    every permutation of the variables; a multidegree block uses only the
+    variables with a nonzero exponent. So a block's rank depends only on its
+    exponent shape, and one block per shape is eliminated."""
     if k < 1 or N < k:
         return 0
     memo = alg.memo
     if ("rank_d", k, N) not in memo:
-        blocks = _multidegree_blocks(slot_positive_keys(alg.dim, k, N), alg.dim)
         memo["rank_d", k, N] = sum(
-            linsolve.rank_of([_d_monomial(key) for key in keys])
-            for keys in blocks.values())
+            count * linsolve.rank_of([_d_monomial(key) for key in _multidegree_keys(shape, k)])
+            for shape, count in _exponent_shapes(alg.dim, N))
     return memo["rank_d", k, N]
 
 
@@ -195,7 +226,8 @@ def cohomology_dimension(alg: LieAlgebraSpec, k: int, N: int,
     if invariant_only:
         dim, rank = _invariant_dim_rank(alg, k, N)
         return dim - rank - (_invariant_dim_rank(alg, k - 1, N)[1] if k >= 2 else 0)
-    ncols = len(slot_positive_keys(alg.dim, k, N))
+    ncols = sum(count * len(_multidegree_keys(shape, k))
+                for shape, count in _exponent_shapes(alg.dim, N))
     return ncols - _rank_d(alg, k, N) - _rank_d(alg, k - 1, N)
 
 
@@ -211,7 +243,7 @@ def solve_coboundary(c: Cochain, invariant_only: bool = False) -> Cochain:
     if k < 2:
         raise ValueError("solving needs at least 2 slots")
     if not _d_raw(c.value).is_zero():
-        raise NotACocycle(f"d(c) != 0 for the given {k}-cochain")
+        raise NotACocycle(f"d(c) != 0 for the given {k}-cochain of degree {N}")
     if invariant_only and not is_invariant(c.value):
         raise NotInvariant("cochain is not g-invariant")
 
@@ -219,10 +251,9 @@ def solve_coboundary(c: Cochain, invariant_only: bool = False) -> Cochain:
         basis = invariant_basis(alg, k - 1, N)
         pieces = [([_d_raw(v).coeffs for v in basis], [v.coeffs for v in basis], c.value.coeffs)]
     else:
-        blocks = _multidegree_blocks(slot_positive_keys(alg.dim, k - 1, N), alg.dim)
         pieces = []
         for tot, rhs_keys in sorted(_multidegree_blocks(c.value.coeffs, alg.dim).items()):
-            keys = blocks.get(tot, [])
+            keys = _multidegree_keys(tot, k - 1)
             pieces.append(([_d_monomial(key) for key in keys], [{key: 1} for key in keys],
                            {key: c.value.coeffs[key] for key in rhs_keys}))
 

@@ -164,14 +164,15 @@ def rho_product(l1: LinearForm, l2: LinearForm, rho: FormalSeriesTensor) -> Line
     return LinearForm.make(l1.alg, out)
 
 
-def _monomial_brackets(alg: LieAlgebraSpec, d: int, N: int):
+def _monomial_brackets(alg: LieAlgebraSpec, d: int, N: int) -> list:
     """(va, vb, {x^va, x^vb} truncated at N) over the monomial pairs whose
-    bracket has degree d."""
-    for da in range(1, d + 1):
-        for va in monomials(alg.dim, da):
-            for vb in monomials(alg.dim, d + 1 - da):
-                yield va, vb, poisson_bracket(_monomial_fst(alg, (va,), N),
-                                              _monomial_fst(alg, (vb,), N))
+    bracket has degree d, kept in alg.memo."""
+    if ("monomial_brackets", d, N) not in alg.memo:
+        alg.memo["monomial_brackets", d, N] = [
+            (va, vb, poisson_bracket(_monomial_fst(alg, (va,), N), _monomial_fst(alg, (vb,), N)))
+            for da in range(1, d + 1) for va in monomials(alg.dim, da)
+            for vb in monomials(alg.dim, d + 1 - da)]
+    return alg.memo["monomial_brackets", d, N]
 
 
 def poisson_traces(alg: LieAlgebraSpec, maxdeg: int) -> list:

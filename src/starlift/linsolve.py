@@ -1,15 +1,16 @@
 """Sparse exact linear algebra over Q.
 
-Rows are dicts {column index: coefficient}. Elimination pivots on the
-smallest column index of each incoming row, which makes every result
-deterministic given the caller's column ordering. No floating point
-anywhere.
+Rows are dicts {column index: coefficient} with no zero coefficient
+stored. echelonize is Gauss-Jordan elimination in the order of sympy's
+sdm_irref: it takes the rows by descending leading column and keeps every
+pivot row fully reduced. The reduced echelon form is unique once the
+column order is fixed, so no result depends on the row order. No floating
+point anywhere.
 
 Callers describe a map by its column images instead: entry j is the image
 of basis vector j, a dict {key: coefficient} over any hashable keys with
-no zero coefficient stored (elimination divides by leading entries).
-kernel_of, rank_of and preimage transpose images into rows; the reduced
-form is unique given the column order, so the key order changes nothing.
+no zero coefficient stored. kernel_of, rank_of and preimage transpose
+images into rows, so the key order changes nothing either.
 """
 from __future__ import annotations
 
@@ -17,39 +18,41 @@ from ._rat import QQ, ZERO
 from .errors import RankCertificate
 
 
-def _reduce_row(row: dict, echelon: dict) -> dict:
-    """Reduce a row against current pivots until its leading column is
-    pivot-free (or the row dies)."""
-    while row:
-        c = min(row)
-        piv = echelon.get(c)
-        if piv is None:
-            return row
-        coef = row.pop(c)
-        for cc, vv in piv.items():
-            if cc == c:
-                continue
+def _subtract(row: dict, coef, piv: dict, skip) -> None:
+    """row -= coef * piv in place, over every column of piv except skip."""
+    for cc, vv in piv.items():
+        if cc != skip:
             nv = row.get(cc, ZERO) - coef * vv
             if nv:
                 row[cc] = nv
             else:
-                row.pop(cc, None)
-    return row
+                del row[cc]
 
 
 def echelonize(rows) -> dict:
-    """Row echelon form: map pivot column -> row (normalized, leading 1).
-
-    Stored rows may still involve later pivot columns; use rref() when
-    back-substituted rows are required.
-    """
+    """Reduced row echelon form: map pivot column -> row, with 1 at its
+    pivot (the row's smallest column) and no entry in any other pivot column."""
     echelon = {}
-    for row in rows:
-        row = _reduce_row(dict(row), echelon)
-        if row:
-            c = min(row)
-            inv = QQ(1) / row[c]
-            echelon[c] = {cc: vv * inv for cc, vv in row.items()}
+    holders = {}  # column -> pivots whose rows held an entry there (may be stale)
+    for row in sorted((dict(r) for r in rows if r), key=min, reverse=True):
+        for c in [c for c in row if c in echelon]:  # reduced pivot rows: one pass
+            _subtract(row, row.pop(c), echelon[c], c)
+        if not row:
+            continue
+        p = min(row)
+        inv = QQ(1) / row[p]
+        row = {cc: vv * inv for cc, vv in row.items()}
+        others = [cc for cc in row if cc != p]
+        for q in holders.pop(p, ()):
+            prow = echelon[q]
+            coef = prow.pop(p, None)
+            if coef is not None:
+                _subtract(prow, coef, row, p)
+                for cc in others:
+                    holders.setdefault(cc, set()).add(q)
+        for cc in others:
+            holders.setdefault(cc, set()).add(p)
+        echelon[p] = row
     return echelon
 
 
@@ -57,44 +60,16 @@ def rank(rows) -> int:
     return len(echelonize(rows))
 
 
-def rref(rows) -> dict:
-    """Fully reduced echelon form: each pivot row touches no other pivot column."""
-    echelon = echelonize(rows)
-    for c in sorted(echelon, reverse=True):
-        row_c = echelon[c]
-        for c2, row2 in echelon.items():
-            if c2 == c:
-                continue
-            coef = row2.get(c)
-            if coef is None:
-                continue
-            for cc, vv in row_c.items():
-                if cc == c:
-                    row2.pop(c, None)
-                    continue
-                nv = row2.get(cc, ZERO) - coef * vv
-                if nv:
-                    row2[cc] = nv
-                else:
-                    row2.pop(cc, None)
-    return echelon
-
-
 def kernel_basis(rows, ncols: int) -> list:
     """Basis of {x : Ax = 0} as sparse dicts, one per free column,
     deterministic order (increasing free column index)."""
-    echelon = rref(rows)
-    out = []
-    for j in range(ncols):
-        if j in echelon:
-            continue
-        vec = {j: QQ(1)}
-        for c, row in echelon.items():
-            coef = row.get(j)
-            if coef:
-                vec[c] = -coef
-        out.append(vec)
-    return out
+    echelon = echelonize(rows)
+    out = {j: {j: QQ(1)} for j in range(ncols) if j not in echelon}
+    for c, row in echelon.items():
+        for j, coef in row.items():
+            if j != c:
+                out[j][c] = -coef
+    return list(out.values())
 
 
 def solve(rows, rhs, ncols: int):
@@ -113,7 +88,7 @@ def solve(rows, rhs, ncols: int):
         if b:
             r[aug] = -b
         augmented.append(r)
-    echelon = rref(augmented)
+    echelon = echelonize(augmented)
     if aug in echelon:
         return None
     x = {}

@@ -229,6 +229,12 @@ SL3_GOLDEN = {
     # taken before the co-Hochschild differential moved to integers
     ("lift", "--degree", "4"):
         "b84a191e3a45ccbc649ff0a89141824031e26c78cab9f13da5cebf10615abe30",
+    # taken before the eliminations moved to Gauss-Jordan order, ranks of d
+    # to exponent shapes and invariant kernels to slot-degree compositions
+    ("lift", "--degree", "5"):
+        "066fe23c5f68211e2923dad3c315ed55a7291ce66f1377d5cc9ade824aae5ebf",
+    ("cohomology", "--degree", "5"):
+        "79e391b6fe1cea92dd25c331bfd8d09805e2af343bbb5393643e8c231fccfdee",
     ("cohomology", "--degree", "3"):
         "eda885daa63ce70bf8b3106639c2ca45b61209ec04904806cd74e321dc1f6dcf",
     ("cohomology", "--degree", "4"):

@@ -9,8 +9,10 @@ from math import comb
 
 import pytest
 
-from starlift import cohomology_dimension, load_lie_algebra
-from starlift.cohochschild import invariant_basis, monomials
+from starlift import FormalSeriesTensor, cohomology_dimension, load_lie_algebra
+from starlift._rat import QQ
+from starlift.cohochschild import Cochain, _d_raw, invariant_basis, monomials, solve_coboundary
+from starlift.errors import NotACocycle, NotInvariant
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +37,20 @@ def test_bad_arguments_rejected(sl2):
         cohomology_dimension(alg, 0, 2)
     with pytest.raises(ValueError):
         cohomology_dimension(alg, 1, 0)
+
+
+def test_solve_coboundary_is_the_cocycle_and_invariance_check(sl2):
+    alg, _ = sl2
+    e, e2 = (1, 0, 0), (2, 0, 0)
+    # d(e (x) e^2) = 2 e (x) e (x) e
+    c = Cochain.make(2, 3, FormalSeriesTensor.make(alg, 2, 3, {(e, e2): QQ(1)}))
+    with pytest.raises(NotACocycle, match="2-cochain of degree 3"):
+        solve_coboundary(c)
+    # d(ef) = -(e (x) f + f (x) e): a cocycle, but ef is not invariant and d
+    # is injective in degree 2, so neither is d(ef)
+    d_ef = _d_raw(FormalSeriesTensor.make(alg, 1, 2, {((1, 0, 1),): QQ(1)}))
+    with pytest.raises(NotInvariant):
+        solve_coboundary(Cochain.make(2, 2, d_ef), invariant_only=True)
 
 
 def test_degree_below_slots_is_zero(sl2):

@@ -1,18 +1,24 @@
 """The integer co-Hochschild differential against the Fraction one it
 replaced: _d_raw on general tensors, the memoised monomial images
 _d_monomial, d o d = 0, and the canonical solutions of both
-solve_coboundary modes, over sl2, sl3, nonabelian2 and a rescaled sl2."""
+solve_coboundary modes, over sl2, sl3, nonabelian2 and a rescaled sl2.
+The rank of d taken once per exponent shape against the rank summed over
+every multidegree block, on abelian algebras of dim 1-5 and on sl3."""
 from functools import cache
+from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starlift import FormalSeriesTensor, coproduct_insert, linsolve
+from starlift import (FormalSeriesTensor, LieAlgebraSpec, cohomology_dimension,
+                      coproduct_insert, linsolve, load_lie_algebra)
 from starlift._rat import QQ
-from starlift.cohochschild import (Cochain, _d_monomial, _d_raw, _monomial_fst,
-                                   _multidegree_blocks, invariant_basis,
-                                   slot_positive_keys, solve_coboundary)
+from starlift.cohochschild import (Cochain, _d_monomial, _d_raw, _exponent_shapes,
+                                   _monomial_fst, _multidegree_blocks, _rank_d,
+                                   invariant_basis, slot_positive_keys, solve_coboundary)
 
+from conftest import data_path
 from test_kernel_oracle import ALGEBRAS, COEFFS, tensors
 
 # ---- reference oracles: the Fraction differential and solve, kept verbatim --
@@ -59,6 +65,17 @@ def ref_solve_coboundary(c, invariant_only):
         for j, x in sol.items():
             value = value + basis[j].scale(x)
     return value
+
+
+def ref_rank_d(alg, k, N):
+    """The rank of d summed over every multidegree block; the memo is left
+    out so that the oracle never reads a rank the code under test stored."""
+    if k < 1 or N < k:
+        return 0
+    blocks = _multidegree_blocks(slot_positive_keys(alg.dim, k, N), alg.dim)
+    return sum(
+        linsolve.rank_of([_d_monomial(key) for key in keys])
+        for keys in blocks.values())
 
 
 # ---- cochains ---------------------------------------------------------------
@@ -139,3 +156,24 @@ def test_solve_coboundary_matches_fraction_oracle(data):
     got = solve_coboundary(c, invariant_only=True).value
     assert got == ref_solve_coboundary(c, True)
     assert _d_raw(got) == c.value
+
+
+def _abelian(dim):
+    zero = tuple(tuple((QQ(0),) * dim for _ in range(dim)) for _ in range(dim))
+    return LieAlgebraSpec(dim, tuple(f"a{i}" for i in range(dim)), zero).validate()
+
+
+@pytest.mark.parametrize("name", ["abelian1", "abelian2", "abelian3", "abelian4",
+                                  "abelian5", "sl3"])
+def test_rank_d_by_exponent_shape_matches_per_multidegree_oracle(name):
+    # fresh instances, so that no memo of another test answers
+    alg = load_lie_algebra(data_path(name))[0] if name == "sl3" else _abelian(int(name[-1]))
+    for N in range(1, 5):
+        shapes = _exponent_shapes(alg.dim, N)
+        assert sum(count for _, count in shapes) == comb(N + alg.dim - 1, alg.dim - 1)
+        for k in range(1, 5):
+            want = ref_rank_d(alg, k, N)
+            assert _rank_d(alg, k, N) == want
+            if k <= N:
+                ncols = len(slot_positive_keys(alg.dim, k, N))
+                assert cohomology_dimension(alg, k, N) == ncols - want - ref_rank_d(alg, k - 1, N)
