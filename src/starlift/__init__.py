@@ -5,6 +5,7 @@ in the BCH star group, co-Hochschild cohomology, PBW envelopes, trace
 transport into U(g*), and quasitriangular subalgebra machinery. All
 arithmetic is exact over Q.
 """
+import types
 
 from .cohochschild import cohomology_dimension
 from .core import (
@@ -65,54 +66,7 @@ from .star import negate, star, star_conjugate
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FormalSeriesTensor",
-    "LieAlgebraSpec",
-    "LinearForm",
-    "PBWElement",
-    "PBWTensorSquare",
-    "QTStructure",
-    "RMatrix",
-    "alt_project",
-    "c_s_basis",
-    "c_s_graded_dims",
-    "c_s_map",
-    "center",
-    "check_inner_derivation",
-    "cocycle_defect",
-    "cohomology_dimension",
-    "compare_images",
-    "convolution_bracket",
-    "copoisson_delta",
-    "coproduct_insert",
-    "cyb",
-    "derivation_D",
-    "dual_bracket",
-    "form_pair",
-    "g_action",
-    "gauge_phi",
-    "gauge_rho",
-    "invariants_s_dual",
-    "is_invariant",
-    "is_poisson_trace",
-    "lift",
-    "lift_associator",
-    "lift_twist",
-    "load_lie_algebra",
-    "multiply",
-    "negate",
-    "pbw_commutator",
-    "pbw_product",
-    "pentagon_defect",
-    "poisson_bracket",
-    "poisson_traces",
-    "qt_validate",
-    "rho_product",
-    "star",
-    "star_conjugate",
-    "sts_alpha",
-    "sts_theta",
-    "theta",
-    "twisted_coproduct",
-    "__version__",
-]
+# The public names are exactly the ones imported above.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))
+__all__.append("__version__")

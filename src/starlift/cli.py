@@ -326,23 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact lifts of coboundary Lie bialgebra structures and "
                     "their enveloping-algebra transport.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("input", help="path to a JSON algebra spec")
-        p.add_argument("--degree", type=int, default=5,
-                       help="series truncation degree (default 5, capped at "
-                            f"{DEGREE_CAP} without --allow-large)")
-        p.add_argument("--maxdeg", type=int, default=4,
-                       help="filtration bound for envelope-side computations "
-                            "(theta lifts to it, so the --degree cap applies)")
-        p.add_argument("--s", default="1",
-                       help="the scalar s of the C_s family (qt only)")
-        p.add_argument("--output", choices=("json", "text"), default="json")
-        p.add_argument("--emit", choices=("full", "certificates"), default="full",
-                       help="include coefficient dumps or certificates only")
-        p.add_argument("--allow-large", action="store_true",
-                       help="permit degree beyond the default cap")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("input", help="path to a JSON algebra spec")
+    parser.add_argument("--degree", type=int, default=5,
+                        help="series truncation degree (default 5, capped at "
+                             f"{DEGREE_CAP} without --allow-large)")
+    parser.add_argument("--maxdeg", type=int, default=4,
+                        help="filtration bound for envelope-side computations "
+                             "(theta lifts to it, so the --degree cap applies)")
+    parser.add_argument("--s", default="1", help="the scalar s of the C_s family (qt only)")
+    parser.add_argument("--output", choices=("json", "text"), default="json")
+    parser.add_argument("--emit", choices=("full", "certificates"), default="full",
+                        help="include coefficient dumps or certificates only")
+    parser.add_argument("--allow-large", action="store_true",
+                        help="permit degree beyond the default cap")
     return parser
 
 

@@ -17,34 +17,32 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from math import factorial, perm, prod
 
 from . import linsolve
-from ._rat import QQ
 from .core import (
     FormalSeriesTensor,
     LieAlgebraSpec,
     _from_numerators,
     _insert_key,
+    _Record,
     alt_project,
     coproduct_insert,
     g_action,
     is_invariant,
-    key_degree,
 )
 from .errors import (NotACocycle, NotHomogeneous, NotInMTensor, NotInvariant,
                      Obstruction, RankCertificate, SlotMismatch)
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(_Record):
     """Homogeneous element of S^{>0}(g)^{(x)k} in one total degree."""
 
-    k: int
-    degree: int
-    value: FormalSeriesTensor
+    _fields = ("k", "degree", "value")
+
+    def __init__(self, k: int, degree: int, value: FormalSeriesTensor):
+        self.__dict__.update(k=k, degree=degree, value=value)
 
     @classmethod
     def make(cls, k: int, degree: int, value: FormalSeriesTensor) -> "Cochain":
@@ -52,7 +50,7 @@ class Cochain:
             raise SlotMismatch(f"a {value.k}-slot value cannot be a {k}-cochain")
         if not value.in_m_tensor():
             raise NotInMTensor("cochain slots must be positive")
-        if any(key_degree(key) != degree for key in value.coeffs):
+        if any(deg != degree for deg in value.numerator_buckets):
             raise NotHomogeneous(f"cochain must be homogeneous of degree {degree}")
         return cls(k, degree, value)
 
@@ -115,16 +113,24 @@ def _d_raw(f: FormalSeriesTensor) -> FormalSeriesTensor:
     return _from_numerators(f.alg, f.k + 1, f.N, nums, f.numerators[0])
 
 
-def _d_monomial(key) -> dict:
-    """d of the monomial x^key as {key: integer}; no algebra enters."""
+def _d_integer(vec: dict) -> dict:
+    """d of sum_key vec[key] x^key, vec over the integers, as {key: integer};
+    no algebra enters."""
     out = {}
-    for sign, blocks in _d_faces(len(key)):
-        _insert_key(out, key, sign, blocks, [tuple([0] * len(key[0]))] * (len(key) + 1))
-    return {nk: n for nk, n in out.items() if n}
+    for key, n in vec.items():
+        unit_fill = [tuple([0] * len(key[0]))] * (len(key) + 1)
+        for sign, blocks in _d_faces(len(key)):
+            _insert_key(out, key, sign * n, blocks, unit_fill)
+    return {nk: m for nk, m in out.items() if m}
+
+
+def _d_monomial(key) -> dict:
+    """d of the monomial x^key as {key: integer}."""
+    return _d_integer({key: 1})
 
 
 def _monomial_fst(alg, key, N):
-    return FormalSeriesTensor(alg, len(key), N, {key: QQ(1)})
+    return _from_numerators(alg, len(key), N, {key: 1}, 1)
 
 
 def invariant_basis(alg: LieAlgebraSpec, k: int, N: int):
@@ -133,6 +139,7 @@ def invariant_basis(alg: LieAlgebraSpec, k: int, N: int):
     g keeps each slot's degree, so each slot-degree composition is its own
     kernel; merged by free column, the largest key of a reduced kernel
     vector, they list what the one kernel over all keys would."""
+    Dc = alg.integer_rows[0]
     weight_zero = {}
     vecs = []
     for degs in _compositions_positive(N, k):
@@ -143,13 +150,14 @@ def invariant_basis(alg: LieAlgebraSpec, k: int, N: int):
                 weight_zero[tot] = alg.weight_zero(tot)
             if weight_zero[tot]:
                 kept.append(key)
-        images = []
+        images = []  # each column scaled by Dc, which leaves the kernel as it is
         for key in kept:
             mono = _monomial_fst(alg, key, N)
             col = {}
             for i in alg.actors[1]:
-                for rkey, v in g_action(i, mono).coeffs.items():
-                    col[(i, rkey)] = v
+                D, items = g_action(i, mono).numerators
+                for rkey, n in items:
+                    col[(i, rkey)] = n * (Dc // D)
             images.append(col)
         vecs += [{kept[j]: v for j, v in vec.items()} for vec in linsolve.kernel_of(images)]
     return [FormalSeriesTensor.make(alg, k, N, items) for items in sorted(vecs, key=max)]
@@ -248,8 +256,10 @@ def solve_coboundary(c: Cochain, invariant_only: bool = False) -> Cochain:
         raise NotInvariant("cochain is not g-invariant")
 
     if invariant_only:
-        basis = invariant_basis(alg, k - 1, N)
-        pieces = [([_d_raw(v).coeffs for v in basis], [v.coeffs for v in basis], c.value.coeffs)]
+        # column j is D_j times basis vector j, whose numerators are integers
+        # over D_j: x_j / D_j solves, so the sum is the same beta
+        basis = [dict(v.numerators[1]) for v in invariant_basis(alg, k - 1, N)]
+        pieces = [([_d_integer(vec) for vec in basis], basis, c.value.coeffs)]
     else:
         pieces = []
         for tot, rhs_keys in sorted(_multidegree_blocks(c.value.coeffs, alg.dim).items()):

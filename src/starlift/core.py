@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import cache, cached_property
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import itemgetter
 
 from . import linsolve
@@ -33,16 +32,45 @@ Key = tuple  # k-tuple of Vec
 _first = itemgetter(0)
 
 
-@dataclass(frozen=True)
-class LieAlgebraSpec:
+class _Record:
+    """Immutable record: __init__ fills the ``_fields`` through __dict__,
+    and assigning or deleting an attribute later raises AttributeError
+    (cached_property writes __dict__ itself). Records are equal, and hash,
+    as the tuples of their field values."""
+
+    _fields = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return other is self or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class LieAlgebraSpec(_Record):
     """A finite-dimensional Lie algebra over Q given by structure constants.
 
     c[i][j][k] is the coefficient of x_k in [x_i, x_j].
     """
 
-    dim: int
-    basis_names: tuple
-    c: tuple
+    _fields = ("dim", "basis_names", "c")
+
+    def __init__(self, dim: int, basis_names: tuple, c: tuple):
+        self.__dict__.update(dim=dim, basis_names=basis_names, c=c)
 
     @cached_property
     def bracket_rows(self):
@@ -125,14 +153,11 @@ class LieAlgebraSpec:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.dim, self.basis_names, self.c))
+        return hash(self._values())
 
     def __hash__(self):
         # Memos key on the algebra; hashing c (dim^3 rationals) once, not per lookup.
         return self._hash
-
-    def name_index(self, name: str) -> int:
-        return self.basis_names.index(name)
 
     def validate(self):
         d = self.dim
@@ -302,13 +327,13 @@ def load_lie_algebra(source) -> "tuple[LieAlgebraSpec, RMatrix | None]":
     return alg, rmat
 
 
-@dataclass(frozen=True)
-class RMatrix:
+class RMatrix(_Record):
     """An element of g(x)g: a candidate r (antisymmetric) or r' (no symmetry)."""
 
-    alg: LieAlgebraSpec
-    entries: tuple
-    kind: str = "antisymmetric-coboundary"
+    _fields = ("alg", "entries", "kind")
+
+    def __init__(self, alg: LieAlgebraSpec, entries: tuple, kind="antisymmetric-coboundary"):
+        self.__dict__.update(alg=alg, entries=entries, kind=kind)
 
     def validate(self):
         d = self.alg.dim
@@ -352,9 +377,9 @@ def slot_degrees(key: Key) -> tuple:
     return tuple(sum(v) for v in key)
 
 
-class _SparseVec:
-    """Linear structure shared by the sparse types: a frozen dataclass whose
-    last field ``coeffs`` maps basis keys to nonzero rationals. The other
+class _SparseVec(_Record):
+    """Linear structure shared by the sparse types: a record whose last
+    field ``coeffs`` maps basis keys to nonzero rationals. The other
     fields, ``_frame()``, say which space a vector lives in, and
     ``_check_pair(other, op)`` raises the type's own error when two spaces
     differ. Each subclass defines both."""
@@ -370,8 +395,7 @@ class _SparseVec:
         return not self.coeffs
 
     def add_term(self, key, c):
-        """Accumulate c at key in place; only for building a fresh result,
-        whose cached views (FormalSeriesTensor.numerators) are not yet read."""
+        """Accumulate c at key in place; only for building a fresh result."""
         v = self.coeffs.get(key, ZERO) + c
         if v:
             self.coeffs[key] = v
@@ -407,29 +431,33 @@ class _SparseVec:
         return self._frame() == other._frame() and self.coeffs == other.coeffs
 
 
-@dataclass(frozen=True, eq=False)
 class FormalSeriesTensor(_SparseVec):
-    """Sparse element of S(g)^{(x)k} truncated at total degree N."""
+    """Sparse element of S(g)^{(x)k} truncated at total degree N.
 
-    alg: LieAlgebraSpec
-    k: int
-    N: int
-    coeffs: dict
+    Its state is ``numerators``, (D, [(key, n), ...]): the coefficient of
+    x^key is n / D, with D the lcm of the reduced denominators (1 for the
+    zero series), so gcd(D, n, ...) = 1. Kernels, the linear structure and
+    the degree filters read and write only these integers. ``coeffs``,
+    {key: rational} in the same key order, is built on first read; a
+    series built from ``coeffs`` gets its numerators on first read instead.
+    """
+
+    _fields = ("alg", "k", "N", "coeffs")
+
+    def __init__(self, alg: LieAlgebraSpec, k: int, N: int, coeffs: dict):
+        self.__dict__.update(alg=alg, k=k, N=N, coeffs=coeffs)
 
     @classmethod
     def make(cls, alg, k, N, items) -> "FormalSeriesTensor":
-        clean = {}
-        for key, val in items.items():
-            if val and key_degree(key) <= N:
-                clean[key] = val
-        return cls(alg, k, N, clean)
+        return cls(alg, k, N, {key: val for key, val in items.items()
+                               if val and key_degree(key) <= N})
 
     @classmethod
     def generator(cls, alg, i, N, k=1, slot=0) -> "FormalSeriesTensor":
         """The basis element x_i placed in one slot (units elsewhere)."""
         zero = tuple([0] * alg.dim)
         key = tuple(_unit(alg.dim, i) if s == slot else zero for s in range(k))
-        return cls(alg, k, N, {key: QQ(1)})
+        return _from_numerators(alg, k, N, {key: 1}, 1)
 
     @cached_property
     def memo(self) -> dict:
@@ -437,87 +465,100 @@ class FormalSeriesTensor(_SparseVec):
         return {}
 
     @cached_property
-    def degree_buckets(self):
-        buckets = {}
-        for key, val in self.coeffs.items():
-            buckets.setdefault(key_degree(key), []).append((key, val))
-        return buckets
+    def coeffs(self) -> dict:
+        D, items = self.numerators
+        return {key: QQ(n, D) for key, n in items}
 
     @cached_property
     def numerators(self):
-        """(D, [(key, n), ...]) in coeffs order, each coefficient being n / D
-        with D the lcm of the coefficient denominators."""
         ratios = [(key, v.as_integer_ratio()) for key, v in self.coeffs.items()]
         D = lcm(*(q for _, (_, q) in ratios))
         return D, [(key, p * (D // q)) for key, (p, q) in ratios]
 
     @cached_property
     def numerator_buckets(self):
-        """degree_buckets with the integer numerators of ``numerators``."""
+        """{total degree: [(key, n), ...]} over ``numerators``, in its order."""
         buckets = {}
-        for key, n in self.numerators[1]:
-            buckets.setdefault(key_degree(key), []).append((key, n))
+        for item in self.numerators[1]:
+            buckets.setdefault(sum(map(sum, item[0])), []).append(item)
         return buckets
+
+    @property
+    def degree_buckets(self):
+        """numerator_buckets with the rational coefficients."""
+        coeffs = self.coeffs
+        return {deg: [(key, coeffs[key]) for key, _ in items]
+                for deg, items in self.numerator_buckets.items()}
 
     # ---- predicates ------------------------------------------------
 
+    def is_zero(self) -> bool:
+        return not self.numerators[1]
+
     def in_m_tensor(self) -> bool:
         """Every slot of every key has degree >= 1 (element of m^{(x)k})."""
-        return all(
-            all(sum(v) >= 1 for v in key) for key in self.coeffs
-        )
+        return all(all(map(any, key)) for key, _ in self.numerators[1])
 
     def in_m_squared(self) -> bool:
         """Every key has total degree >= 2 (element of m^2)."""
-        return all(key_degree(key) >= 2 for key in self.coeffs)
+        return all(deg >= 2 for deg in self.numerator_buckets)
 
     def min_degree(self) -> int:
         """N+1 when zero, else the smallest total degree present."""
-        return min(self.degree_buckets, default=self.N + 1)
+        return min(self.numerator_buckets, default=self.N + 1)
 
     # ---- linear structure -------------------------------------------
 
     def _frame(self) -> tuple:
         return self.alg, self.k, self.N
 
+    def _with(self, nums: dict, D: int, N=None) -> "FormalSeriesTensor":
+        return _from_numerators(self.alg, self.k, self.N if N is None else N, nums, D)
+
+    def __add__(self, other):
+        self._check_pair(other)
+        (Da, a), (Db, b) = self.numerators, other.numerators
+        D = lcm(Da, Db)
+        ma, mb = D // Da, D // Db
+        out = {key: n * ma for key, n in a}
+        for key, n in b:
+            out[key] = out.get(key, 0) + n * mb
+        return self._with(out, D)
+
+    def scale(self, scalar):
+        """scalar times self; scalar an int or a rational."""
+        D, items = self.numerators
+        p = scalar.numerator
+        return self._with({key: n * p for key, n in items}, D * scalar.denominator)
+
     def __eq__(self, other):
         """Equal coefficients over the same algebra and slot count; N is
         not compared."""
         if not isinstance(other, FormalSeriesTensor):
             return NotImplemented
-        return (
-            self.alg == other.alg
-            and self.k == other.k
-            and self.coeffs == other.coeffs
-        )
+        (Da, a), (Db, b) = self.numerators, other.numerators
+        return self.alg == other.alg and self.k == other.k and Da == Db and dict(a) == dict(b)
 
     def homogeneous_part(self, degree: int) -> "FormalSeriesTensor":
-        items = dict(self.degree_buckets.get(degree, ()))
-        return FormalSeriesTensor(self.alg, self.k, self.N, items)
+        return self._with(dict(self.numerator_buckets.get(degree, ())), self.numerators[0])
 
     def truncate(self, N: int) -> "FormalSeriesTensor":
         out = {}
-        for deg, items in self.degree_buckets.items():
+        for deg, items in self.numerator_buckets.items():
             if deg <= N:
                 out.update(items)
-        return FormalSeriesTensor(self.alg, self.k, N, out)
+        return self._with(out, self.numerators[0], N)
 
     def multidegree_part(self, degs) -> "FormalSeriesTensor":
         degs = tuple(degs)
-        items = {
-            key: val
-            for key, val in self.coeffs.items()
-            if slot_degrees(key) == degs
-        }
-        return FormalSeriesTensor(self.alg, self.k, self.N, items)
+        D, items = self.numerators
+        return self._with({key: n for key, n in items if slot_degrees(key) == degs}, D)
 
     def _check_pair(self, other, op="combine"):
         if self.k != other.k:
             raise SlotMismatch(f"cannot {op} {self.k}-slot and {other.k}-slot tensors")
         if self.N != other.N:
-            raise TruncationMismatch(
-                f"cannot {op} truncations N={self.N} and N={other.N}"
-            )
+            raise TruncationMismatch(f"cannot {op} truncations N={self.N} and N={other.N}")
         if self.alg != other.alg:
             raise SlotMismatch("operands live over different Lie algebras")
 
@@ -525,15 +566,20 @@ class FormalSeriesTensor(_SparseVec):
         return sorted(self.coeffs.items())
 
     def __repr__(self):
-        n = len(self.coeffs)
+        n = len(self.numerators[1])
         return f"FormalSeriesTensor(k={self.k}, N={self.N}, {n} terms)"
 
 
 def _from_numerators(alg, k, N, nums: dict, D: int) -> FormalSeriesTensor:
-    """FormalSeriesTensor.make for integer numerators over one common
-    denominator D: one rational per surviving key."""
-    return FormalSeriesTensor(alg, k, N, {key: QQ(n, D) for key, n in nums.items()
-                                          if n and key_degree(key) <= N})
+    """The series sum_key nums[key] / D x^key, normalised to its
+    ``numerators`` by one gcd and with no rational built. Zero entries are
+    dropped; keys are not checked against N, so callers pass only keys of
+    degree <= N."""
+    g = gcd(D, *nums.values())
+    items = [(key, n // g) for key, n in nums.items() if n]
+    f = object.__new__(FormalSeriesTensor)
+    f.__dict__.update(alg=alg, k=k, N=N, numerators=(D // g, items))
+    return f
 
 
 def multiply(f: FormalSeriesTensor, g: FormalSeriesTensor) -> FormalSeriesTensor:
@@ -541,21 +587,19 @@ def multiply(f: FormalSeriesTensor, g: FormalSeriesTensor) -> FormalSeriesTensor
     f._check_pair(g, "multiply")
     N = f.N
     k = f.k
-    out = {}
-    for df, items_f in f.degree_buckets.items():
-        for dg, items_g in g.degree_buckets.items():
+    out = {}  # integer numerators over Df * Dg
+    for df, items_f in f.numerator_buckets.items():
+        for dg, items_g in g.numerator_buckets.items():
             if df + dg > N:
                 continue
-            for key_f, cf in items_f:
-                for key_g, cg in items_g:
+            for key_f, nf in items_f:
+                for key_g, ng in items_g:
                     nk = tuple(
                         tuple(a + b for a, b in zip(key_f[s], key_g[s]))
                         for s in range(k)
                     )
-                    val = out.get(nk)
-                    prod = cf * cg
-                    out[nk] = prod if val is None else val + prod
-    return FormalSeriesTensor.make(f.alg, k, N, out)
+                    out[nk] = out.get(nk, 0) + nf * ng
+    return _from_numerators(f.alg, k, N, out, f.numerators[0] * g.numerators[0])
 
 
 def poisson_bracket(f: FormalSeriesTensor, g: FormalSeriesTensor) -> FormalSeriesTensor:
@@ -731,21 +775,17 @@ def alt_project(f: FormalSeriesTensor) -> FormalSeriesTensor:
     """Extract the multidegree-(1,...,1) component and apply the idempotent
     antisymmetrization (1/k!) sum_sigma sign(sigma) sigma onto wedge^k(g)."""
     k = f.k
-    dim = f.alg.dim
-    inv_fact = QQ(1) / factorial(k)
-    out = {}
-    for key, val in f.coeffs.items():
+    units = [_unit(f.alg.dim, i) for i in range(f.alg.dim)]
+    D, items = f.numerators
+    out = {}  # integer numerators over D * k!
+    for key, n in items:
         if slot_degrees(key) != (1,) * k:
             continue
         idx = tuple(vec.index(1) for vec in key)
-        base = val * inv_fact
         for perm, sign in _permutation_signs(k):
-            pidx = tuple(idx[p] for p in perm)
-            nk = tuple(_unit(dim, i) for i in pidx)
-            term = base if sign > 0 else -base
-            cur = out.get(nk)
-            out[nk] = term if cur is None else cur + term
-    return FormalSeriesTensor.make(f.alg, k, k, out)
+            nk = tuple(units[idx[p]] for p in perm)
+            out[nk] = out.get(nk, 0) + sign * n
+    return _from_numerators(f.alg, k, k, out, D * factorial(k))
 
 
 def cyb(r: RMatrix, require_antisymmetric: bool = True) -> FormalSeriesTensor:

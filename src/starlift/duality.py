@@ -9,7 +9,6 @@ makes the gr(theta) = inclusion check come out with no stray factors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 from . import linsolve
@@ -36,12 +35,13 @@ def _vec_factorial(vec) -> int:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class LinearForm(_SparseVec):
     """Form on the formal function algebra, supported in degrees <= order."""
 
-    alg: LieAlgebraSpec
-    coeffs: dict  # exponent vector -> rational
+    _fields = ("alg", "coeffs")  # coeffs: exponent vector -> rational
+
+    def __init__(self, alg: LieAlgebraSpec, coeffs: dict):
+        self.__dict__.update(alg=alg, coeffs=coeffs)
 
     @classmethod
     def make(cls, alg, items) -> "LinearForm":

@@ -10,7 +10,6 @@ algebra hashes its structure constants only once, so lookups stay cheap.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import linsolve
 from ._rat import QQ, ZERO
@@ -21,13 +20,13 @@ TAG_G = "U(g)"
 TAG_GSTAR = "U(g*)"
 
 
-@dataclass(frozen=True, eq=False)
 class PBWElement(_SparseVec):
     """Element of an enveloping algebra in the sorted-monomial basis."""
 
-    alg: LieAlgebraSpec
-    tag: str
-    coeffs: dict  # non-decreasing index tuple -> rational
+    _fields = ("alg", "tag", "coeffs")  # coeffs: non-decreasing index tuple -> rational
+
+    def __init__(self, alg: LieAlgebraSpec, tag: str, coeffs: dict):
+        self.__dict__.update(alg=alg, tag=tag, coeffs=coeffs)
 
     @classmethod
     def make(cls, alg, tag, items) -> "PBWElement":
@@ -260,14 +259,11 @@ def dual_bracket(r: RMatrix) -> LieAlgebraSpec:
     ).validate()
 
 
-@dataclass(frozen=True, eq=False)
 class PBWTensorSquare(_SparseVec):
     """Element of U(a)^{(x)2} with keys = pairs of sorted monomials."""
 
-    alg: LieAlgebraSpec
-    tag: str
-    coeffs: dict
-
+    _fields = PBWElement._fields
+    __init__ = PBWElement.__init__
     _frame = PBWElement._frame
     _check_pair = PBWElement._check_pair
 

@@ -66,13 +66,12 @@ def lift_associator(Z: FormalSeriesTensor, N: int) -> FormalSeriesTensor:
     """Invariant phi in m^{(x)3} with alt_project(phi) = Z and zero pentagon
     defect mod degree N+1, built degree by degree from the antisymmetric
     embedding of Z."""
-    alg = Z.alg
     if alt_project(Z) != Z:
         raise NotInWedge3("Z must be a totally antisymmetric 3-tensor")
     if not is_invariant(Z):
         raise NotInvariant("Z must be g-invariant")
 
-    phi = FormalSeriesTensor.make(alg, 3, N, Z.coeffs)
+    phi = Z.truncate(N)
     if phi.is_zero():
         return phi
 
@@ -91,7 +90,7 @@ def lift_associator(Z: FormalSeriesTensor, N: int) -> FormalSeriesTensor:
                 "nonzero obstruction class in wedge^4(g)^g at degree 4",
                 cls=exc.context.get("cls"),
             ) from exc
-        phi = phi + FormalSeriesTensor.make(alg, 3, N, beta.value.coeffs)
+        phi = phi + beta.value.truncate(N)
     return phi
 
 
@@ -106,7 +105,6 @@ TWIST_CLASS_RATIO = QQ(2, 3)
 def lift_twist(r: RMatrix, phi: FormalSeriesTensor, N: int) -> FormalSeriesTensor:
     """rho in m^{(x)2} with degree-(1,1) part r and zero cocycle defect
     against phi mod degree N+1."""
-    alg = r.alg
     target = alt_project(cyb(r)).scale(TWIST_CLASS_RATIO)
     if alt_project(phi) != target:
         raise CompatibilityViolation(
@@ -124,7 +122,7 @@ def lift_twist(r: RMatrix, phi: FormalSeriesTensor, N: int) -> FormalSeriesTenso
             continue
         cochain = Cochain.make(3, M + 1, cls.truncate(M + 1))
         beta = solve_coboundary(cochain, invariant_only=False)
-        rho = rho + FormalSeriesTensor.make(alg, 2, N, beta.value.coeffs)
+        rho = rho + beta.value.truncate(N)
     return rho
 
 

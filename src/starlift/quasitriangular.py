@@ -5,12 +5,11 @@ on U(g)."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import linsolve
 from ._rat import QQ, ZERO
-from .core import FormalSeriesTensor, LieAlgebraSpec, RMatrix, cyb
+from .core import FormalSeriesTensor, LieAlgebraSpec, RMatrix, _Record, cyb
 from .envelope import (
     TAG_G,
     TAG_GSTAR,
@@ -28,14 +27,15 @@ from .errors import (CYBViolation, Degenerate, NotCentral, RankCertificate,
                      SingularPairing, TNotInvariant)
 
 
-@dataclass(frozen=True)
-class QTStructure:
-    g: LieAlgebraSpec
-    rprime: RMatrix
-    r: RMatrix          # antisymmetric half
-    t: tuple            # symmetric invariant part, dense matrix
-    Z: FormalSeriesTensor
-    nondegenerate: bool
+class QTStructure(_Record):
+    """A validated (g, r'): r is its antisymmetric half, t its symmetric
+    invariant part as a dense matrix, Z the 3-slot element (1/4)[t^12, t^23]."""
+
+    _fields = ("g", "rprime", "r", "t", "Z", "nondegenerate")
+
+    def __init__(self, g: LieAlgebraSpec, rprime: RMatrix, r: RMatrix, t: tuple,
+                 Z: FormalSeriesTensor, nondegenerate: bool):
+        self.__dict__.update(g=g, rprime=rprime, r=r, t=t, Z=Z, nondegenerate=nondegenerate)
 
     @cached_property
     def dual(self) -> LieAlgebraSpec:

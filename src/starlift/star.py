@@ -16,7 +16,7 @@ from itertools import product
 from math import factorial, lcm
 
 from ._rat import ONE, QQ
-from .core import FormalSeriesTensor, poisson_bracket
+from .core import FormalSeriesTensor, _from_numerators, poisson_bracket
 from .errors import NotInMSquared, RankCertificate, SlotMismatch
 from .linsolve import preimage
 
@@ -127,7 +127,7 @@ def star(f: FormalSeriesTensor, g: FormalSeriesTensor) -> FormalSeriesTensor:
         m = c.numerator * (D // (c.denominator * t.numerators[0]))
         for key, n in t.numerators[1]:
             out[key] = out.get(key, 0) + m * n
-    return FormalSeriesTensor(f.alg, f.k, f.N, {key: QQ(n, D) for key, n in out.items() if n})
+    return _from_numerators(f.alg, f.k, f.N, out, D)
 
 
 def negate(f: FormalSeriesTensor) -> FormalSeriesTensor:

@@ -133,6 +133,26 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["lift", data_path("sl2"), "--bogus"], []],
+                         ids=["unknown-option", "no-command"])
+def test_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    """dataclasses pulls in inspect, ast, dis and tokenize, which cost every
+    CLI process more than 10 ms."""
+    code = ("import sys; before = set(sys.modules); import starlift.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(starlift.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 def test_degree_cap(capsys):
     code, out = run(capsys, "lift", data_path("sl2"), "--degree", "9")
     assert code == 1
@@ -344,14 +364,16 @@ def test_report_bytes_under_python_O(argv):
     assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[argv]
 
 
-# The co-Hochschild, lift, envelope and qt unit tests themselves, with
-# assert statements stripped from the package.
+# The co-Hochschild, lift, envelope, qt, sparse-vector and core unit tests
+# themselves (the record checks among them), with assert statements
+# stripped from the package.
 def test_unit_tests_under_python_O():
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(Path(starlift.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
                            "tests/test_cohochschild.py", "tests/test_lifts.py",
-                           "tests/test_envelope.py", "tests/test_qt.py"],
+                           "tests/test_envelope.py", "tests/test_qt.py",
+                           "tests/test_sparse_vec.py", "tests/test_core.py"],
                           cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:]
 

@@ -5,6 +5,10 @@ import pytest
 from starlift import (
     FormalSeriesTensor,
     LieAlgebraSpec,
+    LinearForm,
+    PBWElement,
+    PBWTensorSquare,
+    QTStructure,
     RMatrix,
     alt_project,
     coproduct_insert,
@@ -14,8 +18,11 @@ from starlift import (
     load_lie_algebra,
     multiply,
     poisson_bracket,
+    qt_validate,
 )
 from starlift._rat import QQ
+from starlift.cohochschild import Cochain
+from starlift.envelope import TAG_G
 from starlift.errors import (
     AntisymmetryViolation,
     JacobiViolation,
@@ -232,3 +239,61 @@ def test_rmatrix_transpose(sl2):
     t = r.transpose()
     assert t.entries[2][0] == QQ(1, 2)
     assert t.transpose().entries == r.entries
+
+
+# ---- the record classes -------------------------------------------------------
+
+RECORD_FIELDS = {
+    LieAlgebraSpec: ("dim", "basis_names", "c"),
+    RMatrix: ("alg", "entries", "kind"),
+    FormalSeriesTensor: ("alg", "k", "N", "coeffs"),
+    Cochain: ("k", "degree", "value"),
+    QTStructure: ("g", "rprime", "r", "t", "Z", "nondegenerate"),
+    PBWElement: ("alg", "tag", "coeffs"),
+    PBWTensorSquare: ("alg", "tag", "coeffs"),
+    LinearForm: ("alg", "coeffs"),
+}
+
+
+def _record(cls, sl2, sl2qt):
+    alg, r = sl2
+    return {
+        LieAlgebraSpec: alg,
+        RMatrix: r,
+        FormalSeriesTensor: r.to_series(3),
+        Cochain: Cochain.make(2, 2, r.to_series(2)),
+        QTStructure: qt_validate(*sl2qt),
+        PBWElement: PBWElement.one(alg, TAG_G),
+        PBWTensorSquare: PBWTensorSquare(alg, TAG_G, {((0,), (1,)): QQ(1)}),
+        LinearForm: LinearForm.one(alg),
+    }[cls]
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_records_refuse_assignment(sl2, sl2qt, cls):
+    rec = _record(cls, sl2, sl2qt)
+    for name in RECORD_FIELDS[cls]:
+        before = getattr(rec, name)
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+        if getattr(rec, name) is not before:
+            raise AssertionError(f"{cls.__name__}.{name} changed")
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+
+
+def test_value_records_compare_and_hash_by_fields(sl2, sl2qt):
+    alg, r = sl2
+    twin = LieAlgebraSpec(alg.dim, alg.basis_names, alg.c)
+    assert twin is not alg and twin == alg and hash(twin) == hash(alg)
+    same_r = RMatrix(twin, r.entries)
+    assert same_r == r and hash(same_r) == hash(r)
+    assert RMatrix(alg, r.entries, "quasitriangular-candidate") != r
+    assert Cochain.make(2, 2, r.to_series(2)) == Cochain.make(2, 2, r.to_series(5).truncate(2))
+    assert qt_validate(*sl2qt) == qt_validate(*sl2qt)
+    # a series is unhashable, and so is every record holding one
+    for rec in (r.to_series(2), Cochain.make(2, 2, r.to_series(2)), qt_validate(*sl2qt)):
+        with pytest.raises(TypeError):
+            hash(rec)

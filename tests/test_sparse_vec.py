@@ -1,12 +1,25 @@
 """The linear structure shared by the four sparse types: zero, negation and
 scaling behave alike, and each type refuses operands from another space
-with its own typed error."""
-import pytest
+with its own typed error. FormalSeriesTensor's integer state is checked
+against Fraction oracles."""
+import itertools
+from math import factorial, lcm
 
-from starlift import FormalSeriesTensor, LinearForm, copoisson_delta, dual_bracket
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from starlift import (FormalSeriesTensor, LinearForm, alt_project, copoisson_delta,
+                      coproduct_insert, dual_bracket, g_action, multiply, poisson_bracket)
 from starlift._rat import QQ
+from starlift.cohochschild import _d_faces, _d_raw
+from starlift.core import key_degree
 from starlift.envelope import TAG_G, TAG_GSTAR, PBWElement, PBWTensorSquare
 from starlift.errors import AlgebraMismatch
+from starlift.star import bch_terms, star
+
+from test_kernel_oracle import (COEFFS, ref_coproduct_insert, ref_g_action, ref_poisson_bracket,
+                                settings_, tensors)
 
 
 def _samples(alg):
@@ -52,3 +65,98 @@ def test_copoisson_delta_memo_keeps_tags_apart(sl2, order):
     assert out[TAG_G].coeffs == out[TAG_GSTAR].coeffs
     assert not out[TAG_G].is_zero()
     assert [out[tag].tag for tag in order] == list(order)
+
+
+# ---- the integer state of FormalSeriesTensor ------------------------------
+# Kernels and linear operations write ``numerators`` only. Each result must
+# hold them in normal form, and its rationals must be the Fraction oracle's.
+
+
+def _normal_form(coeffs):
+    """(D, [(key, n), ...]) recomputed from coeffs, in their key order: D is
+    the lcm of the reduced denominators, 1 for the zero series."""
+    vals = {key: QQ(v) for key, v in coeffs.items()}
+    D = lcm(*(v.denominator for v in vals.values()))
+    return D, [(key, v.numerator * (D // v.denominator)) for key, v in vals.items()]
+
+
+def _fraction_sum(*terms):
+    """sum of c * coeffs over (c, coeffs) terms, as a Fraction dict."""
+    out = {}
+    for c, coeffs in terms:
+        for key, v in coeffs.items():
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _ref_multiply(f, g):
+    out = {}
+    for kf, cf in f.coeffs.items():
+        for kg, cg in g.coeffs.items():
+            nk = tuple(tuple(a + b for a, b in zip(u, v)) for u, v in zip(kf, kg))
+            if key_degree(nk) <= f.N:
+                out[nk] = out.get(nk, 0) + cf * cg
+    return {key: v for key, v in out.items() if v}
+
+
+def _ref_star(f, g):
+    """f + g + sum of c times each BCH word, bracketed by the Fraction oracle."""
+    terms = [(1, f.coeffs), (1, g.coeffs)]
+    for c, word in bch_terms(max(f.N - 1, 1)):
+        t = f if word[-1] == 0 else g
+        for letter in reversed(word[:-1]):
+            t = ref_poisson_bracket(f if letter == 0 else g, t)
+        terms.append((c, t.coeffs))
+    return _fraction_sum(*terms)
+
+
+def _ref_d(f):
+    return _fraction_sum(*((sign, ref_coproduct_insert(f, blocks, f.k + 1).coeffs)
+                           for sign, blocks in _d_faces(f.k)))
+
+
+def _ref_alt(f):
+    """(1/k!) sum_sigma sign(sigma) sigma over the multidegree-(1,...,1) keys."""
+    terms = []
+    for key, v in f.coeffs.items():
+        if all(sum(vec) == 1 for vec in key):
+            for perm in itertools.permutations(range(f.k)):
+                inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+                terms.append((QQ((-1) ** inversions, factorial(f.k)) * v,
+                              {tuple(key[p] for p in perm): 1}))
+    return _fraction_sum(*terms)
+
+
+def _check(got, want):
+    assert got.numerators == _normal_form(got.coeffs)
+    assert got.coeffs == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_integer_state_matches_fraction_oracle(data):
+    alg, k, N = data.draw(settings_())
+    f0, g0 = data.draw(tensors(alg, k, N)), data.draw(tensors(alg, k, N))
+    q = data.draw(st.one_of(st.just(0), COEFFS))
+    M = data.draw(st.integers(0, N))
+    i = data.draw(st.integers(0, alg.dim - 1))
+    _, blocks = data.draw(st.sampled_from(_d_faces(k)))
+    fc, gc = f0.coeffs, g0.coeffs
+    # once as built from rationals, once in the integer state a kernel leaves
+    for f, g in ((f0, g0), (f0.scale(1), g0.scale(1))):
+        _check(poisson_bracket(f, g), ref_poisson_bracket(f0, g0).coeffs)
+        _check(g_action(i, f), ref_g_action(i, f0).coeffs)
+        _check(coproduct_insert(f, blocks, k + 1), ref_coproduct_insert(f0, blocks, k + 1).coeffs)
+        _check(_d_raw(f), _ref_d(f0))
+        _check(multiply(f, g), _ref_multiply(f0, g0))
+        _check(alt_project(f), _ref_alt(f0))
+        _check(f + g, _fraction_sum((1, fc), (1, gc)))
+        _check(f - g, _fraction_sum((1, fc), (-1, gc)))
+        _check(f.scale(q), _fraction_sum((q, fc)))
+        _check(f.truncate(M), {key: v for key, v in fc.items() if key_degree(key) <= M})
+        _check(f.homogeneous_part(M), {key: v for key, v in fc.items() if key_degree(key) == M})
+        assert (f - f).numerators == (1, []) and f.scale(0).numerators == (1, [])
+        assert (f + f.scale(-1)).numerators == (1, [])
+        # star takes elements of m^2
+        high_f, high_g = (h - h.homogeneous_part(0) - h.homogeneous_part(1) for h in (f, g))
+        _check(star(high_f, high_g), _ref_star(high_f, high_g))
