@@ -24,10 +24,11 @@ from . import linsolve
 from .core import (
     FormalSeriesTensor,
     LieAlgebraSpec,
-    _from_numerators,
+    _compositions,
     _insert_key,
     _Record,
     alt_project,
+    combine,
     coproduct_insert,
     g_action,
     is_invariant,
@@ -58,13 +59,7 @@ class Cochain(_Record):
 def monomials(dim: int, degree: int):
     """All exponent vectors over dim variables with the given total degree,
     in lexicographic order."""
-    if dim == 0:
-        return [()] if degree == 0 else []
-    out = []
-    for head in range(degree, -1, -1):
-        for tail in monomials(dim - 1, degree - head):
-            out.append((head,) + tail)
-    return sorted(out)
+    return list(_compositions(degree, dim))
 
 
 def slot_positive_keys(dim: int, k: int, N: int):
@@ -79,13 +74,8 @@ def slot_positive_keys(dim: int, k: int, N: int):
 
 
 def _compositions_positive(total: int, parts: int):
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions_positive(total - first, parts - 1):
-            yield (first,) + rest
+    """The ways to write total as `parts` positive integers, in lex order."""
+    return [tuple(a + 1 for a in c) for c in _compositions(total - parts, parts)]
 
 
 @cache
@@ -101,16 +91,10 @@ def _d_faces(k: int) -> tuple:
 
 
 def _d_raw(f: FormalSeriesTensor) -> FormalSeriesTensor:
-    """The differential on the underlying tensor (no validation). The
-    numerators of every face share f's denominator: distinct keys of f reach
-    disjoint keys (merging the blocks gives the key back), and each key has
-    a split of weight 1, so each face keeps every numerator of f and with
-    it f's lowest common denominator."""
-    nums = {}
-    for sign, blocks in _d_faces(f.k):
-        for key, n in coproduct_insert(f, blocks, f.k + 1).numerators[1]:
-            nums[key] = nums.get(key, 0) + sign * n
-    return _from_numerators(f.alg, f.k + 1, f.N, nums, f.numerators[0])
+    """The differential on the underlying tensor (no validation): the
+    signed faces in one combine."""
+    return combine([(sign, coproduct_insert(f, blocks, f.k + 1))
+                    for sign, blocks in _d_faces(f.k)])
 
 
 def _d_integer(vec: dict) -> dict:
@@ -130,7 +114,7 @@ def _d_monomial(key) -> dict:
 
 
 def _monomial_fst(alg, key, N):
-    return _from_numerators(alg, len(key), N, {key: 1}, 1)
+    return FormalSeriesTensor(alg, len(key), N, {key: 1})
 
 
 def invariant_basis(alg: LieAlgebraSpec, k: int, N: int):

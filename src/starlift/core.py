@@ -378,11 +378,11 @@ def slot_degrees(key: Key) -> tuple:
 
 
 class _SparseVec(_Record):
-    """Linear structure shared by the sparse types: a record whose last
-    field ``coeffs`` maps basis keys to nonzero rationals. The other
-    fields, ``_frame()``, say which space a vector lives in, and
-    ``_check_pair(other, op)`` raises the type's own error when two spaces
-    differ. Each subclass defines both."""
+    """Linear structure shared by the rational sparse types (LinearForm,
+    PBWElement, PBWTensorSquare): a record whose last field ``coeffs`` maps
+    basis keys to nonzero rationals. The other fields, ``_frame()``, say
+    which space a vector lives in, and ``_check_pair(other, op)`` raises the
+    type's own error when two spaces differ. Each subclass defines both."""
 
     def _like(self, coeffs):
         return type(self)(*self._frame(), coeffs)
@@ -431,33 +431,44 @@ class _SparseVec(_Record):
         return self._frame() == other._frame() and self.coeffs == other.coeffs
 
 
-class FormalSeriesTensor(_SparseVec):
+class FormalSeriesTensor(_Record):
     """Sparse element of S(g)^{(x)k} truncated at total degree N.
 
     Its state is ``numerators``, (D, [(key, n), ...]): the coefficient of
     x^key is n / D, with D the lcm of the reduced denominators (1 for the
-    zero series), so gcd(D, n, ...) = 1. Kernels, the linear structure and
-    the degree filters read and write only these integers. ``coeffs``,
-    {key: rational} in the same key order, is built on first read; a
-    series built from ``coeffs`` gets its numerators on first read instead.
+    zero series), so gcd(D, n, ...) = 1. The constructor takes integer
+    numerators {key: n} over any positive D and normalises them by one gcd,
+    dropping zeros; keys are not checked against N, so callers pass only
+    keys of degree <= N. ``make`` is the one entry from rationals, and
+    ``coeffs``, {key: rational} in the same key order, is a view built on
+    first read.
     """
 
-    _fields = ("alg", "k", "N", "coeffs")
+    _fields = ("alg", "k", "N", "numerators")
 
-    def __init__(self, alg: LieAlgebraSpec, k: int, N: int, coeffs: dict):
-        self.__dict__.update(alg=alg, k=k, N=N, coeffs=coeffs)
+    def __init__(self, alg: LieAlgebraSpec, k: int, N: int, nums: dict, D: int = 1):
+        g = gcd(D, *nums.values())
+        items = [(key, n // g) for key, n in nums.items() if n]
+        self.__dict__.update(alg=alg, k=k, N=N, numerators=(D // g, items))
 
     @classmethod
     def make(cls, alg, k, N, items) -> "FormalSeriesTensor":
-        return cls(alg, k, N, {key: val for key, val in items.items()
-                               if val and key_degree(key) <= N})
+        """The series sum_key items[key] x^key, items rationals or ints;
+        keys of degree > N are dropped."""
+        kept = [(key, v) for key, v in items.items() if v and key_degree(key) <= N]
+        D = lcm(*(v.denominator for _, v in kept))
+        return cls(alg, k, N, {key: v.numerator * (D // v.denominator) for key, v in kept}, D)
+
+    @classmethod
+    def zero(cls, alg, k, N) -> "FormalSeriesTensor":
+        return cls(alg, k, N, {})
 
     @classmethod
     def generator(cls, alg, i, N, k=1, slot=0) -> "FormalSeriesTensor":
         """The basis element x_i placed in one slot (units elsewhere)."""
         zero = tuple([0] * alg.dim)
         key = tuple(_unit(alg.dim, i) if s == slot else zero for s in range(k))
-        return _from_numerators(alg, k, N, {key: 1}, 1)
+        return cls(alg, k, N, {key: 1})
 
     @cached_property
     def memo(self) -> dict:
@@ -468,12 +479,6 @@ class FormalSeriesTensor(_SparseVec):
     def coeffs(self) -> dict:
         D, items = self.numerators
         return {key: QQ(n, D) for key, n in items}
-
-    @cached_property
-    def numerators(self):
-        ratios = [(key, v.as_integer_ratio()) for key, v in self.coeffs.items()]
-        D = lcm(*(q for _, (_, q) in ratios))
-        return D, [(key, p * (D // q)) for key, (p, q) in ratios]
 
     @cached_property
     def numerator_buckets(self):
@@ -513,23 +518,22 @@ class FormalSeriesTensor(_SparseVec):
         return self.alg, self.k, self.N
 
     def _with(self, nums: dict, D: int, N=None) -> "FormalSeriesTensor":
-        return _from_numerators(self.alg, self.k, self.N if N is None else N, nums, D)
+        return FormalSeriesTensor(self.alg, self.k, self.N if N is None else N, nums, D)
 
     def __add__(self, other):
         self._check_pair(other)
-        (Da, a), (Db, b) = self.numerators, other.numerators
-        D = lcm(Da, Db)
-        ma, mb = D // Da, D // Db
-        out = {key: n * ma for key, n in a}
-        for key, n in b:
-            out[key] = out.get(key, 0) + n * mb
-        return self._with(out, D)
+        return combine([(1, self), (1, other)])
+
+    def __sub__(self, other):
+        self._check_pair(other)
+        return combine([(1, self), (-1, other)])
+
+    def __neg__(self):
+        return combine([(-1, self)])
 
     def scale(self, scalar):
         """scalar times self; scalar an int or a rational."""
-        D, items = self.numerators
-        p = scalar.numerator
-        return self._with({key: n * p for key, n in items}, D * scalar.denominator)
+        return combine([(scalar, self)])
 
     def __eq__(self, other):
         """Equal coefficients over the same algebra and slot count; N is
@@ -570,16 +574,19 @@ class FormalSeriesTensor(_SparseVec):
         return f"FormalSeriesTensor(k={self.k}, N={self.N}, {n} terms)"
 
 
-def _from_numerators(alg, k, N, nums: dict, D: int) -> FormalSeriesTensor:
-    """The series sum_key nums[key] / D x^key, normalised to its
-    ``numerators`` by one gcd and with no rational built. Zero entries are
-    dropped; keys are not checked against N, so callers pass only keys of
-    degree <= N."""
-    g = gcd(D, *nums.values())
-    items = [(key, n // g) for key, n in nums.items() if n]
-    f = object.__new__(FormalSeriesTensor)
-    f.__dict__.update(alg=alg, k=k, N=N, numerators=(D // g, items))
-    return f
+def combine(terms) -> FormalSeriesTensor:
+    """sum c * t over the (c, t) pairs, c an int or a rational and every t
+    in the first t's frame (not checked), summed over integer numerators
+    brought to one common denominator; keys in first-hit order."""
+    D = lcm(*(c.denominator * t.numerators[0] for c, t in terms))
+    out = {}
+    for c, t in terms:
+        Dt, items = t.numerators
+        m = c.numerator * (D // (c.denominator * Dt))
+        for key, n in items:
+            out[key] = out.get(key, 0) + m * n
+    alg, k, N = terms[0][1]._frame()
+    return FormalSeriesTensor(alg, k, N, out, D)
 
 
 def multiply(f: FormalSeriesTensor, g: FormalSeriesTensor) -> FormalSeriesTensor:
@@ -599,7 +606,7 @@ def multiply(f: FormalSeriesTensor, g: FormalSeriesTensor) -> FormalSeriesTensor
                         for s in range(k)
                     )
                     out[nk] = out.get(nk, 0) + nf * ng
-    return _from_numerators(f.alg, k, N, out, f.numerators[0] * g.numerators[0])
+    return FormalSeriesTensor(f.alg, k, N, out, f.numerators[0] * g.numerators[0])
 
 
 def poisson_bracket(f: FormalSeriesTensor, g: FormalSeriesTensor) -> FormalSeriesTensor:
@@ -635,7 +642,7 @@ def poisson_bracket(f: FormalSeriesTensor, g: FormalSeriesTensor) -> FormalSerie
                         for vec, n in terms:
                             nk = head + (vec,) + tail
                             out[nk] = out.get(nk, 0) + c0 * n
-    return _from_numerators(alg, f.k, N, out, Df * Dg * alg.integer_rows[0])
+    return FormalSeriesTensor(alg, f.k, N, out, Df * Dg * alg.integer_rows[0])
 
 
 def g_action(i: int, f: FormalSeriesTensor) -> FormalSeriesTensor:
@@ -661,7 +668,7 @@ def g_action(i: int, f: FormalSeriesTensor) -> FormalSeriesTensor:
                     new[tgt] += 1
                     nk = key[:s] + (tuple(new),) + key[s + 1:]
                     out[nk] = out.get(nk, 0) + nf * aj * n
-    return _from_numerators(alg, f.k, f.N, out, D * Dc)
+    return FormalSeriesTensor(alg, f.k, f.N, out, D * Dc)
 
 
 def is_invariant(f: FormalSeriesTensor) -> bool:
@@ -703,8 +710,10 @@ def _coordinate_splits(vec: Vec, parts: int):
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
+    """The ways to write total as `parts` nonnegative integers, in lex order."""
+    if parts < 2:
+        if total == 0 or (parts == 1 and total > 0):
+            yield (total,) * parts
         return
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
@@ -740,7 +749,7 @@ def coproduct_insert(f: FormalSeriesTensor, blocks, n: int = None) -> FormalSeri
     out = {}
     for key, weight in items:
         _insert_key(out, key, weight, blocks, unit_fill)
-    return _from_numerators(f.alg, n, f.N, out, D)
+    return FormalSeriesTensor(f.alg, n, f.N, out, D)
 
 
 def _insert_key(out: dict, key: Key, weight0: int, blocks, unit_fill: list) -> None:
@@ -785,7 +794,7 @@ def alt_project(f: FormalSeriesTensor) -> FormalSeriesTensor:
         for perm, sign in _permutation_signs(k):
             nk = tuple(units[idx[p]] for p in perm)
             out[nk] = out.get(nk, 0) + sign * n
-    return _from_numerators(f.alg, k, k, out, D * factorial(k))
+    return FormalSeriesTensor(f.alg, k, k, out, D * factorial(k))
 
 
 def cyb(r: RMatrix, require_antisymmetric: bool = True) -> FormalSeriesTensor:

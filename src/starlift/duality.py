@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import factorial
 
 from . import linsolve
-from ._rat import ONE, QQ, ZERO
+from ._rat import QQ, ZERO
 from .cohochschild import _monomial_fst, monomials
 from .core import (
     FormalSeriesTensor,
@@ -139,7 +139,7 @@ def _coproduct_images(rho: FormalSeriesTensor, n: int) -> dict:
         gens = [twisted_coproduct(FormalSeriesTensor.generator(alg, i, n), rho_n)
                 for i in range(alg.dim)]
         table = rho.memo["coproduct_images", n] = {
-            one: FormalSeriesTensor(alg, 2, n, {(one, one): ONE})}
+            one: FormalSeriesTensor(alg, 2, n, {(one, one): 1})}
         for vec in (v for d in range(1, n + 1) for v in monomials(alg.dim, d)):
             i = max(j for j, e in enumerate(vec) if e)
             lower = vec[:i] + (vec[i] - 1,) + vec[i + 1:]  # x^vec = x^lower * x_i

@@ -7,15 +7,14 @@ pivot row fully reduced. The reduced echelon form is unique once the
 column order is fixed, so no result depends on the row order. No floating
 point anywhere.
 
-Callers describe a map by its column images instead: entry j is the image
-of basis vector j, a dict {key: coefficient} over any hashable keys with
-no zero coefficient stored. kernel_of, rank_of and preimage transpose
-images into rows, so the key order changes nothing either.
+Callers describe a map by its column images: entry j is the image of basis
+vector j, a dict {key: coefficient} over any hashable keys with no zero
+coefficient stored. kernel_of, rank_of and preimage transpose images into
+rows, so the key order changes nothing either.
 """
 from __future__ import annotations
 
 from ._rat import QQ, ZERO
-from .errors import RankCertificate
 
 
 def _subtract(row: dict, coef, piv: dict, skip) -> None:
@@ -56,49 +55,6 @@ def echelonize(rows) -> dict:
     return echelon
 
 
-def rank(rows) -> int:
-    return len(echelonize(rows))
-
-
-def kernel_basis(rows, ncols: int) -> list:
-    """Basis of {x : Ax = 0} as sparse dicts, one per free column,
-    deterministic order (increasing free column index)."""
-    echelon = echelonize(rows)
-    out = {j: {j: QQ(1)} for j in range(ncols) if j not in echelon}
-    for c, row in echelon.items():
-        for j, coef in row.items():
-            if j != c:
-                out[j][c] = -coef
-    return list(out.values())
-
-
-def solve(rows, rhs, ncols: int):
-    """One exact solution x of the system (row_i . x = rhs_i), or None.
-
-    rows: list of sparse dicts; rhs: list of rationals. Free variables are
-    set to zero, so the answer is the canonical pivot-order particular
-    solution.
-    """
-    if len(rows) != len(rhs):
-        raise RankCertificate(f"{len(rows)} rows against {len(rhs)} right-hand sides")
-    aug = ncols  # augmented column
-    augmented = []
-    for row, b in zip(rows, rhs):
-        r = dict(row)
-        if b:
-            r[aug] = -b
-        augmented.append(r)
-    echelon = echelonize(augmented)
-    if aug in echelon:
-        return None
-    x = {}
-    for c, row in echelon.items():
-        coef = row.get(aug)
-        if coef:
-            x[c] = -coef
-    return x
-
-
 def _rows_of(images) -> dict:
     """Transpose column images into {key: row}."""
     rows = {}
@@ -109,18 +65,32 @@ def _rows_of(images) -> dict:
 
 
 def kernel_of(images) -> list:
-    """kernel_basis of the map whose column j is images[j]."""
-    return kernel_basis(list(_rows_of(images).values()), len(images))
+    """Basis of the kernel of the map whose column j is images[j], as sparse
+    dicts over column indices, one per free column, in increasing order."""
+    echelon = echelonize(_rows_of(images).values())
+    out = {j: {j: QQ(1)} for j in range(len(images)) if j not in echelon}
+    for c, row in echelon.items():
+        for j, coef in row.items():
+            if j != c:
+                out[j][c] = -coef
+    return list(out.values())
 
 
 def rank_of(images) -> int:
-    """rank of the map whose column j is images[j]."""
-    return rank(list(_rows_of(images).values()))
+    """Rank of the map whose column j is images[j]."""
+    return len(echelonize(_rows_of(images).values()))
 
 
 def preimage(images, target: dict):
-    """solve sum_j x[j] * images[j] = target for x; None when unsolvable."""
+    """One exact x with sum_j x[j] * images[j] = target, or None when there
+    is none. Free variables are set to zero, so the answer is the canonical
+    pivot-order particular solution."""
+    aug = len(images)  # the augmented column
     rows = _rows_of(images)
-    for key in target:
-        rows.setdefault(key, {})
-    return solve(list(rows.values()), [target.get(key, ZERO) for key in rows], len(images))
+    for key, b in target.items():
+        if b:
+            rows.setdefault(key, {})[aug] = -b
+    echelon = echelonize(rows.values())
+    if aug in echelon:
+        return None
+    return {c: -row[aug] for c, row in echelon.items() if row.get(aug)}

@@ -9,7 +9,8 @@ from functools import cached_property
 
 from . import linsolve
 from ._rat import QQ, ZERO
-from .core import FormalSeriesTensor, LieAlgebraSpec, RMatrix, _Record, cyb
+from .core import (FormalSeriesTensor, LieAlgebraSpec, RMatrix, _Record, coproduct_insert, cyb,
+                   poisson_bracket)
 from .envelope import (
     TAG_G,
     TAG_GSTAR,
@@ -43,29 +44,11 @@ class QTStructure(_Record):
 
 
 def _t_bracket_z(alg: LieAlgebraSpec, t) -> FormalSeriesTensor:
-    """(1/4)[t^{12}, t^{23}] as a 3-slot series."""
-    d = alg.dim
-    items = {}
-
-    def unit(i):
-        return tuple(1 if q == i else 0 for q in range(d))
-
-    for i in range(d):
-        for j in range(d):
-            if not t[i][j]:
-                continue
-            for k in range(d):
-                for l in range(d):
-                    if not t[k][l]:
-                        continue
-                    for m, c in alg.bracket_rows.get(j, {}).get(k, ()):
-                        key = (unit(i), unit(m), unit(l))
-                        v = items.get(key, ZERO) + QQ(1, 4) * t[i][j] * t[k][l] * c
-                        if v:
-                            items[key] = v
-                        else:
-                            items.pop(key, None)
-    return FormalSeriesTensor.make(alg, 3, 3, items)
+    """(1/4)[t^{12}, t^{23}] as a 3-slot series, bracketing t's insertions
+    as cyb does."""
+    ts = RMatrix(alg, t, "quasitriangular-candidate").to_series(3)
+    t12, t23 = (coproduct_insert(ts, blocks, 3) for blocks in (((0,), (1,)), ((1,), (2,))))
+    return poisson_bracket(t12, t23).scale(QQ(1, 4))
 
 
 def qt_validate(g: LieAlgebraSpec, rprime) -> QTStructure:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product
-from math import factorial, lcm
+from math import factorial
 
-from ._rat import ONE, QQ
-from .core import FormalSeriesTensor, _from_numerators, poisson_bracket
+from ._rat import QQ
+from .core import FormalSeriesTensor, combine, poisson_bracket
 from .errors import NotInMSquared, RankCertificate, SlotMismatch
 from .linsolve import preimage
 
@@ -112,22 +112,12 @@ def _nested(word, f, g, cache):
 
 
 def star(f: FormalSeriesTensor, g: FormalSeriesTensor) -> FormalSeriesTensor:
-    """The BCH product f * g on (m^2, { , }), truncated at N: f, g and the
-    nonzero words summed in one pass over integer numerators."""
+    """The BCH product f * g on (m^2, { , }), truncated at N: f, g and
+    every BCH word in one combine."""
     _check_star_pair(f, g)
-    terms = [(ONE, f), (ONE, g)]
     cache = {}
-    for coeff, word in bch_terms(max(f.N - 1, 1)):
-        term = _nested(word, f, g, cache)
-        if not term.is_zero():
-            terms.append((coeff, term))
-    D = lcm(*(c.denominator * t.numerators[0] for c, t in terms))
-    out = {}
-    for c, t in terms:
-        m = c.numerator * (D // (c.denominator * t.numerators[0]))
-        for key, n in t.numerators[1]:
-            out[key] = out.get(key, 0) + m * n
-    return _from_numerators(f.alg, f.k, f.N, out, D)
+    return combine([(1, f), (1, g)] + [(coeff, _nested(word, f, g, cache))
+                                       for coeff, word in bch_terms(max(f.N - 1, 1))])
 
 
 def negate(f: FormalSeriesTensor) -> FormalSeriesTensor:
@@ -145,7 +135,7 @@ def star_conjugate(rho: FormalSeriesTensor, x: FormalSeriesTensor) -> FormalSeri
         raise SlotMismatch(f"conjugation needs equal slot counts, got {rho.k} and {x.k}")
     if not rho.in_m_squared():
         raise NotInMSquared("conjugator must have every term of degree >= 2")
-    result = x
+    terms = [(1, x)]
     acc = x
     n = 0
     while n <= x.N:
@@ -153,5 +143,5 @@ def star_conjugate(rho: FormalSeriesTensor, x: FormalSeriesTensor) -> FormalSeri
         acc = poisson_bracket(rho, acc)
         if acc.is_zero():
             break
-        result = result + acc.scale(QQ(1, factorial(n)))
-    return result
+        terms.append((QQ(1, factorial(n)), acc))
+    return combine(terms)

@@ -106,7 +106,7 @@ def ref_invariant_basis(alg, k, N):
 
     images = []
     for key in kept:
-        mono = FormalSeriesTensor(alg, len(key), N, {key: QQ(1)})
+        mono = FormalSeriesTensor.make(alg, len(key), N, {key: QQ(1)})
         col = {}
         for i in others:
             for rkey, v in g_action(i, mono).coeffs.items():

@@ -389,6 +389,21 @@ def test_demo_runs_clean(demo):
     assert proc.stdout
 
 
+# SHA-256 of the reports on the zero-dimensional algebra, where every
+# enumerator meets zero variables.
+DIM0 = {
+    "cohomology": "a28d23b9985ab591aaba0237b27868f819da2880175f3f6b92e0dbd51d536388",
+    "envelope": "647d1854dbf6ea11d8cd85d35848a49e16542c7f7c54a0ef110edb0bd62c302d",
+    "validate": "b5e3cf25b91b30006d368eadc6b32f175aed8d4c2746266473183bcb8ad86589",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DIM0))
+def test_zero_dimensional_algebra_reports(capsys, command):
+    code, out = run(capsys, command, '{"dim": 0}')
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, DIM0[command])
+
+
 def test_kind_mismatch_is_structured_error(capsys):
     code, out = run(capsys, "lift", data_path("sl2-qt"))
     assert code == 1

@@ -246,7 +246,7 @@ def test_rmatrix_transpose(sl2):
 RECORD_FIELDS = {
     LieAlgebraSpec: ("dim", "basis_names", "c"),
     RMatrix: ("alg", "entries", "kind"),
-    FormalSeriesTensor: ("alg", "k", "N", "coeffs"),
+    FormalSeriesTensor: ("alg", "k", "N", "numerators"),
     Cochain: ("k", "degree", "value"),
     QTStructure: ("g", "rprime", "r", "t", "Z", "nondegenerate"),
     PBWElement: ("alg", "tag", "coeffs"),

@@ -232,7 +232,7 @@ def test_coproduct_images_match_twisted_coproduct(name, request):
 
 def test_equal_rhos_keep_separate_memos(sl2rho):
     alg, r, rho = sl2rho
-    first, second = (FormalSeriesTensor(alg, rho.k, rho.N, dict(rho.coeffs)) for _ in range(2))
+    first, second = (FormalSeriesTensor.make(alg, rho.k, rho.N, rho.coeffs) for _ in range(2))
     traces = poisson_traces(alg, 4)
     images = [theta(t, first) for t in traces]
     assert [theta(t, second) for t in traces] == images

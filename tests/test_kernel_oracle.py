@@ -205,7 +205,7 @@ def _same(got, want):
 
 
 def _on(alg, f):
-    return FormalSeriesTensor(alg, f.k, f.N, dict(f.coeffs))
+    return FormalSeriesTensor.make(alg, f.k, f.N, f.coeffs)
 
 
 @settings(max_examples=300, deadline=None)

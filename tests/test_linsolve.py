@@ -2,7 +2,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starlift._rat import QQ
-from starlift.linsolve import echelonize, kernel_basis, rank, solve
+from starlift.linsolve import echelonize, kernel_of, preimage, rank_of
 
 rationals = st.builds(QQ, st.integers(-9, 9), st.integers(1, 9))
 matrices = st.lists(
@@ -10,6 +10,29 @@ matrices = st.lists(
     min_size=1,
     max_size=6,
 )
+
+
+def _cols(rows, ncols):
+    """The column images of the matrix with the given rows: column j maps
+    each row index to its entry in column j."""
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols
+
+
+# The row-form systems below, posed through the column-image entry points.
+def solve(rows, rhs, ncols):
+    return preimage(_cols(rows, ncols), {i: b for i, b in enumerate(rhs) if b})
+
+
+def rank(rows, ncols=5):
+    return rank_of(_cols(rows, ncols))
+
+
+def kernel_basis(rows, ncols):
+    return kernel_of(_cols(rows, ncols))
 
 
 def test_solve_unique():

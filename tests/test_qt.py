@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from starlift import (
+    FormalSeriesTensor,
     c_s_basis,
     c_s_graded_dims,
     c_s_map,
@@ -45,6 +46,34 @@ def test_qt_validate_splits_rprime(qt):
     assert t == {(0, 2): QQ(1), (2, 0): QQ(1), (1, 1): QQ(1, 2)}
     assert not qt.Z.is_zero()
     assert qt.nondegenerate
+
+
+def ref_t_bracket_z(alg, t):
+    """(1/4)[t^{12}, t^{23}] summed by hand over the basis: the oracle for
+    quasitriangular._t_bracket_z."""
+    d = alg.dim
+    unit = [tuple(int(q == i) for q in range(d)) for i in range(d)]
+    items = {}
+    for i, j, k, l in itertools.product(range(d), repeat=4):
+        if t[i][j] and t[k][l]:
+            for m, c in alg.bracket_rows.get(j, {}).get(k, ()):
+                key = (unit[i], unit[m], unit[l])
+                items[key] = items.get(key, QQ(0)) + QQ(1, 4) * t[i][j] * t[k][l] * c
+    return FormalSeriesTensor.make(alg, 3, 3, items)
+
+
+@pytest.mark.parametrize("name", ["abelian3", "nonabelian2", "sl2", "sl2-qt", "sl3"])
+def test_t_bracket_z_matches_hand_sum(name):
+    """On each shipped input's symmetric part (nonzero only for sl2-qt), and
+    on a dense symmetric t, which need not be invariant."""
+    alg, r = load_lie_algebra(data_path(name))
+    d = alg.dim
+    sym = tuple(tuple(r.entries[i][j] + r.entries[j][i] for j in range(d)) for i in range(d))
+    dense = tuple(tuple(QQ(1 + (i * j + i + j) % 5, 1 + (i + j) % 3) for j in range(d))
+                  for i in range(d))
+    for t in (sym, dense):
+        assert quasitriangular._t_bracket_z(alg, t) == ref_t_bracket_z(alg, t)
+    assert quasitriangular._t_bracket_z(alg, dense).is_zero() == alg.is_abelian
 
 
 def test_qt_validate_rejects_cyb_violation(sl2qt):

@@ -13,7 +13,7 @@ from starlift import (FormalSeriesTensor, LinearForm, alt_project, copoisson_del
                       coproduct_insert, dual_bracket, g_action, multiply, poisson_bracket)
 from starlift._rat import QQ
 from starlift.cohochschild import _d_faces, _d_raw
-from starlift.core import key_degree
+from starlift.core import combine, key_degree
 from starlift.envelope import TAG_G, TAG_GSTAR, PBWElement, PBWTensorSquare
 from starlift.errors import AlgebraMismatch
 from starlift.star import bch_terms, star
@@ -136,27 +136,30 @@ def _check(got, want):
 @given(st.data())
 def test_integer_state_matches_fraction_oracle(data):
     alg, k, N = data.draw(settings_())
-    f0, g0 = data.draw(tensors(alg, k, N)), data.draw(tensors(alg, k, N))
+    f, g = data.draw(tensors(alg, k, N)), data.draw(tensors(alg, k, N))
     q = data.draw(st.one_of(st.just(0), COEFFS))
     M = data.draw(st.integers(0, N))
     i = data.draw(st.integers(0, alg.dim - 1))
     _, blocks = data.draw(st.sampled_from(_d_faces(k)))
-    fc, gc = f0.coeffs, g0.coeffs
-    # once as built from rationals, once in the integer state a kernel leaves
-    for f, g in ((f0, g0), (f0.scale(1), g0.scale(1))):
-        _check(poisson_bracket(f, g), ref_poisson_bracket(f0, g0).coeffs)
-        _check(g_action(i, f), ref_g_action(i, f0).coeffs)
-        _check(coproduct_insert(f, blocks, k + 1), ref_coproduct_insert(f0, blocks, k + 1).coeffs)
-        _check(_d_raw(f), _ref_d(f0))
-        _check(multiply(f, g), _ref_multiply(f0, g0))
-        _check(alt_project(f), _ref_alt(f0))
-        _check(f + g, _fraction_sum((1, fc), (1, gc)))
-        _check(f - g, _fraction_sum((1, fc), (-1, gc)))
-        _check(f.scale(q), _fraction_sum((q, fc)))
-        _check(f.truncate(M), {key: v for key, v in fc.items() if key_degree(key) <= M})
-        _check(f.homogeneous_part(M), {key: v for key, v in fc.items() if key_degree(key) == M})
-        assert (f - f).numerators == (1, []) and f.scale(0).numerators == (1, [])
-        assert (f + f.scale(-1)).numerators == (1, [])
-        # star takes elements of m^2
-        high_f, high_g = (h - h.homogeneous_part(0) - h.homogeneous_part(1) for h in (f, g))
-        _check(star(high_f, high_g), _ref_star(high_f, high_g))
+    fc, gc = f.coeffs, g.coeffs
+    _check(poisson_bracket(f, g), ref_poisson_bracket(f, g).coeffs)
+    _check(g_action(i, f), ref_g_action(i, f).coeffs)
+    _check(coproduct_insert(f, blocks, k + 1), ref_coproduct_insert(f, blocks, k + 1).coeffs)
+    _check(_d_raw(f), _ref_d(f))
+    _check(multiply(f, g), _ref_multiply(f, g))
+    _check(alt_project(f), _ref_alt(f))
+    _check(f + g, _fraction_sum((1, fc), (1, gc)))
+    _check(f - g, _fraction_sum((1, fc), (-1, gc)))
+    _check(-f, _fraction_sum((-1, fc)))
+    _check(f.scale(q), _fraction_sum((q, fc)))
+    mixed = combine([(q, f), (1, g), (QQ(-1, 2), f)])
+    want = _fraction_sum((q, fc), (1, gc), (QQ(-1, 2), fc))
+    _check(mixed, want)
+    assert list(mixed.coeffs) == list(want)  # first-hit key order
+    _check(f.truncate(M), {key: v for key, v in fc.items() if key_degree(key) <= M})
+    _check(f.homogeneous_part(M), {key: v for key, v in fc.items() if key_degree(key) == M})
+    assert (f - f).numerators == (1, []) and f.scale(0).numerators == (1, [])
+    assert (f + f.scale(-1)).numerators == (1, [])
+    # star takes elements of m^2
+    high_f, high_g = (h - h.homogeneous_part(0) - h.homogeneous_part(1) for h in (f, g))
+    _check(star(high_f, high_g), _ref_star(high_f, high_g))
