@@ -14,8 +14,8 @@ import json
 import sys
 from math import comb
 
+from . import cohochschild, duality, envelope, lifts, quasitriangular
 from ._rat import QQ, rat, rat_str
-from .cohochschild import cohomology_dimension
 from .core import (
     FormalSeriesTensor,
     alt_project,
@@ -24,27 +24,7 @@ from .core import (
     load_lie_algebra,
     poisson_bracket,
 )
-from .envelope import (
-    TAG_G,
-    center,
-    dual_bracket,
-    invariants_s_dual,
-    pbw_commutator,
-    pbw_product,
-)
 from .errors import BadDegree, CYBViolation, ParseError, StarliftError, TNotInvariant
-from .lifts import cocycle_defect, gauge_rho, lift, pentagon_defect
-from .quasitriangular import (
-    alpha_matrix_rank,
-    c_s_basis,
-    c_s_graded_dims,
-    c_s_map,
-    check_inner_derivation,
-    compare_images,
-    mu_of_rprime,
-    qt_validate,
-    sts_theta,
-)
 
 DEGREE_CAP = 8
 
@@ -113,7 +93,7 @@ def cmd_validate(alg, rmat, args) -> dict:
         report["z_terms"] = _series_terms(Z)
     else:
         try:
-            qt = qt_validate(alg, rmat)
+            qt = quasitriangular.qt_validate(alg, rmat)
         except CYBViolation:
             certs["cyb_zero"] = False
             return report
@@ -130,10 +110,10 @@ def cmd_validate(alg, rmat, args) -> dict:
 def cmd_lift(alg, rmat, args) -> dict:
     rmat = _require_coboundary(rmat)
     N = args.degree
-    res = lift(rmat, N)
+    res = lifts.lift(rmat, N)
     phi, rho, Z = res["phi"], res["rho"], res["Z"]
-    pent = pentagon_defect(phi)
-    coc = cocycle_defect(rho, phi)
+    pent = lifts.pentagon_defect(phi)
+    coc = lifts.cocycle_defect(rho, phi)
     certs = {
         "defect_zero": pent.is_zero() and coc.is_zero(),
         "invariant": is_invariant(phi),
@@ -167,9 +147,10 @@ def cmd_cohomology(alg, rmat, args) -> dict:
     top = min(args.degree, 6)
     for k in (1, 2, 3):
         for N in range(k, top + 1):
-            dim = cohomology_dimension(alg, k, N)
+            dim = cohochschild.cohomology_dimension(alg, k, N)
             table[f"k{k}_N{N}"] = dim
-            inv_table[f"k{k}_N{N}"] = cohomology_dimension(alg, k, N, invariant_only=True)
+            inv_table[f"k{k}_N{N}"] = cohochschild.cohomology_dimension(
+                alg, k, N, invariant_only=True)
             expected = comb(alg.dim, k) if N == k else 0
             ok = ok and dim == expected
     return {
@@ -181,8 +162,8 @@ def cmd_cohomology(alg, rmat, args) -> dict:
 
 def cmd_envelope(alg, rmat, args) -> dict:
     maxdeg = args.maxdeg
-    cen = center(alg, maxdeg, TAG_G)
-    inv = invariants_s_dual(alg, maxdeg)
+    cen = envelope.center(alg, maxdeg, envelope.TAG_G)
+    inv = envelope.invariants_s_dual(alg, maxdeg)
     inv_dims = [0] * (maxdeg + 1)
     for l in inv:
         inv_dims[l.order] += 1
@@ -193,7 +174,7 @@ def cmd_envelope(alg, rmat, args) -> dict:
         "certificates": {},
     }
     if rmat is not None and rmat.kind == "antisymmetric-coboundary":
-        dual = dual_bracket(rmat)
+        dual = envelope.dual_bracket(rmat)
         report["dual_structure_constants"] = [
             [i, j, [[k, rat_str(v)] for k, v in enumerate(dual.c[i][j]) if v]]
             for i in range(dual.dim)
@@ -214,13 +195,11 @@ def cmd_envelope(alg, rmat, args) -> dict:
 
 def _fixed_gauges(alg, N):
     """Two deterministic non-trivial gauge parameters."""
-    from .cohochschild import monomials
-
     out = []
     for salt in (1, 2):
         items = {}
         for d in range(2, N + 1):
-            for pos, vec in enumerate(monomials(alg.dim, d)):
+            for pos, vec in enumerate(cohochschild.monomials(alg.dim, d)):
                 if (pos + salt * d) % 3 == 0:
                     items[(vec,)] = QQ(1 + (pos + salt) % 4, 1 + (pos % 2))
         out.append(FormalSeriesTensor.make(alg, 1, N, items))
@@ -228,26 +207,24 @@ def _fixed_gauges(alg, N):
 
 
 def cmd_theta(alg, rmat, args) -> dict:
-    from .duality import poisson_traces, theta
-
     rmat = _require_coboundary(rmat)
     maxdeg = args.maxdeg
     N = max(args.degree, maxdeg)
-    rho = lift(rmat, N)["rho"]
-    traces = poisson_traces(alg, maxdeg)
-    images = [theta(f, rho) for f in traces]
+    rho = lifts.lift(rmat, N)["rho"]
+    traces = duality.poisson_traces(alg, maxdeg)
+    images = [duality.theta(f, rho) for f in traces]
 
     filtered = all(
         th.filtration == f.order and th.top_symbol() == f.homogeneous_part(f.order).coeffs
         for f, th in zip(traces, images)
     )
     commutative = all(
-        pbw_commutator(a, b).is_zero() for a, b in itertools.combinations(images, 2)
+        envelope.pbw_commutator(a, b).is_zero() for a, b in itertools.combinations(images, 2)
     )
     gauge_ok = True
     for lam in _fixed_gauges(alg, N):
-        rho2 = gauge_rho(lam, rho)
-        if [theta(f, rho2) for f in traces] != images:
+        rho2 = lifts.gauge_rho(lam, rho)
+        if [duality.theta(f, rho2) for f in traces] != images:
             gauge_ok = False
     report = {
         "certificates": {
@@ -265,21 +242,21 @@ def cmd_theta(alg, rmat, args) -> dict:
 def cmd_qt(alg, rmat, args) -> dict:
     if rmat is None:
         raise ParseError("input provides no r matrix")
-    qt = qt_validate(alg, rmat)
+    qt = quasitriangular.qt_validate(alg, rmat)
     s = rat(args.s)
     maxdeg = args.maxdeg
-    dims = c_s_graded_dims(s, maxdeg, qt)
-    basis = c_s_basis(s, maxdeg, qt)
+    dims = quasitriangular.c_s_graded_dims(s, maxdeg, qt)
+    basis = quasitriangular.c_s_basis(s, maxdeg, qt)
     commutative = all(
-        pbw_commutator(a, b).is_zero() for a, b in itertools.combinations(basis, 2)
+        envelope.pbw_commutator(a, b).is_zero() for a, b in itertools.combinations(basis, 2)
     )
     closed = all(
-        c_s_map(p, qt.g, s).is_zero()
+        quasitriangular.c_s_map(p, qt.g, s).is_zero()
         for a, b in itertools.combinations_with_replacement(basis, 2)
-        for p in (pbw_product(a, b),)
+        for p in (envelope.pbw_product(a, b),)
         if p.filtration <= maxdeg
     )
-    inner = check_inner_derivation(qt)
+    inner = quasitriangular.check_inner_derivation(qt)
     certs = {
         "inner_derivation": inner["passed"],
         "commutative": commutative,
@@ -290,19 +267,19 @@ def cmd_qt(alg, rmat, args) -> dict:
         "certificates": certs,
         "c_s_graded_dims": list(dims),
         "nondegenerate": qt.nondegenerate,
-        "mu_rprime": [rat_str(v) for v in mu_of_rprime(qt)],
-        "alpha_rank": list(alpha_matrix_rank(qt, maxdeg)),
-        "image_comparison": compare_images(qt, maxdeg),
+        "mu_rprime": [rat_str(v) for v in quasitriangular.mu_of_rprime(qt)],
+        "alpha_rank": list(quasitriangular.alpha_matrix_rank(qt, maxdeg)),
+        "image_comparison": quasitriangular.compare_images(qt, maxdeg),
     }
     if qt.nondegenerate:
         transported = []
         in_c1 = True
-        for z in center(qt.g, maxdeg, TAG_G):
+        for z in envelope.center(qt.g, maxdeg, envelope.TAG_G):
             if z.filtration == 0:
                 continue
-            y = sts_theta(z, qt)
+            y = quasitriangular.sts_theta(z, qt)
             transported.append(_pbw_terms(y))
-            if not c_s_map(y, qt.g, QQ(1)).is_zero():
+            if not quasitriangular.c_s_map(y, qt.g, QQ(1)).is_zero():
                 in_c1 = False
         certs["theta_in_C1"] = in_c1
         if args.emit == "full":

@@ -12,7 +12,7 @@ import itertools
 import json
 from functools import cache, cached_property
 from math import factorial, gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from . import linsolve
 from ._rat import QQ, ZERO, rat
@@ -146,10 +146,18 @@ class LieAlgebraSpec(_Record):
                         span.append(w)
         return weights, tuple(gens)
 
+    @cached_property
+    def _integer_weights(self) -> tuple:
+        """Each diagonal actor's weights times the lcm of their denominators."""
+        out = []
+        for lam in self.actors[0].values():
+            D = lcm(*(w.denominator for w in lam))
+            out.append(tuple(w.numerator * (D // w.denominator) for w in lam))
+        return tuple(out)
+
     def weight_zero(self, vec) -> bool:
         """Whether every diagonal actor kills x^vec (vec an exponent vector)."""
-        return not any(sum(a * w for a, w in zip(vec, lam) if a)
-                       for lam in self.actors[0].values())
+        return not any(sum(map(mul, vec, lam)) for lam in self._integer_weights)
 
     @cached_property
     def _hash(self) -> int:
@@ -755,11 +763,18 @@ def coproduct_insert(f: FormalSeriesTensor, blocks, n: int = None) -> FormalSeri
 def _insert_key(out: dict, key: Key, weight0: int, blocks, unit_fill: list) -> None:
     """Add weight0 times the insertion of the monomial key to the integer dict
     out, in first-hit key order; unit_fill is the all-units target key."""
-    per_slot = [_splits(vec, len(block)) for vec, block in zip(key, blocks)]
+    base = unit_fill.copy()
+    split, per_slot = [], []
+    for vec, block in zip(key, blocks):
+        if len(block) == 1:  # a singleton block takes the slot as it is, with weight 1
+            base[block[0]] = vec
+        else:
+            split.append(block)
+            per_slot.append(_splits(vec, len(block)))
     for combo in itertools.product(*per_slot):
         weight = weight0
-        new_key = unit_fill.copy()
-        for block, (vecs, w) in zip(blocks, combo):
+        new_key = base.copy()
+        for block, (vecs, w) in zip(split, combo):
             weight *= w
             for t, v in zip(block, vecs):
                 new_key[t] = v

@@ -1,6 +1,7 @@
-"""Restricted-dual linear forms on the function algebra, the rho-twisted
-coproduct and convolution product, Poisson traces, and the filtered
-morphism theta from Poisson traces into the dual enveloping algebra.
+"""Restricted-dual linear forms (envelope.LinearForm) on the function
+algebra: their pairing, the rho-twisted coproduct and convolution product,
+Poisson traces, and the filtered morphism theta from Poisson traces into
+the dual enveloping algebra.
 
 Pairing convention: the form with single key alpha evaluates on x^beta as
 delta_{alpha beta} * alpha! (per-variable factorials). With it, untwisted
@@ -12,19 +13,17 @@ from __future__ import annotations
 from math import factorial
 
 from . import linsolve
-from ._rat import QQ, ZERO
+from ._rat import ZERO
 from .cohochschild import _monomial_fst, monomials
 from .core import (
     FormalSeriesTensor,
     LieAlgebraSpec,
-    _SparseVec,
     coproduct_insert,
     multiply,
     poisson_bracket,
 )
-from .envelope import TAG_GSTAR, PBWElement, pbw_basis
-from .errors import (AlgebraMismatch, NotATrace, NotInMSquared, SingularPairing,
-                     SlotMismatch, TruncationTooLow)
+from .envelope import TAG_GSTAR, LinearForm, PBWElement, pbw_basis
+from .errors import NotATrace, NotInMSquared, SingularPairing, SlotMismatch, TruncationTooLow
 from .star import star_conjugate
 
 
@@ -33,62 +32,6 @@ def _vec_factorial(vec) -> int:
     for e in vec:
         out *= factorial(e)
     return out
-
-
-class LinearForm(_SparseVec):
-    """Form on the formal function algebra, supported in degrees <= order."""
-
-    _fields = ("alg", "coeffs")  # coeffs: exponent vector -> rational
-
-    def __init__(self, alg: LieAlgebraSpec, coeffs: dict):
-        self.__dict__.update(alg=alg, coeffs=coeffs)
-
-    @classmethod
-    def make(cls, alg, items) -> "LinearForm":
-        coeffs = {}
-        for vec, c in dict(items).items():
-            vec = tuple(vec)
-            if len(vec) != alg.dim:
-                raise AlgebraMismatch(f"exponent vector {vec} for an algebra of dim {alg.dim}")
-            c = QQ(c)
-            if c:
-                coeffs[vec] = c
-        return cls(alg, coeffs)
-
-    @classmethod
-    def generator(cls, alg, i: int) -> "LinearForm":
-        vec = tuple(1 if j == i else 0 for j in range(alg.dim))
-        return cls.make(alg, {vec: QQ(1)})
-
-    @classmethod
-    def one(cls, alg) -> "LinearForm":
-        return cls.make(alg, {(0,) * alg.dim: QQ(1)})
-
-    @property
-    def order(self) -> int:
-        return max((sum(v) for v in self.coeffs), default=0)
-
-    def _frame(self) -> tuple:
-        return (self.alg,)
-
-    def _check_pair(self, other, op="combine"):
-        if self.alg != other.alg:
-            raise AlgebraMismatch(f"cannot {op} forms on different algebras")
-
-    def homogeneous_part(self, degree: int) -> "LinearForm":
-        return LinearForm(self.alg,
-                          {v: c for v, c in self.coeffs.items() if sum(v) == degree})
-
-    def __repr__(self):
-        terms = []
-        for vec in sorted(self.coeffs, key=lambda v: (sum(v), v))[:8]:
-            mono = "*".join(
-                f"{self.alg.basis_names[i]}^{e}" if e > 1 else self.alg.basis_names[i]
-                for i, e in enumerate(vec) if e
-            ) or "1"
-            terms.append(f"{self.coeffs[vec]}<{mono}>")
-        more = " + ..." if len(self.coeffs) > 8 else ""
-        return f"LinearForm({' + '.join(terms) or '0'}{more})"
 
 
 def form_pair(l: LinearForm, f: FormalSeriesTensor):

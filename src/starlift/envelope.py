@@ -1,5 +1,6 @@
 """PBW enveloping algebras for g and its dual, plus the structures living
-on them: the dual Lie bracket induced by r, centers, invariants of S(g*),
+on them: the dual Lie bracket induced by r, centers, invariants of S(g*)
+(as LinearForms, the restricted-dual forms duality pairs and twists),
 the co-Poisson cobracket, and the derivation it generates.
 
 Monomials are non-decreasing tuples of generator indices; straightening
@@ -13,7 +14,7 @@ import itertools
 
 from . import linsolve
 from ._rat import QQ, ZERO
-from .core import LieAlgebraSpec, RMatrix, _SparseVec
+from .core import LieAlgebraSpec, RMatrix, _compositions, _SparseVec
 from .errors import AlgebraMismatch, IndexOutOfRange, UnsortedMonomial
 
 TAG_G = "U(g)"
@@ -84,6 +85,62 @@ class PBWElement(_SparseVec):
             parts.append(f"{self.coeffs[mono]}*{word}")
         more = " + ..." if len(self.coeffs) > 8 else ""
         return f"PBWElement<{self.tag}>({' + '.join(parts)}{more})"
+
+
+class LinearForm(_SparseVec):
+    """Form on the formal function algebra, supported in degrees <= order."""
+
+    _fields = ("alg", "coeffs")  # coeffs: exponent vector -> rational
+
+    def __init__(self, alg: LieAlgebraSpec, coeffs: dict):
+        self.__dict__.update(alg=alg, coeffs=coeffs)
+
+    @classmethod
+    def make(cls, alg, items) -> "LinearForm":
+        coeffs = {}
+        for vec, c in dict(items).items():
+            vec = tuple(vec)
+            if len(vec) != alg.dim:
+                raise AlgebraMismatch(f"exponent vector {vec} for an algebra of dim {alg.dim}")
+            c = QQ(c)
+            if c:
+                coeffs[vec] = c
+        return cls(alg, coeffs)
+
+    @classmethod
+    def generator(cls, alg, i: int) -> "LinearForm":
+        vec = tuple(1 if j == i else 0 for j in range(alg.dim))
+        return cls.make(alg, {vec: QQ(1)})
+
+    @classmethod
+    def one(cls, alg) -> "LinearForm":
+        return cls.make(alg, {(0,) * alg.dim: QQ(1)})
+
+    @property
+    def order(self) -> int:
+        return max((sum(v) for v in self.coeffs), default=0)
+
+    def _frame(self) -> tuple:
+        return (self.alg,)
+
+    def _check_pair(self, other, op="combine"):
+        if self.alg != other.alg:
+            raise AlgebraMismatch(f"cannot {op} forms on different algebras")
+
+    def homogeneous_part(self, degree: int) -> "LinearForm":
+        return LinearForm(self.alg,
+                          {v: c for v, c in self.coeffs.items() if sum(v) == degree})
+
+    def __repr__(self):
+        terms = []
+        for vec in sorted(self.coeffs, key=lambda v: (sum(v), v))[:8]:
+            mono = "*".join(
+                f"{self.alg.basis_names[i]}^{e}" if e > 1 else self.alg.basis_names[i]
+                for i, e in enumerate(vec) if e
+            ) or "1"
+            terms.append(f"{self.coeffs[vec]}<{mono}>")
+        more = " + ..." if len(self.coeffs) > 8 else ""
+        return f"LinearForm({' + '.join(terms) or '0'}{more})"
 
 
 _STRAIGHTEN_MEMO: dict = {}
@@ -201,12 +258,9 @@ def invariants_s_dual(alg: LieAlgebraSpec, maxdeg: int) -> list:
     """Graded basis of S(g*)^g up to degree maxdeg (coadjoint kernel per
     degree over the weight-zero monomials, acting by alg.actors' gens),
     returned as LinearForms."""
-    from .duality import LinearForm
-    from .cohochschild import monomials
-
     out = []
     for d in range(maxdeg + 1):
-        monos = [mono for mono in monomials(alg.dim, d) if alg.weight_zero(mono)]
+        monos = [mono for mono in _compositions(d, alg.dim) if alg.weight_zero(mono)]
         images = []
         for mono in monos:
             col = {}
