@@ -53,8 +53,14 @@ class _Record:
             return NotImplemented
         return other is self or self._values() == other._values()
 
-    def __hash__(self):
+    @cached_property
+    def _hash(self) -> int:
         return hash(self._values())
+
+    def __hash__(self):
+        # Memos key on records; an algebra's c (dim^3 rationals) or an r's
+        # entries are hashed once, not per lookup.
+        return self._hash
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -158,14 +164,6 @@ class LieAlgebraSpec(_Record):
     def weight_zero(self, vec) -> bool:
         """Whether every diagonal actor kills x^vec (vec an exponent vector)."""
         return not any(sum(map(mul, vec, lam)) for lam in self._integer_weights)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._values())
-
-    def __hash__(self):
-        # Memos key on the algebra; hashing c (dim^3 rationals) once, not per lookup.
-        return self._hash
 
     def validate(self):
         d = self.dim
@@ -385,91 +383,95 @@ def slot_degrees(key: Key) -> tuple:
     return tuple(sum(v) for v in key)
 
 
-class _SparseVec(_Record):
-    """Linear structure shared by the rational sparse types (LinearForm,
-    PBWElement, PBWTensorSquare): a record whose last field ``coeffs`` maps
-    basis keys to nonzero rationals. The other fields, ``_frame()``, say
-    which space a vector lives in, and ``_check_pair(other, op)`` raises the
-    type's own error when two spaces differ. Each subclass defines both."""
+def _normal(nums: dict, D: int) -> tuple:
+    """(D, [(key, n), ...]) for the integer numerators nums over D > 0,
+    reduced by one gcd, zeros dropped, keys in their order."""
+    g = gcd(D, *nums.values())
+    return D // g, [(key, n // g) for key, n in nums.items() if n]
 
-    def _like(self, coeffs):
-        return type(self)(*self._frame(), coeffs)
+
+def _integer(items) -> tuple:
+    """({key: n}, D) with n / D the nonzero rationals (or ints) of the
+    (key, value) pairs, D the lcm of their denominators."""
+    kept = [(key, v) for key, v in items if v]
+    D = lcm(*(v.denominator for _, v in kept))
+    return {key: v.numerator * (D // v.denominator) for key, v in kept}, D
+
+
+class _SparseVec(_Record):
+    """The state shared by the four sparse types (FormalSeriesTensor,
+    LinearForm, PBWElement, PBWTensorSquare): the last field, ``numerators``,
+    is (D, [(key, n), ...]) with coefficient n / D at key, normalised so
+    that gcd(D, n, ...) = 1 (the zero vector is (1, [])). The constructor
+    takes (*frame, {key: n}, D=1) and normalises by one gcd; ``make`` is
+    the one entry from rationals; ``coeffs``, {key: rational} in the same
+    key order, is a view built on first read. The other fields,
+    ``_frame()``, say which space a vector lives in, and
+    ``_check_pair(other, op)`` raises the type's own error when two spaces
+    differ. +, -, negation and scale are one ``combine``."""
 
     @classmethod
     def zero(cls, *frame):
         return cls(*frame, {})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @cached_property
+    def coeffs(self) -> dict:
+        D, items = self.numerators
+        return {key: QQ(n, D) for key, n in items}
 
-    def add_term(self, key, c):
-        """Accumulate c at key in place; only for building a fresh result."""
-        v = self.coeffs.get(key, ZERO) + c
-        if v:
-            self.coeffs[key] = v
-        else:
-            self.coeffs.pop(key, None)
+    def is_zero(self) -> bool:
+        return not self.numerators[1]
 
     def __add__(self, other):
         self._check_pair(other)
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            s = out.get(key, ZERO) + val
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return self._like(out)
+        return combine([(1, self), (1, other)])
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        self._check_pair(other)
+        return combine([(1, self), (-1, other)])
 
     def __neg__(self):
-        return self.scale(-1)
+        return combine([(-1, self)])
 
     def scale(self, scalar):
-        scalar = QQ(scalar)
-        if not scalar:
-            return self._like({})
-        return self._like({key: val * scalar for key, val in self.coeffs.items()})
+        """scalar times self; scalar an int or a rational."""
+        return combine([(scalar, self)])
+
+    def extend_linearly(self, image, zero):
+        """The linear map sending each key to the vector image(key), applied
+        to self; zero is the image of the zero vector."""
+        D, items = self.numerators
+        return combine([(n, image(key)) for key, n in items], D) if items else zero
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._frame() == other._frame() and self.coeffs == other.coeffs
+        return self._frame() == other._frame() and _same(self.numerators, other.numerators)
 
 
-class FormalSeriesTensor(_Record):
-    """Sparse element of S(g)^{(x)k} truncated at total degree N.
+def _same(a: tuple, b: tuple) -> bool:
+    """Whether two normal-form numerators hold the same coefficients."""
+    return a[0] == b[0] and dict(a[1]) == dict(b[1])
 
-    Its state is ``numerators``, (D, [(key, n), ...]): the coefficient of
-    x^key is n / D, with D the lcm of the reduced denominators (1 for the
-    zero series), so gcd(D, n, ...) = 1. The constructor takes integer
-    numerators {key: n} over any positive D and normalises them by one gcd,
-    dropping zeros; keys are not checked against N, so callers pass only
-    keys of degree <= N. ``make`` is the one entry from rationals, and
-    ``coeffs``, {key: rational} in the same key order, is a view built on
-    first read.
+
+class FormalSeriesTensor(_SparseVec):
+    """Sparse element of S(g)^{(x)k} truncated at total degree N, in the
+    state of _SparseVec: numerators over the keys, k-tuples of exponent
+    vectors. Keys are not checked against N, so callers pass only keys of
+    degree <= N; ``make`` drops the others.
     """
 
     _fields = ("alg", "k", "N", "numerators")
 
     def __init__(self, alg: LieAlgebraSpec, k: int, N: int, nums: dict, D: int = 1):
-        g = gcd(D, *nums.values())
-        items = [(key, n // g) for key, n in nums.items() if n]
-        self.__dict__.update(alg=alg, k=k, N=N, numerators=(D // g, items))
+        self.__dict__.update(alg=alg, k=k, N=N, numerators=_normal(nums, D))
 
     @classmethod
     def make(cls, alg, k, N, items) -> "FormalSeriesTensor":
         """The series sum_key items[key] x^key, items rationals or ints;
         keys of degree > N are dropped."""
-        kept = [(key, v) for key, v in items.items() if v and key_degree(key) <= N]
-        D = lcm(*(v.denominator for _, v in kept))
-        return cls(alg, k, N, {key: v.numerator * (D // v.denominator) for key, v in kept}, D)
-
-    @classmethod
-    def zero(cls, alg, k, N) -> "FormalSeriesTensor":
-        return cls(alg, k, N, {})
+        return cls(alg, k, N, *_integer((key, v) for key, v in items.items()
+                                        if key_degree(key) <= N))
 
     @classmethod
     def generator(cls, alg, i, N, k=1, slot=0) -> "FormalSeriesTensor":
@@ -482,11 +484,6 @@ class FormalSeriesTensor(_Record):
     def memo(self) -> dict:
         """Per-instance cache, like LieAlgebraSpec.memo."""
         return {}
-
-    @cached_property
-    def coeffs(self) -> dict:
-        D, items = self.numerators
-        return {key: QQ(n, D) for key, n in items}
 
     @cached_property
     def numerator_buckets(self):
@@ -504,9 +501,6 @@ class FormalSeriesTensor(_Record):
                 for deg, items in self.numerator_buckets.items()}
 
     # ---- predicates ------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.numerators[1]
 
     def in_m_tensor(self) -> bool:
         """Every slot of every key has degree >= 1 (element of m^{(x)k})."""
@@ -528,28 +522,13 @@ class FormalSeriesTensor(_Record):
     def _with(self, nums: dict, D: int, N=None) -> "FormalSeriesTensor":
         return FormalSeriesTensor(self.alg, self.k, self.N if N is None else N, nums, D)
 
-    def __add__(self, other):
-        self._check_pair(other)
-        return combine([(1, self), (1, other)])
-
-    def __sub__(self, other):
-        self._check_pair(other)
-        return combine([(1, self), (-1, other)])
-
-    def __neg__(self):
-        return combine([(-1, self)])
-
-    def scale(self, scalar):
-        """scalar times self; scalar an int or a rational."""
-        return combine([(scalar, self)])
-
     def __eq__(self, other):
         """Equal coefficients over the same algebra and slot count; N is
         not compared."""
         if not isinstance(other, FormalSeriesTensor):
             return NotImplemented
-        (Da, a), (Db, b) = self.numerators, other.numerators
-        return self.alg == other.alg and self.k == other.k and Da == Db and dict(a) == dict(b)
+        return (self.alg == other.alg and self.k == other.k
+                and _same(self.numerators, other.numerators))
 
     def homogeneous_part(self, degree: int) -> "FormalSeriesTensor":
         return self._with(dict(self.numerator_buckets.get(degree, ())), self.numerators[0])
@@ -582,10 +561,11 @@ class FormalSeriesTensor(_Record):
         return f"FormalSeriesTensor(k={self.k}, N={self.N}, {n} terms)"
 
 
-def combine(terms) -> FormalSeriesTensor:
-    """sum c * t over the (c, t) pairs, c an int or a rational and every t
-    in the first t's frame (not checked), summed over integer numerators
-    brought to one common denominator; keys in first-hit order."""
+def combine(terms, D0: int = 1):
+    """(1 / D0) sum c * t over the (c, t) pairs, c an int or a rational and
+    every t a sparse vector of the first t's type and frame (not checked),
+    summed over integer numerators brought to one common denominator; keys
+    in first-hit order."""
     D = lcm(*(c.denominator * t.numerators[0] for c, t in terms))
     out = {}
     for c, t in terms:
@@ -593,8 +573,8 @@ def combine(terms) -> FormalSeriesTensor:
         m = c.numerator * (D // (c.denominator * Dt))
         for key, n in items:
             out[key] = out.get(key, 0) + m * n
-    alg, k, N = terms[0][1]._frame()
-    return FormalSeriesTensor(alg, k, N, out, D)
+    t = terms[0][1]
+    return type(t)(*t._frame(), out, D * D0)
 
 
 def multiply(f: FormalSeriesTensor, g: FormalSeriesTensor) -> FormalSeriesTensor:

@@ -10,7 +10,7 @@ makes the gr(theta) = inclusion check come out with no stray factors.
 """
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, lcm
 
 from . import linsolve
 from ._rat import ZERO
@@ -50,17 +50,16 @@ def form_pair(l: LinearForm, f: FormalSeriesTensor):
     return total
 
 
-def _pair_two(l1: LinearForm, l2: LinearForm, t: FormalSeriesTensor):
-    """(l1 (x) l2) applied to a 2-slot series."""
-    total = ZERO
-    for (v1, v2), c in t.coeffs.items():
-        a = l1.coeffs.get(v1)
-        if not a:
-            continue
-        b = l2.coeffs.get(v2)
-        if not b:
-            continue
-        total += c * a * b * _vec_factorial(v1) * _vec_factorial(v2)
+def _pair_two(a: dict, b: dict, t: FormalSeriesTensor) -> int:
+    """(l1 (x) l2)(t) times D1 * D2 * Dt, for a = {vec: n * vec!} over the
+    numerators n / D1 of l1, b likewise for l2, and Dt t's denominator."""
+    total = 0
+    for (v1, v2), c in t.numerators[1]:
+        x = a.get(v1)
+        if x:
+            y = b.get(v2)
+            if y:
+                total += c * x * y
     return total
 
 
@@ -99,12 +98,16 @@ def rho_product(l1: LinearForm, l2: LinearForm, rho: FormalSeriesTensor) -> Line
     n = l1.order + l2.order
     if rho.N < n:
         raise TruncationTooLow(f"rho truncated at {rho.N}, need degree {n} for this product")
-    out = {}
+    (D1, items1), (D2, items2) = l1.numerators, l2.numerators
+    a = {vec: m * _vec_factorial(vec) for vec, m in items1}
+    b = {vec: m * _vec_factorial(vec) for vec, m in items2}
+    vals = []  # (vec, numerator, denominator / (D1 * D2))
     for vec, tc in _coproduct_images(rho, n).items():
-        val = _pair_two(l1, l2, tc)
+        val = _pair_two(a, b, tc)
         if val:
-            out[vec] = val / _vec_factorial(vec)
-    return LinearForm.make(l1.alg, out)
+            vals.append((vec, val, tc.numerators[0] * _vec_factorial(vec)))
+    D = lcm(*(den for _, _, den in vals))
+    return LinearForm(l1.alg, {vec: val * (D // den) for vec, val, den in vals}, D1 * D2 * D)
 
 
 def _monomial_brackets(alg: LieAlgebraSpec, d: int, N: int) -> list:

@@ -4,9 +4,10 @@ on them: the dual Lie bracket induced by r, centers, invariants of S(g*)
 the co-Poisson cobracket, and the derivation it generates.
 
 Monomials are non-decreasing tuples of generator indices; straightening
-rewrites x_j x_i -> x_i x_j + [x_j, x_i] for j > i. Straightened words,
-monomial cobrackets and D on generators are memoized per algebra, and an
-algebra hashes its structure constants only once, so lookups stay cheap.
+rewrites x_j x_i -> x_i x_j + [x_j, x_i] for j > i. Straightened words (as
+integer numerators), monomial cobrackets and D on monomials are memoized
+per algebra, and an algebra hashes its structure constants only once, so
+lookups stay cheap. Products and coproducts add up Python ints.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import itertools
 
 from . import linsolve
 from ._rat import QQ, ZERO
-from .core import LieAlgebraSpec, RMatrix, _compositions, _SparseVec
+from .core import LieAlgebraSpec, RMatrix, _compositions, _integer, _normal, _SparseVec
 from .errors import AlgebraMismatch, IndexOutOfRange, UnsortedMonomial
 
 TAG_G = "U(g)"
@@ -22,38 +23,35 @@ TAG_GSTAR = "U(g*)"
 
 
 class PBWElement(_SparseVec):
-    """Element of an enveloping algebra in the sorted-monomial basis."""
+    """Element of an enveloping algebra in the sorted-monomial basis: the
+    _SparseVec state over non-decreasing index tuples."""
 
-    _fields = ("alg", "tag", "coeffs")  # coeffs: non-decreasing index tuple -> rational
+    _fields = ("alg", "tag", "numerators")
 
-    def __init__(self, alg: LieAlgebraSpec, tag: str, coeffs: dict):
-        self.__dict__.update(alg=alg, tag=tag, coeffs=coeffs)
+    def __init__(self, alg: LieAlgebraSpec, tag: str, nums: dict, D: int = 1):
+        self.__dict__.update(alg=alg, tag=tag, numerators=_normal(nums, D))
 
     @classmethod
     def make(cls, alg, tag, items) -> "PBWElement":
-        coeffs = {}
-        for mono, c in dict(items).items():
-            mono = tuple(mono)
+        items = [(tuple(mono), QQ(c)) for mono, c in dict(items).items()]
+        for mono, _ in items:
             if any(mono[i] > mono[i + 1] for i in range(len(mono) - 1)):
                 raise UnsortedMonomial(f"PBW monomial {mono} is not sorted")
             if not all(0 <= i < alg.dim for i in mono):
                 raise IndexOutOfRange(f"PBW monomial {mono} outside 0..{alg.dim - 1}")
-            c = QQ(c)
-            if c:
-                coeffs[mono] = c
-        return cls(alg, tag, coeffs)
+        return cls(alg, tag, *_integer(items))
 
     @classmethod
     def one(cls, alg, tag) -> "PBWElement":
-        return cls(alg, tag, {(): QQ(1)})
+        return cls(alg, tag, {(): 1})
 
     @classmethod
     def generator(cls, alg, tag, i: int) -> "PBWElement":
-        return cls(alg, tag, {(i,): QQ(1)})
+        return cls(alg, tag, {(i,): 1})
 
     @property
     def filtration(self) -> int:
-        return max((len(m) for m in self.coeffs), default=0)
+        return max((len(m) for m, _ in self.numerators[1]), default=0)
 
     def top_symbol(self) -> dict:
         """Leading-filtration part as exponent vectors (the gr image)."""
@@ -88,37 +86,33 @@ class PBWElement(_SparseVec):
 
 
 class LinearForm(_SparseVec):
-    """Form on the formal function algebra, supported in degrees <= order."""
+    """Form on the formal function algebra, supported in degrees <= order:
+    the _SparseVec state over exponent vectors."""
 
-    _fields = ("alg", "coeffs")  # coeffs: exponent vector -> rational
+    _fields = ("alg", "numerators")
 
-    def __init__(self, alg: LieAlgebraSpec, coeffs: dict):
-        self.__dict__.update(alg=alg, coeffs=coeffs)
+    def __init__(self, alg: LieAlgebraSpec, nums: dict, D: int = 1):
+        self.__dict__.update(alg=alg, numerators=_normal(nums, D))
 
     @classmethod
     def make(cls, alg, items) -> "LinearForm":
-        coeffs = {}
-        for vec, c in dict(items).items():
-            vec = tuple(vec)
+        items = [(tuple(vec), QQ(c)) for vec, c in dict(items).items()]
+        for vec, _ in items:
             if len(vec) != alg.dim:
                 raise AlgebraMismatch(f"exponent vector {vec} for an algebra of dim {alg.dim}")
-            c = QQ(c)
-            if c:
-                coeffs[vec] = c
-        return cls(alg, coeffs)
+        return cls(alg, *_integer(items))
 
     @classmethod
     def generator(cls, alg, i: int) -> "LinearForm":
-        vec = tuple(1 if j == i else 0 for j in range(alg.dim))
-        return cls.make(alg, {vec: QQ(1)})
+        return cls(alg, {tuple(1 if j == i else 0 for j in range(alg.dim)): 1})
 
     @classmethod
     def one(cls, alg) -> "LinearForm":
-        return cls.make(alg, {(0,) * alg.dim: QQ(1)})
+        return cls(alg, {(0,) * alg.dim: 1})
 
     @property
     def order(self) -> int:
-        return max((sum(v) for v in self.coeffs), default=0)
+        return max((sum(v) for v, _ in self.numerators[1]), default=0)
 
     def _frame(self) -> tuple:
         return (self.alg,)
@@ -128,8 +122,8 @@ class LinearForm(_SparseVec):
             raise AlgebraMismatch(f"cannot {op} forms on different algebras")
 
     def homogeneous_part(self, degree: int) -> "LinearForm":
-        return LinearForm(self.alg,
-                          {v: c for v, c in self.coeffs.items() if sum(v) == degree})
+        D, items = self.numerators
+        return LinearForm(self.alg, {v: n for v, n in items if sum(v) == degree}, D)
 
     def __repr__(self):
         terms = []
@@ -147,31 +141,24 @@ _STRAIGHTEN_MEMO: dict = {}
 
 
 def _straighten(alg: LieAlgebraSpec, word: tuple) -> dict:
-    """Sorted-basis expansion of an arbitrary product word."""
+    """Sorted-basis expansion of an arbitrary product word, as integer
+    numerators over Dc ** len(word), Dc = alg.integer_rows[0]."""
     key = (alg, word)
     hit = _STRAIGHTEN_MEMO.get(key)
     if hit is not None:
         return hit
-    out = None
+    Dc, rows = alg.integer_rows
     for p in range(len(word) - 1):
         j, i = word[p], word[p + 1]
-        if j <= i:
-            continue
-        out = {}
-        swapped = word[:p] + (i, j) + word[p + 2:]
-        for m, c in _straighten(alg, swapped).items():
-            out[m] = out.get(m, ZERO) + c
-        for k, c in alg.bracket_rows.get(j, {}).get(i, ()):
-            shorter = word[:p] + (k,) + word[p + 2:]
-            for m, c2 in _straighten(alg, shorter).items():
-                v = out.get(m, ZERO) + c * c2
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        break
-    if out is None:
-        out = {word: QQ(1)}
+        if j > i:  # x_j x_i = x_i x_j + [x_j, x_i]: the bracket's words are one letter shorter
+            out = dict(_straighten(alg, word[:p] + (i, j) + word[p + 2:]))
+            for k, c in rows.get(j, {}).get(i, ()):
+                for m, n in _straighten(alg, word[:p] + (k,) + word[p + 2:]).items():
+                    out[m] = out.get(m, 0) + c * n
+            out = {m: n for m, n in out.items() if n}
+            break
+    else:
+        out = {word: Dc ** len(word)}
     _STRAIGHTEN_MEMO[key] = out
     return out
 
@@ -179,17 +166,17 @@ def _straighten(alg: LieAlgebraSpec, word: tuple) -> dict:
 def pbw_product(a: PBWElement, b: PBWElement) -> PBWElement:
     """Product in the enveloping algebra, straightened to the sorted basis."""
     a._check_pair(b, "multiply")
+    alg = a.alg
+    Dc = alg.integer_rows[0]
+    (Da, items_a), (Db, items_b) = a.numerators, b.numerators
+    top = a.filtration + b.filtration  # each word's Dc ** len is brought to Dc ** top
     out = {}
-    for ma, ca in a.coeffs.items():
-        for mb, cb in b.coeffs.items():
-            c = ca * cb
-            for m, cw in _straighten(a.alg, ma + mb).items():
-                v = out.get(m, ZERO) + c * cw
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-    return PBWElement(a.alg, a.tag, out)
+    for ma, na in items_a:
+        for mb, nb in items_b:
+            c = na * nb * Dc ** (top - len(ma) - len(mb))
+            for m, n in _straighten(alg, ma + mb).items():
+                out[m] = out.get(m, 0) + c * n
+    return PBWElement(alg, a.tag, out, Da * Db * Dc ** top)
 
 
 def pbw_commutator(a: PBWElement, b: PBWElement) -> PBWElement:
@@ -213,7 +200,7 @@ def center(alg: LieAlgebraSpec, maxdeg: int, tag: str = TAG_G) -> list:
              if alg.weight_zero(tuple(map(mono.count, range(alg.dim))))]
     images = []
     for mono in basis:
-        z = PBWElement(alg, tag, {mono: QQ(1)})
+        z = PBWElement(alg, tag, {mono: 1})
         col = {}
         for i in alg.actors[1]:
             for m, c in pbw_commutator(z, PBWElement.generator(alg, tag, i)).coeffs.items():
@@ -321,53 +308,65 @@ class PBWTensorSquare(_SparseVec):
     _frame = PBWElement._frame
     _check_pair = PBWElement._check_pair
 
+    @classmethod
+    def make(cls, alg, tag, items) -> "PBWTensorSquare":
+        return cls(alg, tag, *_integer((key, QQ(c)) for key, c in dict(items).items()))
+
+    @property
+    def filtration(self) -> int:
+        return max((len(m1) + len(m2) for (m1, m2), _ in self.numerators[1]), default=0)
+
 
 def _mult_square(t: PBWTensorSquare, u: PBWTensorSquare) -> PBWTensorSquare:
-    out = PBWTensorSquare.zero(t.alg, t.tag)
-    for (a1, a2), c in t.coeffs.items():
-        for (b1, b2), d in u.coeffs.items():
-            left = _straighten(t.alg, a1 + b1)
-            right = _straighten(t.alg, a2 + b2)
-            cd = c * d
-            for m1, w1 in left.items():
-                for m2, w2 in right.items():
-                    out.add_term((m1, m2), cd * w1 * w2)
-    return out
+    alg = t.alg
+    Dc = alg.integer_rows[0]
+    (Dt, items_t), (Du, items_u) = t.numerators, u.numerators
+    top = t.filtration + u.filtration  # as in pbw_product
+    out = {}
+    for (a1, a2), c in items_t:
+        for (b1, b2), d in items_u:
+            cd = c * d * Dc ** (top - len(a1) - len(a2) - len(b1) - len(b2))
+            right = _straighten(alg, a2 + b2).items()
+            for m1, w1 in _straighten(alg, a1 + b1).items():
+                for m2, w2 in right:
+                    out[m1, m2] = out.get((m1, m2), 0) + cd * w1 * w2
+    return PBWTensorSquare(alg, t.tag, out, Dt * Du * Dc ** top)
 
 
 def coproduct_square(x: PBWElement) -> PBWTensorSquare:
     """Delta_0(x): generators primitive, extended multiplicatively.
     Subsequences of a sorted monomial stay sorted, so no straightening."""
-    out = PBWTensorSquare.zero(x.alg, x.tag)
-    for mono, c in x.coeffs.items():
+    D, items = x.numerators
+    out = {}
+    for mono, c in items:
         n = len(mono)
         for mask in range(1 << n):
-            left = tuple(mono[i] for i in range(n) if mask >> i & 1)
-            right = tuple(mono[i] for i in range(n) if not mask >> i & 1)
-            out.add_term((left, right), c)
-    return out
+            key = (tuple(mono[i] for i in range(n) if mask >> i & 1),
+                   tuple(mono[i] for i in range(n) if not mask >> i & 1))
+            out[key] = out.get(key, 0) + c
+    return PBWTensorSquare(x.alg, x.tag, out, D)
 
 
 def _delta_generator(g: LieAlgebraSpec, dual: LieAlgebraSpec, tag: str,
                      a: int) -> PBWTensorSquare:
     """Cobracket of the dual generator a: the transpose of g's bracket."""
-    out = PBWTensorSquare.zero(dual, tag)
-    for i, targets in g.bracket_rows.items():
+    Dc, rows = g.integer_rows
+    out = {}
+    for i, targets in rows.items():
         for j, pairs in targets.items():
             if i >= j:
                 continue
             for tgt, c in pairs:
                 if tgt == a:
-                    out.add_term(((i,), (j,)), c)
-                    out.add_term(((j,), (i,)), -c)
-    return out
+                    out[(i,), (j,)] = c
+                    out[(j,), (i,)] = -c
+    return PBWTensorSquare(dual, tag, out, Dc)
 
 
 def copoisson_delta(x: PBWElement, g: LieAlgebraSpec) -> PBWTensorSquare:
     """The co-Poisson cobracket on U(g*): transpose structure constants on
     generators, co-Leibniz rule delta(xy) = delta(x)Delta0(y) + Delta0(x)delta(y)."""
     dual = x.alg
-    out = PBWTensorSquare.zero(dual, x.tag)
     memo = dual.memo
 
     def of_monomial(mono):
@@ -381,39 +380,40 @@ def copoisson_delta(x: PBWElement, g: LieAlgebraSpec) -> PBWTensorSquare:
             res = _delta_generator(g, dual, x.tag, mono[0])
         else:
             head = PBWElement.generator(dual, x.tag, mono[0])
-            rest = PBWElement.make(dual, x.tag, {mono[1:]: QQ(1)})
+            rest = PBWElement(dual, x.tag, {mono[1:]: 1})
             res = _mult_square(of_monomial((mono[0],)), coproduct_square(rest))
             res = res + _mult_square(coproduct_square(head), of_monomial(mono[1:]))
         memo[key] = res
         return res
 
-    for mono, c in x.coeffs.items():
-        out = out + of_monomial(mono).scale(c)
-    return out
+    return x.extend_linearly(of_monomial, PBWTensorSquare.zero(dual, x.tag))
 
 
 def derivation_D(x: PBWElement, g: LieAlgebraSpec) -> PBWElement:
-    """bracket-after-cobracket of the dual algebra, extended as a derivation."""
-    dual = x.alg
-    key = ("derivation_D", g, x.tag)
-    gen_img = dual.memo.get(key)
-    if gen_img is None:
-        gen_img = []
-        for a in range(dual.dim):
-            acc = PBWElement.zero(dual, x.tag)
-            delta = _delta_generator(g, dual, x.tag, a)
-            for ((m1, m2), c) in delta.coeffs.items():
-                i, j = m1[0], m2[0]
-                for tgt, w in dual.bracket_rows.get(i, {}).get(j, ()):
-                    acc = acc + PBWElement.make(dual, x.tag, {(tgt,): c * w})
-            gen_img.append(acc)
-        dual.memo[key] = gen_img
+    """bracket-after-cobracket of the dual algebra, extended as a derivation:
+    memoized per monomial by Leibniz, D(m x_a) = D(m) x_a + m D(x_a)."""
+    dual, tag = x.alg, x.tag
 
-    out = PBWElement.zero(dual, x.tag)
-    for mono, c in x.coeffs.items():
-        for t in range(len(mono)):
-            pre = PBWElement.make(dual, x.tag, {mono[:t]: QQ(1)})
-            post = PBWElement.make(dual, x.tag, {mono[t + 1:]: QQ(1)})
-            term = pbw_product(pbw_product(pre, gen_img[mono[t]]), post)
-            out = out + term.scale(c)
-    return out
+    def of_monomial(mono):
+        key = ("derivation_D", g, tag, mono)
+        hit = dual.memo.get(key)
+        if hit is not None:
+            return hit
+        if not mono:
+            hit = PBWElement.zero(dual, tag)
+        elif len(mono) == 1:  # the dual bracket of each cobracket term of x_a
+            Dd, rows = dual.integer_rows
+            Dg, delta = _delta_generator(g, dual, tag, mono[0]).numerators
+            out = {}
+            for ((i,), (j,)), c in delta:
+                for tgt, w in rows.get(i, {}).get(j, ()):
+                    out[(tgt,)] = out.get((tgt,), 0) + c * w
+            hit = PBWElement(dual, tag, out, Dg * Dd)
+        else:
+            head, last = mono[:-1], mono[-1:]
+            hit = (pbw_product(of_monomial(head), PBWElement(dual, tag, {last: 1}))
+                   + pbw_product(PBWElement(dual, tag, {head: 1}), of_monomial(last)))
+        dual.memo[key] = hit
+        return hit
+
+    return x.extend_linearly(of_monomial, PBWElement.zero(dual, tag))

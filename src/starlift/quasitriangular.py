@@ -9,8 +9,8 @@ from functools import cached_property
 
 from . import linsolve
 from ._rat import QQ, ZERO
-from .core import (FormalSeriesTensor, LieAlgebraSpec, RMatrix, _Record, coproduct_insert, cyb,
-                   poisson_bracket)
+from .core import (FormalSeriesTensor, LieAlgebraSpec, RMatrix, _Record, combine,
+                   coproduct_insert, cyb, poisson_bracket)
 from .envelope import (
     TAG_G,
     TAG_GSTAR,
@@ -116,26 +116,27 @@ def c_s_coderivation(x: PBWElement, g: LieAlgebraSpec) -> PBWElement:
 def _d_tensor_id(x: PBWElement, g: LieAlgebraSpec) -> PBWTensorSquare:
     """(D (x) id) applied to Delta_0(x), memoized per monomial of x like
     copoisson_delta: C_s at every s shares these images."""
-    dual = x.alg
-    out = PBWTensorSquare.zero(dual, x.tag)
-    for mono, c in x.coeffs.items():
-        key = ("_d_tensor_id", g, x.tag, mono)
+    dual, tag = x.alg, x.tag
+    zero = PBWTensorSquare.zero(dual, tag)
+
+    def d_left(pair):  # D(m1) (x) m2
+        Dm, items = c_s_coderivation(PBWElement(dual, tag, {pair[0]: 1}), g).numerators
+        return PBWTensorSquare(dual, tag, {(m, pair[1]): n for m, n in items}, Dm)
+
+    def of_monomial(mono):
+        key = ("_d_tensor_id", g, tag, mono)
         img = dual.memo.get(key)
         if img is None:
-            img = PBWTensorSquare.zero(dual, x.tag)
-            unit = PBWElement(dual, x.tag, {mono: QQ(1)})
-            for (m1, m2), w in coproduct_square(unit).coeffs.items():
-                dm1 = c_s_coderivation(PBWElement.make(dual, x.tag, {m1: QQ(1)}), g)
-                for m, v in dm1.coeffs.items():
-                    img.add_term((m, m2), w * v)
-            dual.memo[key] = img
-        out = out + img.scale(c)
-    return out
+            unit = PBWElement(dual, tag, {mono: 1})
+            img = dual.memo[key] = coproduct_square(unit).extend_linearly(d_left, zero)
+        return img
+
+    return x.extend_linearly(of_monomial, zero)
 
 
 def c_s_map(x: PBWElement, g: LieAlgebraSpec, s) -> PBWTensorSquare:
     """The defining map of C_s: delta(x) - s * (D (x) id)(Delta_0(x))."""
-    return copoisson_delta(x, g) - _d_tensor_id(x, g).scale(QQ(s))
+    return combine([(1, copoisson_delta(x, g)), (-QQ(s), _d_tensor_id(x, g))])
 
 
 def c_s_basis(s, maxdeg: int, qt: QTStructure) -> list:
@@ -146,7 +147,7 @@ def c_s_basis(s, maxdeg: int, qt: QTStructure) -> list:
     key = ("c_s_basis", QQ(s), maxdeg)
     if key not in dual.memo:
         basis = pbw_basis(qt.g.dim, maxdeg)
-        images = [c_s_map(PBWElement.make(dual, TAG_GSTAR, {mono: QQ(1)}), qt.g, s).coeffs
+        images = [c_s_map(PBWElement(dual, TAG_GSTAR, {mono: 1}), qt.g, s).coeffs
                   for mono in basis]
         dual.memo[key] = [PBWElement.make(dual, TAG_GSTAR, {basis[j]: c for j, c in vec.items()})
                           for vec in linsolve.kernel_of(images)]
@@ -164,42 +165,36 @@ def c_s_graded_dims(s, maxdeg: int, qt: QTStructure) -> tuple:
     return tuple(dims)
 
 
-def _antipode(x: PBWElement) -> PBWElement:
-    """S_0: generators to their negatives, extended as antihomomorphism."""
-    out = PBWElement.zero(x.alg, x.tag)
-    for mono, c in x.coeffs.items():
-        term = PBWElement.make(x.alg, x.tag, {(): c * QQ((-1) ** len(mono))})
-        for i in reversed(mono):
-            term = pbw_product(term, PBWElement.generator(x.alg, x.tag, i))
-        out = out + term
-    return out
-
-
 def _lr_image(qt: QTStructure, mono, right: bool) -> PBWElement:
-    """Algebra-morphism extension of L (right=False) or R (right=True)
-    applied to a sorted dual monomial, landing in U(g)."""
-    g = qt.g
-    d = g.dim
-    ent = qt.rprime.entries
-    acc = PBWElement.one(g, TAG_G)
-    for a in mono:
-        if right:
-            img = {(i,): -ent[i][a] for i in range(d) if ent[i][a]}
-        else:
-            img = {(j,): ent[a][j] for j in range(d) if ent[a][j]}
-        acc = pbw_product(acc, PBWElement.make(g, TAG_G, img))
-    return acc
+    """L (right=False) or S_0 . R (right=True) of a sorted dual monomial,
+    landing in U(g), for L and R the algebra morphisms extending the
+    generator images r'(xi_a (x) .) and -r'(. (x) xi_a); S_0 is the
+    antihomomorphism negating generators. Memoized per monomial, each from
+    its prefix and one generator image: L(m x_a) = L(m) L(x_a) and
+    S_0R(m x_a) = -R(x_a) S_0R(m)."""
+    key = ("_lr_image", qt.rprime, mono, right)
+    hit = qt.dual.memo.get(key)
+    if hit is not None:
+        return hit
+    g, ent = qt.g, qt.rprime.entries
+    if not mono:
+        hit = PBWElement.one(g, TAG_G)
+    elif right:
+        minus_r = PBWElement.make(g, TAG_G, {(i,): ent[i][mono[-1]] for i in range(g.dim)})
+        hit = pbw_product(minus_r, _lr_image(qt, mono[:-1], True))
+    else:
+        left = PBWElement.make(g, TAG_G, {(j,): ent[mono[-1]][j] for j in range(g.dim)})
+        hit = pbw_product(_lr_image(qt, mono[:-1], False), left)
+    qt.dual.memo[key] = hit
+    return hit
 
 
 def sts_alpha(x: PBWElement, qt: QTStructure) -> PBWElement:
-    """m_0 . (L (x) (S_0 . R)) . Delta_0 : U(g*) -> U(g)."""
-    g = qt.g
-    out = PBWElement.zero(g, TAG_G)
-    for (m1, m2), c in coproduct_square(x).coeffs.items():
-        left = _lr_image(qt, m1, right=False)
-        rightimg = _antipode(_lr_image(qt, m2, right=True))
-        out = out + pbw_product(left, rightimg).scale(c)
-    return out
+    """m_0 . (L (x) (S_0 . R)) . Delta_0 : U(g*) -> U(g), one product per
+    coproduct term."""
+    return coproduct_square(x).extend_linearly(
+        lambda pair: pbw_product(_lr_image(qt, pair[0], False), _lr_image(qt, pair[1], True)),
+        PBWElement.zero(qt.g, TAG_G))
 
 
 def _alpha_images(qt: QTStructure, maxdeg: int) -> tuple:
@@ -212,7 +207,7 @@ def _alpha_images(qt: QTStructure, maxdeg: int) -> tuple:
         key = ("sts_alpha", qt.rprime, mono)
         img = qt.dual.memo.get(key)
         if img is None:
-            unit = PBWElement(qt.dual, TAG_GSTAR, {mono: QQ(1)})
+            unit = PBWElement(qt.dual, TAG_GSTAR, {mono: 1})
             img = qt.dual.memo[key] = sts_alpha(unit, qt).coeffs
         images.append(img)
     return basis, images

@@ -372,15 +372,15 @@ def test_report_bytes_under_python_O(argv):
     assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[argv]
 
 
-# The co-Hochschild, lift, envelope, qt, sparse-vector and core unit tests
-# themselves (the record checks among them), with assert statements
+# The co-Hochschild, lift, envelope, qt, duality, sparse-vector and core unit
+# tests themselves (the record checks among them), with assert statements
 # stripped from the package.
 def test_unit_tests_under_python_O():
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(Path(starlift.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
                            "tests/test_cohochschild.py", "tests/test_lifts.py",
-                           "tests/test_envelope.py", "tests/test_qt.py",
+                           "tests/test_envelope.py", "tests/test_qt.py", "tests/test_duality.py",
                            "tests/test_sparse_vec.py", "tests/test_core.py"],
                           cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:]

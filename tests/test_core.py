@@ -249,9 +249,9 @@ RECORD_FIELDS = {
     FormalSeriesTensor: ("alg", "k", "N", "numerators"),
     Cochain: ("k", "degree", "value"),
     QTStructure: ("g", "rprime", "r", "t", "Z", "nondegenerate"),
-    PBWElement: ("alg", "tag", "coeffs"),
-    PBWTensorSquare: ("alg", "tag", "coeffs"),
-    LinearForm: ("alg", "coeffs"),
+    PBWElement: ("alg", "tag", "numerators"),
+    PBWTensorSquare: ("alg", "tag", "numerators"),
+    LinearForm: ("alg", "numerators"),
 }
 
 
@@ -264,7 +264,7 @@ def _record(cls, sl2, sl2qt):
         Cochain: Cochain.make(2, 2, r.to_series(2)),
         QTStructure: qt_validate(*sl2qt),
         PBWElement: PBWElement.one(alg, TAG_G),
-        PBWTensorSquare: PBWTensorSquare(alg, TAG_G, {((0,), (1,)): QQ(1)}),
+        PBWTensorSquare: PBWTensorSquare.make(alg, TAG_G, {((0,), (1,)): QQ(1)}),
         LinearForm: LinearForm.one(alg),
     }[cls]
 
@@ -297,3 +297,19 @@ def test_value_records_compare_and_hash_by_fields(sl2, sl2qt):
     for rec in (r.to_series(2), Cochain.make(2, 2, r.to_series(2)), qt_validate(*sl2qt)):
         with pytest.raises(TypeError):
             hash(rec)
+
+
+def test_rmatrix_reads_its_fields_for_hashing_once(sl2, monkeypatch):
+    """Memo keys such as ("sts_alpha", r', mono) hash r' on every lookup;
+    its dim^2 rationals are hashed on the first one only."""
+    alg, r = sl2
+    reads = []
+    values = RMatrix._values
+    monkeypatch.setattr(RMatrix, "_values", lambda self: reads.append(id(self)) or values(self))
+    fresh = RMatrix(alg, r.entries)
+    twin = RMatrix(alg, tuple(tuple(row) for row in r.entries))
+    memo = {("sts_alpha", fresh, (0, 1)): 1}
+    for _ in range(5):
+        assert hash(fresh) == hash(twin) == hash(r)
+        assert memo.get(("sts_alpha", fresh, (0, 1))) == 1
+    assert reads.count(id(fresh)) == reads.count(id(twin)) == 1

@@ -225,11 +225,11 @@ def _tensor_apply_d(t: PBWTensorSquare, alg) -> PBWTensorSquare:
     out = PBWTensorSquare.zero(t.alg, t.tag)
     for (m1, m2), c in t.coeffs.items():
         dl = derivation_D(PBWElement.make(t.alg, t.tag, {m1: QQ(1)}), alg)
-        for mono, v in dl.coeffs.items():
-            out.add_term((mono, m2), c * v)
+        out = out + PBWTensorSquare.make(t.alg, t.tag,
+                                         {(mono, m2): c * v for mono, v in dl.coeffs.items()})
         dr = derivation_D(PBWElement.make(t.alg, t.tag, {m2: QQ(1)}), alg)
-        for mono, v in dr.coeffs.items():
-            out.add_term((m1, mono), c * v)
+        out = out + PBWTensorSquare.make(t.alg, t.tag,
+                                         {(m1, mono): c * v for mono, v in dr.coeffs.items()})
     return out
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from starlift import (
     FormalSeriesTensor,
+    derivation_D,
     c_s_basis,
     c_s_graded_dims,
     c_s_map,
@@ -232,8 +233,8 @@ def ref_d_tensor_id(x, g):
     out = PBWTensorSquare.zero(dual, x.tag)
     for (m1, m2), c in coproduct_square(x).coeffs.items():
         dm1 = c_s_coderivation(PBWElement.make(dual, x.tag, {m1: QQ(1)}), g)
-        for mono, v in dm1.coeffs.items():
-            out.add_term((mono, m2), c * v)
+        out = out + PBWTensorSquare.make(dual, x.tag,
+                                         {(mono, m2): c * v for mono, v in dm1.coeffs.items()})
     return out
 
 
@@ -256,6 +257,80 @@ def test_c_s_basis_matches_unmemoized_kernel(name, maxdeg):
     for s in ("1", "0", "-3/4", "2", "1"):
         want = [x.coeffs for x in ref_c_s_basis(QQ(s), maxdeg, oracle)]
         assert [x.coeffs for x in c_s_basis(QQ(s), maxdeg, fresh)] == want
+
+
+# ---- the two per-monomial recurrences against the direct formulas ----------
+
+
+def ref_derivation_D(x, g):
+    """sum over each letter x_t of a monomial of pre * D(x_t) * post, with
+    D(xi_a) = sum_{i != j} c_ij^a [xi_i, xi_j] read off g's brackets."""
+    dual, tag = x.alg, x.tag
+    gen_img = []
+    for a in range(dual.dim):
+        items = {}
+        for i, j in itertools.permutations(range(g.dim), 2):
+            for tgt, w in dual.bracket_rows.get(i, {}).get(j, ()):
+                items[(tgt,)] = items.get((tgt,), QQ(0)) + g.c[i][j][a] * w
+        gen_img.append(PBWElement.make(dual, tag, items))
+    out = PBWElement.zero(dual, tag)
+    for mono, c in x.coeffs.items():
+        for t in range(len(mono)):
+            pre = PBWElement.make(dual, tag, {mono[:t]: QQ(1)})
+            post = PBWElement.make(dual, tag, {mono[t + 1:]: QQ(1)})
+            out = out + pbw_product(pbw_product(pre, gen_img[mono[t]]), post).scale(c)
+    return out
+
+
+def ref_antipode(x):
+    """S_0: generators to their negatives, extended as antihomomorphism."""
+    out = PBWElement.zero(x.alg, x.tag)
+    for mono, c in x.coeffs.items():
+        term = PBWElement.make(x.alg, x.tag, {(): c * QQ((-1) ** len(mono))})
+        for i in reversed(mono):
+            term = pbw_product(term, PBWElement.generator(x.alg, x.tag, i))
+        out = out + term
+    return out
+
+
+def ref_lr_image(qt, mono, right):
+    d = qt.g.dim
+    ent = qt.rprime.entries
+    acc = PBWElement.one(qt.g, TAG_G)
+    for a in mono:
+        if right:
+            img = {(i,): -ent[i][a] for i in range(d) if ent[i][a]}
+        else:
+            img = {(j,): ent[a][j] for j in range(d) if ent[a][j]}
+        acc = pbw_product(acc, PBWElement.make(qt.g, TAG_G, img))
+    return acc
+
+
+def ref_sts_alpha(x, qt):
+    """m_0 . (L (x) (S_0 . R)) . Delta_0, with S_0 applied to R's product."""
+    out = PBWElement.zero(qt.g, TAG_G)
+    for (m1, m2), c in coproduct_square(x).coeffs.items():
+        left = ref_lr_image(qt, m1, right=False)
+        rightimg = ref_antipode(ref_lr_image(qt, m2, right=True))
+        out = out + pbw_product(left, rightimg).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("name, maxdeg", [("sl2-qt", 4), ("nonabelian2", 3)])
+def test_per_monomial_recurrences_match_direct_formulas(name, maxdeg):
+    """derivation_D by Leibniz and alpha from the memoized L and S_0R images,
+    on every basis monomial and on one element spanning them, against the
+    unmemoized formulas."""
+    g, rp = load_lie_algebra(data_path(name))
+    qt = qt_validate(g, rp)
+    basis = pbw_basis(g.dim, maxdeg)
+    units = [PBWElement.make(qt.dual, TAG_GSTAR, {mono: QQ(1)}) for mono in basis]
+    mixed = PBWElement.make(qt.dual, TAG_GSTAR,
+                            {mono: QQ(j % 5 - 2, 1 + j % 3) for j, mono in enumerate(basis)})
+    for x in units + [mixed]:
+        assert derivation_D(x, g) == ref_derivation_D(x, g)
+        assert sts_alpha(x, qt) == ref_sts_alpha(x, qt)
+    assert not derivation_D(mixed, g).is_zero() and not sts_alpha(mixed, qt).is_zero()
 
 
 class _CountingMemo(dict):

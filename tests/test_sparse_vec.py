@@ -1,25 +1,30 @@
 """The linear structure shared by the four sparse types: zero, negation and
 scaling behave alike, and each type refuses operands from another space
-with its own typed error. FormalSeriesTensor's integer state is checked
-against Fraction oracles."""
+with its own typed error. The integer state of each type, and the kernels
+that write it, are checked against Fraction oracles."""
 import itertools
-from math import factorial, lcm
+from functools import cache
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starlift import (FormalSeriesTensor, LinearForm, alt_project, copoisson_delta,
-                      coproduct_insert, dual_bracket, g_action, multiply, poisson_bracket)
+                      coproduct_insert, dual_bracket, g_action, lift, load_lie_algebra, multiply,
+                      pbw_product, poisson_bracket, rho_product)
 from starlift._rat import QQ
 from starlift.cohochschild import _d_faces, _d_raw
 from starlift.core import combine, key_degree
-from starlift.envelope import TAG_G, TAG_GSTAR, PBWElement, PBWTensorSquare
+from starlift.duality import _coproduct_images, _vec_factorial
+from starlift.envelope import (TAG_G, TAG_GSTAR, PBWElement, PBWTensorSquare, _mult_square,
+                               coproduct_square)
 from starlift.errors import AlgebraMismatch
 from starlift.star import bch_terms, star
 
-from test_kernel_oracle import (COEFFS, ref_coproduct_insert, ref_g_action, ref_poisson_bracket,
-                                settings_, tensors)
+from conftest import data_path
+from test_kernel_oracle import (ALGEBRAS, COEFFS, ref_coproduct_insert, ref_g_action,
+                                ref_poisson_bracket, settings_, tensors, vecs)
 
 
 def _samples(alg):
@@ -29,7 +34,8 @@ def _samples(alg):
             alg, 2, 4, {((1, 0, 0), (0, 1, 0)): QQ(2, 3), ((0, 0, 1), (1, 1, 0)): QQ(-5)}),
         "form": LinearForm.make(alg, {(1, 0, 0): QQ(1, 2), (0, 2, 1): QQ(-7, 3)}),
         "pbw": PBWElement.make(alg, TAG_G, {(0, 2): QQ(3), (1,): QQ(-1, 4)}),
-        "square": PBWTensorSquare(alg, TAG_GSTAR, {((0,), (1, 2)): QQ(5, 6), ((), (2,)): QQ(1)}),
+        "square": PBWTensorSquare.make(alg, TAG_GSTAR,
+                                       {((0,), (1, 2)): QQ(5, 6), ((), (2,)): QQ(1)}),
     }
 
 
@@ -45,12 +51,12 @@ def test_linear_identities(sl2, kind):
 
 
 def test_tensor_squares_over_different_algebras_do_not_add(sl2, nonabelian2):
-    a = PBWTensorSquare(sl2[0], TAG_G, {((0,), (1,)): QQ(1)})
-    b = PBWTensorSquare(nonabelian2[0], TAG_G, {((0,), (1,)): QQ(1)})
+    a = PBWTensorSquare.make(sl2[0], TAG_G, {((0,), (1,)): QQ(1)})
+    b = PBWTensorSquare.make(nonabelian2[0], TAG_G, {((0,), (1,)): QQ(1)})
     with pytest.raises(AlgebraMismatch):
         a + b
     with pytest.raises(AlgebraMismatch):
-        a - PBWTensorSquare(sl2[0], TAG_GSTAR, dict(a.coeffs))
+        a - PBWTensorSquare.make(sl2[0], TAG_GSTAR, a.coeffs)
 
 
 @pytest.mark.parametrize("order", [(TAG_G, TAG_GSTAR), (TAG_GSTAR, TAG_G)])
@@ -128,6 +134,8 @@ def _ref_alt(f):
 
 
 def _check(got, want):
+    D, items = got.numerators
+    assert D > 0 and gcd(D, *(n for _, n in items)) == 1
     assert got.numerators == _normal_form(got.coeffs)
     assert got.coeffs == want
 
@@ -163,3 +171,145 @@ def test_integer_state_matches_fraction_oracle(data):
     # star takes elements of m^2
     high_f, high_g = (h - h.homogeneous_part(0) - h.homogeneous_part(1) for h in (f, g))
     _check(star(high_f, high_g), _ref_star(high_f, high_g))
+
+
+# ---- the integer state of PBWElement, PBWTensorSquare and LinearForm ------
+# The Fraction loops these types and their kernels replaced, kept as oracles.
+
+
+@cache
+def ref_straighten(alg, word):
+    out = None
+    for p in range(len(word) - 1):
+        j, i = word[p], word[p + 1]
+        if j <= i:
+            continue
+        out = {}
+        swapped = word[:p] + (i, j) + word[p + 2:]
+        for m, c in ref_straighten(alg, swapped).items():
+            out[m] = out.get(m, QQ(0)) + c
+        for k, c in alg.bracket_rows.get(j, {}).get(i, ()):
+            shorter = word[:p] + (k,) + word[p + 2:]
+            for m, c2 in ref_straighten(alg, shorter).items():
+                v = out.get(m, QQ(0)) + c * c2
+                if v:
+                    out[m] = v
+                else:
+                    out.pop(m, None)
+        break
+    if out is None:
+        out = {word: QQ(1)}
+    return out
+
+
+def ref_pbw_product(a, b):
+    out = {}
+    for ma, ca in a.coeffs.items():
+        for mb, cb in b.coeffs.items():
+            c = ca * cb
+            for m, cw in ref_straighten(a.alg, ma + mb).items():
+                v = out.get(m, QQ(0)) + c * cw
+                if v:
+                    out[m] = v
+                else:
+                    out.pop(m, None)
+    return out
+
+
+def ref_mult_square(t, u):
+    terms = []
+    for (a1, a2), c in t.coeffs.items():
+        for (b1, b2), d in u.coeffs.items():
+            left = ref_straighten(t.alg, a1 + b1)
+            right = ref_straighten(t.alg, a2 + b2)
+            terms.append((c * d, {(m1, m2): w1 * w2 for m1, w1 in left.items()
+                                  for m2, w2 in right.items()}))
+    return _fraction_sum(*terms)
+
+
+def ref_coproduct_square(x):
+    terms = []
+    for mono, c in x.coeffs.items():
+        n = len(mono)
+        for mask in range(1 << n):
+            left = tuple(mono[i] for i in range(n) if mask >> i & 1)
+            right = tuple(mono[i] for i in range(n) if not mask >> i & 1)
+            terms.append((c, {(left, right): 1}))
+    return _fraction_sum(*terms)
+
+
+def ref_pair_two(l1, l2, t):
+    total = QQ(0)
+    for (v1, v2), c in t.coeffs.items():
+        a = l1.coeffs.get(v1)
+        if not a:
+            continue
+        b = l2.coeffs.get(v2)
+        if not b:
+            continue
+        total += c * a * b * _vec_factorial(v1) * _vec_factorial(v2)
+    return total
+
+
+def ref_rho_product(l1, l2, rho):
+    out = {}
+    for vec, tc in _coproduct_images(rho, l1.order + l2.order).items():
+        val = ref_pair_two(l1, l2, tc)
+        if val:
+            out[vec] = val / _vec_factorial(vec)
+    return out
+
+
+@st.composite
+def pbw_elements(draw, alg, square=False):
+    mono = st.lists(st.integers(0, alg.dim - 1), max_size=3 - square).map(sorted).map(tuple)
+    if square:
+        return PBWTensorSquare.make(alg, TAG_GSTAR, draw(st.dictionaries(
+            st.tuples(mono, mono), COEFFS, max_size=4)))
+    return PBWElement.make(alg, TAG_G, draw(st.dictionaries(mono, COEFFS, max_size=4)))
+
+
+def _check_linear(a, b, q):
+    """+, -, negation and scale of a and b against Fraction sums, and zero."""
+    ac, bc = a.coeffs, b.coeffs
+    _check(a + b, _fraction_sum((1, ac), (1, bc)))
+    _check(a - b, _fraction_sum((1, ac), (-1, bc)))
+    _check(-a, _fraction_sum((-1, ac)))
+    _check(a.scale(q), _fraction_sum((q, ac)))
+    assert (a - a).numerators == (1, []) and a.scale(0).numerators == (1, [])
+    assert type(a).zero(*a._frame()).numerators == (1, [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pbw_integer_state_matches_fraction_oracle(data):
+    alg = ALGEBRAS[data.draw(st.sampled_from(sorted(ALGEBRAS)))]
+    x, y = data.draw(pbw_elements(alg)), data.draw(pbw_elements(alg))
+    t, u = data.draw(pbw_elements(alg, True)), data.draw(pbw_elements(alg, True))
+    q = data.draw(st.one_of(st.just(0), COEFFS))
+    _check_linear(x, y, q)
+    _check_linear(t, u, q)
+    _check(pbw_product(x, y), ref_pbw_product(x, y))
+    _check(_mult_square(t, u), ref_mult_square(t, u))
+    _check(coproduct_square(x), ref_coproduct_square(x))
+
+
+@cache
+def _rhos():
+    """Lifted rhos, one of them rescaled so that its denominators grow."""
+    out = []
+    for name in ("sl2", "nonabelian2"):
+        rho = lift(load_lie_algebra(data_path(name))[1], 4)["rho"]
+        out += [rho, rho.scale(QQ(2, 3))]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_linear_form_integer_state_matches_fraction_oracle(data):
+    rho = data.draw(st.sampled_from(_rhos()))
+    forms = st.dictionaries(vecs(rho.alg.dim, 2), COEFFS, max_size=4)
+    l1, l2 = (LinearForm.make(rho.alg, data.draw(forms)) for _ in range(2))
+    q = data.draw(st.one_of(st.just(0), COEFFS))
+    _check_linear(l1, l2, q)
+    _check(rho_product(l1, l2, rho), ref_rho_product(l1, l2, rho))
