@@ -221,9 +221,13 @@ def cmd_theta(alg, rmat, args) -> dict:
     commutative = all(
         envelope.pbw_commutator(a, b).is_zero() for a, b in itertools.combinations(images, 2)
     )
+    # Theta reads rho only through degree T (see duality.theta), and in m^2
+    # a BCH word outgrows each of its letters, so gauging commutes with
+    # truncation, as _fixed_gauges does: gauging at T compares the same images.
+    T = min(N, max(maxdeg, 2))
     gauge_ok = True
-    for lam in _fixed_gauges(alg, N):
-        rho2 = lifts.gauge_rho(lam, rho)
+    for lam in _fixed_gauges(alg, T):
+        rho2 = lifts.gauge_rho(lam, rho.truncate(T))
         if [duality.theta(f, rho2) for f in traces] != images:
             gauge_ok = False
     report = {

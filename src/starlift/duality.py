@@ -175,7 +175,8 @@ def convolution_bracket(rho: FormalSeriesTensor) -> LieAlgebraSpec:
 def theta(f: LinearForm, rho: FormalSeriesTensor) -> PBWElement:
     """Express a Poisson trace as an element of the dual enveloping algebra:
     pair iterated convolution products of dual generators against monomials
-    and solve the unitriangular change of basis."""
+    and solve the unitriangular change of basis. It reads rho only through
+    degree max(f.order, 2)."""
     alg = f.alg
     if not is_poisson_trace(f):
         raise NotATrace("theta is defined on Poisson traces only")

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import starlift
-from starlift.cli import main
+from starlift import load_lie_algebra
+from starlift.cli import _fixed_gauges, main
 
 from conftest import data_path
 
@@ -86,6 +87,21 @@ def test_theta_sl2(capsys):
         "filtered": True,
         "gauge_independent": True,
     }
+
+
+# theta's gauge certificate builds its parameters at the degree theta reads:
+# they must be the lift-degree parameters truncated there.
+@pytest.mark.parametrize("name", ["abelian3", "nonabelian2", "sl2", "sl3"])
+def test_fixed_gauges_truncate_to_lower_degree(name):
+    alg = load_lie_algebra(data_path(name))[0]
+    N = 5
+    full = _fixed_gauges(alg, N)
+    for T in range(2, N + 1):
+        cut = _fixed_gauges(alg, T)
+        assert len(cut) == len(full) == 2
+        for lam, lam_T in zip(full, cut):
+            assert lam_T.N == T
+            assert lam.truncate(T) == lam_T
 
 
 def test_qt_sl2(capsys):
@@ -347,6 +363,14 @@ GOLDEN = {
         (1, "add1f9018cb56f73048c1af6a946cbbfa9d8d8c17b032923b502d4e7b9720821"),
     ("qt", "sl2"):
         (1, "2b12391a60b72460864ad9b8752a15d263a405a4587e119fe635a745a9bf37ca"),
+    # taken before the gauge certificate moved to degree max(--maxdeg, 2),
+    # below the lift degree max(--degree, --maxdeg)
+    ("theta", "sl2", "--maxdeg", "3"):
+        (0, "7ba8b26532180af98e5d4dda0d2bc168a4d7c0fd4d8086d4a5484a7b951e5399"),
+    ("theta", "nonabelian2", "--maxdeg", "2"):
+        (0, "8460be57184bc2cb9ff4841193107c0e5406948947a28e71ce51bba8e84b7b31"),
+    ("theta", "nonabelian2", "--maxdeg", "4"):
+        (0, "903b4113a78b5880a0e92a304639e81b137d834eff1298d5c175712931de78e2"),
 }
 
 
@@ -362,6 +386,7 @@ def test_report_bytes(capsys, argv):
                                   ("lift", "nonabelian2", "--degree", "9", "--allow-large"),
                                   ("cohomology", "sl2", "--degree", "4"),
                                   ("theta", "sl2", "--degree", "3", "--maxdeg", "3"),
+                                  ("theta", "sl2", "--maxdeg", "4"),
                                   ("qt", "sl2-qt", "--maxdeg", "4", "--s=1")],
                          ids=" ".join)
 def test_report_bytes_under_python_O(argv):
@@ -372,8 +397,8 @@ def test_report_bytes_under_python_O(argv):
     assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[argv]
 
 
-# The co-Hochschild, lift, envelope, qt, duality, sparse-vector and core unit
-# tests themselves (the record checks among them), with assert statements
+# The co-Hochschild, lift, envelope, qt, duality, sparse-vector, core and star
+# unit tests themselves (the record checks among them), with assert statements
 # stripped from the package.
 def test_unit_tests_under_python_O():
     root = Path(__file__).resolve().parent.parent
@@ -381,7 +406,8 @@ def test_unit_tests_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
                            "tests/test_cohochschild.py", "tests/test_lifts.py",
                            "tests/test_envelope.py", "tests/test_qt.py", "tests/test_duality.py",
-                           "tests/test_sparse_vec.py", "tests/test_core.py"],
+                           "tests/test_sparse_vec.py", "tests/test_core.py",
+                           "tests/test_star.py"],
                           cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:]
 

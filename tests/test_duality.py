@@ -239,3 +239,19 @@ def test_equal_rhos_keep_separate_memos(sl2rho):
     assert first.memo.keys() == second.memo.keys() != set()
     for key in first.memo:
         assert first.memo[key] is not second.memo[key]
+
+
+# ---- what theta reads of rho -------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["sl2", "nonabelian2"])
+def test_theta_reads_rho_through_degree_max_order_2(name, request):
+    """theta(f, rho) reads rho through degree max(f.order, 2) and no further;
+    the gauge certificate of the theta command relies on both halves."""
+    alg, r = request.getfixturevalue(name)
+    rho = lift(r, 5)["rho"]
+    for f in poisson_traces(alg, 4):
+        T = max(f.order, 2)
+        assert theta(f, rho) == theta(f, rho.truncate(T))
+        with pytest.raises(TruncationTooLow):
+            theta(f, rho.truncate(T - 1))

@@ -215,3 +215,21 @@ def test_defects_and_group_form_vanish_on_lifts(name, request):
     for defect in (pentagon_defect(phi), group_pentagon_defect(phi),
                    cocycle_defect(rho, phi), group_cocycle_defect(rho, phi)):
         assert defect.is_zero()
+
+
+# ---- gauging commutes with truncation ----------------------------------------
+
+
+@pytest.mark.parametrize("name", ["sl2", "nonabelian2"])
+def test_gauge_rho_commutes_with_truncation(name, request):
+    alg, r = request.getfixturevalue(name)
+    N = 5
+    rho = lift(r, N)["rho"]
+    rng = random.Random(17)
+    for _ in range(3):
+        lam = random_lambda(alg, N, rng)
+        moved = gauge_rho(lam, rho)
+        for T in range(2, N + 1):
+            cut = gauge_rho(lam.truncate(T), rho.truncate(T))
+            assert cut.N == T
+            assert moved.truncate(T) == cut

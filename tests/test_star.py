@@ -264,3 +264,19 @@ def test_star_rejects_mixed_truncations():
     g = FormalSeriesTensor.make(SL2, 1, 3, {((0, 2, 0),): QQ(1)})
     with pytest.raises(TruncationMismatch):
         star(f, g)
+
+
+# ---- truncation commutes with the group --------------------------------------
+
+
+# In m^2 a BCH word of L >= 2 letters has degree above each letter's, so the
+# degree-<=T part of f * g is the product of the degree-<=T parts.
+@settings(max_examples=100, deadline=None)
+@given(_oracle_pair())
+def test_star_commutes_with_truncation(pair):
+    f, g = pair
+    full = star(f, g)
+    for T in range(2, f.N + 1):
+        cut = star(f.truncate(T), g.truncate(T))
+        assert cut.N == T
+        assert full.truncate(T) == cut
