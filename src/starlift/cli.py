@@ -209,7 +209,11 @@ def _fixed_gauges(alg, N):
 def cmd_theta(alg, rmat, args) -> dict:
     rmat = _require_coboundary(rmat)
     maxdeg = args.maxdeg
-    N = max(args.degree, maxdeg)
+    # Theta reads rho only through degree max(--maxdeg, 2) (see duality.theta),
+    # and lift step M reads only the truncation at M + 1, so lifting past
+    # max(--maxdeg, 3) changes no report byte; below 3 the flags set the lift
+    # degree as before. `lift --degree` certifies the deeper steps.
+    N = min(max(args.degree, maxdeg), max(maxdeg, 3))
     rho = lifts.lift(rmat, N)["rho"]
     traces = duality.poisson_traces(alg, maxdeg)
     images = [duality.theta(f, rho) for f in traces]
@@ -221,8 +225,7 @@ def cmd_theta(alg, rmat, args) -> dict:
     commutative = all(
         envelope.pbw_commutator(a, b).is_zero() for a, b in itertools.combinations(images, 2)
     )
-    # Theta reads rho only through degree T (see duality.theta), and in m^2
-    # a BCH word outgrows each of its letters, so gauging commutes with
+    # In m^2 a BCH word outgrows each of its letters, so gauging commutes with
     # truncation, as _fixed_gauges does: gauging at T compares the same images.
     T = min(N, max(maxdeg, 2))
     gauge_ok = True
@@ -311,10 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("input", help="path to a JSON algebra spec")
     parser.add_argument("--degree", type=int, default=5,
                         help="series truncation degree (default 5, capped at "
-                             f"{DEGREE_CAP} without --allow-large)")
+                             f"{DEGREE_CAP} without --allow-large; theta lifts "
+                             "to at most max(--maxdeg, 3))")
     parser.add_argument("--maxdeg", type=int, default=4,
                         help="filtration bound for envelope-side computations "
-                             "(theta lifts to it, so the --degree cap applies)")
+                             "(theta lifts to at least it, so the --degree cap applies)")
     parser.add_argument("--s", default="1", help="the scalar s of the C_s family (qt only)")
     parser.add_argument("--output", choices=("json", "text"), default="json")
     parser.add_argument("--emit", choices=("full", "certificates"), default="full",

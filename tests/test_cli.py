@@ -89,6 +89,17 @@ def test_theta_sl2(capsys):
     }
 
 
+# theta lifts no higher than max(--maxdeg, 3), so a --degree at or above that
+# cannot change its report or exit code.
+@pytest.mark.parametrize("maxdeg", range(5))
+@pytest.mark.parametrize("name", ["sl2", "nonabelian2", "abelian3"])
+def test_theta_report_ignores_degree_above_what_it_reads(capsys, name, maxdeg):
+    runs = {run(capsys, "theta", data_path(name), "--degree", str(degree),
+                "--maxdeg", str(maxdeg))
+            for degree in range(max(maxdeg, 3), 7)}
+    assert len(runs) == 1
+
+
 # theta's gauge certificate builds its parameters at the degree theta reads:
 # they must be the lift-degree parameters truncated there.
 @pytest.mark.parametrize("name", ["abelian3", "nonabelian2", "sl2", "sl3"])
@@ -189,7 +200,8 @@ def test_degree_cap(capsys):
 # Stdout bytes of each degree refusal, as printed before BadDegree became a
 # StarliftError raised through the common handler. A cohomology table below
 # degree 1 would be empty and its "concentrated" certificate vacuous. theta
-# lifts to max(--degree, --maxdeg), so its --maxdeg is capped too.
+# lifts to at least --maxdeg, so its --maxdeg is capped too; its --degree
+# keeps the common cap, though theta lifts no higher than max(--maxdeg, 3).
 @pytest.mark.parametrize("argv, message", [
     (("lift", "--degree", "2"), "lift needs --degree >= 3"),
     (("lift", "--degree", "9"), "--degree > 8 needs --allow-large"),
@@ -197,7 +209,9 @@ def test_degree_cap(capsys):
     (("cohomology", "--degree", "0"), "cohomology needs --degree >= 1"),
     (("cohomology", "--degree", "-3"), "cohomology needs --degree >= 1"),
     (("theta", "--maxdeg", "9"), "theta --maxdeg > 8 needs --allow-large"),
-], ids=["lift-low", "cap", "maxdeg", "cohomology-zero", "cohomology-negative", "theta-maxdeg"])
+    (("theta", "--degree", "9"), "--degree > 8 needs --allow-large"),
+], ids=["lift-low", "cap", "maxdeg", "cohomology-zero", "cohomology-negative", "theta-maxdeg",
+        "theta-degree"])
 def test_bad_degree_bytes(capsys, argv, message):
     code, out = run(capsys, argv[0], data_path("sl2"), *argv[1:])
     assert code == 1
@@ -371,6 +385,16 @@ GOLDEN = {
         (0, "8460be57184bc2cb9ff4841193107c0e5406948947a28e71ce51bba8e84b7b31"),
     ("theta", "nonabelian2", "--maxdeg", "4"):
         (0, "903b4113a78b5880a0e92a304639e81b137d834eff1298d5c175712931de78e2"),
+    # taken while theta still lifted to max(--degree, --maxdeg): a --degree
+    # above max(--maxdeg, 3), and three runs whose lift degree stays below 3
+    ("theta", "sl2", "--degree", "6", "--maxdeg", "3"):
+        (0, "7ba8b26532180af98e5d4dda0d2bc168a4d7c0fd4d8086d4a5484a7b951e5399"),
+    ("theta", "sl2", "--degree", "2", "--maxdeg", "2"):
+        (1, "b050ee4724f3e1d1f271a4ea48955e34d32c721b71b9bda6f172715fe9a860b8"),
+    ("theta", "nonabelian2", "--degree", "0", "--maxdeg", "0"):
+        (1, "69de274b6fae6a4c4224b91da05cb3560fc8e5e684bc9be70969ebe97f98c2bb"),
+    ("theta", "nonabelian2", "--degree", "2", "--maxdeg", "2"):
+        (0, "8460be57184bc2cb9ff4841193107c0e5406948947a28e71ce51bba8e84b7b31"),
 }
 
 
@@ -387,6 +411,7 @@ def test_report_bytes(capsys, argv):
                                   ("cohomology", "sl2", "--degree", "4"),
                                   ("theta", "sl2", "--degree", "3", "--maxdeg", "3"),
                                   ("theta", "sl2", "--maxdeg", "4"),
+                                  ("theta", "sl2", "--degree", "6", "--maxdeg", "3"),
                                   ("qt", "sl2-qt", "--maxdeg", "4", "--s=1")],
                          ids=" ".join)
 def test_report_bytes_under_python_O(argv):

@@ -6,6 +6,7 @@ import pytest
 
 from starlift import (
     FormalSeriesTensor,
+    RMatrix,
     alt_project,
     cocycle_defect,
     coproduct_insert,
@@ -16,6 +17,7 @@ from starlift import (
     lift,
     lift_associator,
     lift_twist,
+    load_lie_algebra,
     negate,
     pentagon_defect,
     star,
@@ -29,6 +31,8 @@ from starlift.errors import (
     NotInvariant,
     NotInWedge3,
 )
+
+from conftest import data_path
 
 E, H, F = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -106,8 +110,6 @@ def test_lift_associator_input_checks(sl2):
     with pytest.raises(NotInWedge3):
         lift_associator(Z + FormalSeriesTensor.make(alg, 3, Z.N, {(E, E, E): QQ(1)}), 4)
     # on [a,b] = b with central c, the top wedge a^b^c is not ad-invariant
-    from starlift import load_lie_algebra
-
     aff, _ = load_lie_algebra(
         {"dim": 3, "basis": ["a", "b", "c"], "brackets": [[0, 1, [[1, "1"]]]]}
     )
@@ -233,3 +235,23 @@ def test_gauge_rho_commutes_with_truncation(name, request):
             cut = gauge_rho(lam.truncate(T), rho.truncate(T))
             assert cut.N == T
             assert moved.truncate(T) == cut
+
+
+# ---- the lift is prefix-stable -----------------------------------------------
+
+
+# Step M of either lift reads only the truncation at M + 1, so a lift to N cut
+# at T is the lift to T; theta relies on this to lift no higher than it reads.
+# sl2*3/4 has the shape of the benchmark's theta input.
+@pytest.mark.parametrize("name, N", [("sl2", 5), ("nonabelian2", 5), ("abelian3", 5),
+                                     ("sl2*3/4", 5), ("sl3", 4)])
+def test_lift_truncates_to_lower_lift(name, N):
+    alg, r = load_lie_algebra(data_path(name.split("*")[0]))
+    if name == "sl2*3/4":
+        r = RMatrix(alg, tuple(tuple(v * QQ(3, 4) for v in row) for row in r.entries))
+    full = lift(r, N)
+    for T in range(3, N + 1):
+        cut = lift(r, T)
+        for key in ("phi", "rho"):
+            assert cut[key].N == T
+            assert full[key].truncate(T) == cut[key]
