@@ -182,14 +182,10 @@ def cmd_envelope(alg, rmat, args) -> dict:
             if any(dual.c[i][j])
         ]
         # invariants Poisson-commute in S(g*) under the dual bracket
-        ok = True
-        n = 2 * maxdeg
-        for f, g in itertools.combinations(inv, 2):
-            ff = FormalSeriesTensor.make(dual, 1, n, {(v,): c for v, c in f.coeffs.items()})
-            gg = FormalSeriesTensor.make(dual, 1, n, {(v,): c for v, c in g.coeffs.items()})
-            if not poisson_bracket(ff, gg).is_zero():
-                ok = False
-        report["certificates"]["commutative"] = ok
+        series = [FormalSeriesTensor(dual, 1, 2 * maxdeg, {(v,): n for v, n in items}, D)
+                  for D, items in (f.numerators for f in inv)]
+        report["certificates"]["commutative"] = all(
+            poisson_bracket(f, g).is_zero() for f, g in itertools.combinations(series, 2))
     return report
 
 
@@ -274,7 +270,7 @@ def cmd_qt(alg, rmat, args) -> dict:
         "certificates": certs,
         "c_s_graded_dims": list(dims),
         "nondegenerate": qt.nondegenerate,
-        "mu_rprime": [rat_str(v) for v in quasitriangular.mu_of_rprime(qt)],
+        "mu_rprime": [rat_str(v) for v in inner["mu_rprime"]],
         "alpha_rank": list(quasitriangular.alpha_matrix_rank(qt, maxdeg)),
         "image_comparison": quasitriangular.compare_images(qt, maxdeg),
     }

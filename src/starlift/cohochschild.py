@@ -31,6 +31,7 @@ from .core import (
     combine,
     coproduct_insert,
     g_action,
+    invariant_kernel,
     is_invariant,
 )
 from .errors import (NotACocycle, NotHomogeneous, NotInMTensor, NotInvariant,
@@ -124,26 +125,15 @@ def invariant_basis(alg: LieAlgebraSpec, k: int, N: int):
     kernel; merged by free column, the largest key of a reduced kernel
     vector, they list what the one kernel over all keys would."""
     Dc = alg.integer_rows[0]
-    weight_zero = {}
+
+    def act(i, key):  # the image scaled by Dc, which leaves the kernel as it is
+        D, items = g_action(i, _monomial_fst(alg, key, N)).numerators
+        return {rkey: n * (Dc // D) for rkey, n in items}
+
     vecs = []
     for degs in _compositions_positive(N, k):
-        kept = []
-        for key in itertools.product(*(monomials(alg.dim, d) for d in degs)):
-            tot = tuple(map(sum, zip(*key)))
-            if tot not in weight_zero:
-                weight_zero[tot] = alg.weight_zero(tot)
-            if weight_zero[tot]:
-                kept.append(key)
-        images = []  # each column scaled by Dc, which leaves the kernel as it is
-        for key in kept:
-            mono = _monomial_fst(alg, key, N)
-            col = {}
-            for i in alg.actors[1]:
-                D, items = g_action(i, mono).numerators
-                for rkey, n in items:
-                    col[(i, rkey)] = n * (Dc // D)
-            images.append(col)
-        vecs += [{kept[j]: v for j, v in vec.items()} for vec in linsolve.kernel_of(images)]
+        keys = itertools.product(*(monomials(alg.dim, d) for d in degs))
+        vecs += invariant_kernel(alg, keys, lambda key: tuple(map(sum, zip(*key))), act)
     return [FormalSeriesTensor.make(alg, k, N, items) for items in sorted(vecs, key=max)]
 
 

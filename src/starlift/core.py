@@ -664,6 +664,24 @@ def is_invariant(f: FormalSeriesTensor) -> bool:
     return all(g_action(i, f).is_zero() for i in (*weights, *gens))
 
 
+def invariant_kernel(alg: LieAlgebraSpec, keys, multidegree, act) -> list:
+    """The g-invariants spanned by keys, as {key: c} dicts in kernel_of
+    order: the kernel, over the keys whose multidegree(key) has weight zero,
+    of the column images act(i, key) ({image key: c}, all with one common
+    nonzero scale) stacked over alg.actors' gens i (see LieAlgebraSpec.actors)."""
+    weight_zero = {}
+    kept = []
+    for key in keys:
+        tot = multidegree(key)
+        if tot not in weight_zero:
+            weight_zero[tot] = alg.weight_zero(tot)
+        if weight_zero[tot]:
+            kept.append(key)
+    images = [{(i, m): c for i in alg.actors[1] for m, c in act(i, key).items()}
+              for key in kept]
+    return [{kept[j]: c for j, c in vec.items()} for vec in linsolve.kernel_of(images)]
+
+
 @cache
 def _splits(vec: Vec, parts: int) -> tuple:
     """All ways to write vec as an ordered sum of `parts` exponent vectors,

@@ -12,10 +12,11 @@ lookups stay cheap. Products and coproducts add up Python ints.
 from __future__ import annotations
 
 import itertools
+from operator import sub
 
-from . import linsolve
-from ._rat import QQ, ZERO
-from .core import LieAlgebraSpec, RMatrix, _compositions, _integer, _normal, _SparseVec
+from ._rat import ONE, QQ, ZERO
+from .core import (LieAlgebraSpec, RMatrix, _compositions, _integer, _normal, _SparseVec,
+                   _unit, invariant_kernel)
 from .errors import AlgebraMismatch, IndexOutOfRange, UnsortedMonomial
 
 TAG_G = "U(g)"
@@ -194,23 +195,14 @@ def pbw_basis(dim: int, maxdeg: int):
 
 def center(alg: LieAlgebraSpec, maxdeg: int, tag: str = TAG_G) -> list:
     """Basis of {z : filtration <= maxdeg, [z, x_i] = 0 for all i}: the
-    kernel over the weight-zero monomials of the commutators with
-    alg.actors' gens (see LieAlgebraSpec.actors)."""
-    basis = [mono for mono in pbw_basis(alg.dim, maxdeg)
-             if alg.weight_zero(tuple(map(mono.count, range(alg.dim))))]
-    images = []
-    for mono in basis:
-        z = PBWElement(alg, tag, {mono: 1})
-        col = {}
-        for i in alg.actors[1]:
-            for m, c in pbw_commutator(z, PBWElement.generator(alg, tag, i)).coeffs.items():
-                col[(i, m)] = c
-        images.append(col)
-    out = []
-    for vec in linsolve.kernel_of(images):
-        out.append(PBWElement.make(alg, tag,
-                                   {basis[j]: c for j, c in vec.items()}))
-    return out
+    invariant kernel of the commutators with alg.actors' gens."""
+    def act(i, mono):
+        return pbw_commutator(PBWElement(alg, tag, {mono: 1}),
+                              PBWElement.generator(alg, tag, i)).coeffs
+
+    return [PBWElement.make(alg, tag, vec) for vec in invariant_kernel(
+        alg, pbw_basis(alg.dim, maxdeg), lambda mono: tuple(map(mono.count, range(alg.dim))),
+        act)]
 
 
 def coadjoint_action(alg: LieAlgebraSpec, i: int, form: dict) -> dict:
@@ -242,22 +234,11 @@ def coadjoint_action(alg: LieAlgebraSpec, i: int, form: dict) -> dict:
 
 
 def invariants_s_dual(alg: LieAlgebraSpec, maxdeg: int) -> list:
-    """Graded basis of S(g*)^g up to degree maxdeg (coadjoint kernel per
-    degree over the weight-zero monomials, acting by alg.actors' gens),
-    returned as LinearForms."""
-    out = []
-    for d in range(maxdeg + 1):
-        monos = [mono for mono in _compositions(d, alg.dim) if alg.weight_zero(mono)]
-        images = []
-        for mono in monos:
-            col = {}
-            for i in alg.actors[1]:
-                for m, c in coadjoint_action(alg, i, {mono: QQ(1)}).items():
-                    col[(i, m)] = c
-            images.append(col)
-        for vec in linsolve.kernel_of(images):
-            out.append(LinearForm.make(alg, {monos[j]: c for j, c in vec.items()}))
-    return out
+    """Graded basis of S(g*)^g up to degree maxdeg (the invariant kernel of
+    the coadjoint action, one degree at a time), returned as LinearForms."""
+    return [LinearForm.make(alg, vec) for d in range(maxdeg + 1)
+            for vec in invariant_kernel(alg, _compositions(d, alg.dim), lambda mono: mono,
+                                        lambda i, mono: coadjoint_action(alg, i, {mono: ONE}))]
 
 
 def dual_bracket(r: RMatrix) -> LieAlgebraSpec:
@@ -266,37 +247,20 @@ def dual_bracket(r: RMatrix) -> LieAlgebraSpec:
     alg = r.alg
     dim = alg.dim
 
-    # R(xi_b) = sum_k r_{k b} x_k
-    def rmap(b):
-        return {k: r.entries[k][b] for k in range(dim) if r.entries[k][b]}
-
-    # ad*(x_k) xi_a = -sum_m c_{km}^a xi_m
-    def coad(k, a):
-        out = {}
-        for m, targets in alg.bracket_rows.get(k, {}).items():
-            for tgt, c in targets:
-                if tgt == a:
-                    out[m] = out.get(m, ZERO) - c
+    def ad_r(b, a):  # ad*(R(xi_b)) xi_a over the dual basis, R(xi_b) = sum_k r_{kb} x_k
+        out = [ZERO] * dim
+        for k in range(dim):
+            if r.entries[k][b]:
+                for vec, v in coadjoint_action(alg, k, {_unit(dim, a): ONE}).items():
+                    out[vec.index(1)] += r.entries[k][b] * v
         return out
 
-    c: list = []
-    for a in range(dim):
-        row = []
-        for b in range(dim):
-            acc = [ZERO] * dim
-            for k, w in rmap(b).items():
-                for m, v in coad(k, a).items():
-                    acc[m] += w * v
-            for k, w in rmap(a).items():
-                for m, v in coad(k, b).items():
-                    acc[m] -= w * v
-            row.append(tuple(acc))
-        c.append(tuple(row))
-
+    c = tuple(tuple(tuple(map(sub, ad_r(b, a), ad_r(a, b))) for b in range(dim))
+              for a in range(dim))
     return LieAlgebraSpec(
         dim=dim,
         basis_names=tuple(n + "*" for n in alg.basis_names),
-        c=tuple(c),
+        c=c,
     ).validate()
 
 

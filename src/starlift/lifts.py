@@ -1,6 +1,6 @@
 """Inductive construction of the associator phi and the twist rho.
 
-Both lifts run the same loop: compute the defect of the current
+Both lifts run the same loop, `_lift`: compute the defect of the current
 truncation, extract its lowest homogeneous class, solve d(beta) = class
 (solve_coboundary checks that the class is a d-cocycle, and invariant when
 asked), and add beta. Degree bookkeeping makes each step kill one more degree.
@@ -62,6 +62,21 @@ def cocycle_defect(rho: FormalSeriesTensor, phi: FormalSeriesTensor) -> FormalSe
     return lhs - rhs
 
 
+def _lift(x: FormalSeriesTensor, N: int, M0: int, defect, invariant_only: bool):
+    """The loop both lifts run: for M = M0 .. N-1, solve away the lowest
+    class of defect(x.truncate(M + 1)), a (k+1)-cochain of degree M + 1."""
+    for M in range(M0, N):
+        err = defect(x.truncate(M + 1))
+        if err.min_degree() < M + 1:
+            raise RankCertificate(f"defect below current degree {M + 1}")
+        cls = err.homogeneous_part(M + 1)
+        if cls.is_zero():
+            continue
+        cochain = Cochain.make(x.k + 1, M + 1, cls.truncate(M + 1))
+        x = x + solve_coboundary(cochain, invariant_only=invariant_only).value.truncate(N)
+    return x
+
+
 def lift_associator(Z: FormalSeriesTensor, N: int) -> FormalSeriesTensor:
     """Invariant phi in m^{(x)3} with alt_project(phi) = Z and zero pentagon
     defect mod degree N+1, built degree by degree from the antisymmetric
@@ -74,24 +89,13 @@ def lift_associator(Z: FormalSeriesTensor, N: int) -> FormalSeriesTensor:
     phi = Z.truncate(N)
     if phi.is_zero():
         return phi
-
-    for M in range(3, N):
-        defect = pentagon_defect(phi.truncate(M + 1))
-        if defect.min_degree() < M + 1:
-            raise RankCertificate(f"defect below current degree {M + 1}")
-        cls = defect.homogeneous_part(M + 1)
-        if cls.is_zero():
-            continue
-        cochain = Cochain.make(4, M + 1, cls.truncate(M + 1))
-        try:
-            beta = solve_coboundary(cochain, invariant_only=True)
-        except Obstruction as exc:
-            raise ObstructionAt4(
-                "nonzero obstruction class in wedge^4(g)^g at degree 4",
-                cls=exc.context.get("cls"),
-            ) from exc
-        phi = phi + beta.value.truncate(N)
-    return phi
+    try:
+        return _lift(phi, N, 3, pentagon_defect, invariant_only=True)
+    except Obstruction as exc:
+        raise ObstructionAt4(
+            "nonzero obstruction class in wedge^4(g)^g at degree 4",
+            cls=exc.context.get("cls"),
+        ) from exc
 
 
 # For rho = r the degree-3 defect class works out to
@@ -112,18 +116,8 @@ def lift_twist(r: RMatrix, phi: FormalSeriesTensor, N: int) -> FormalSeriesTenso
             "for the degree-3 step to be solvable"
         )
 
-    rho = r.to_series(N)
-    for M in range(2, N):
-        defect = cocycle_defect(rho.truncate(M + 1), phi.truncate(M + 1))
-        if defect.min_degree() < M + 1:
-            raise RankCertificate(f"defect below current degree {M + 1}")
-        cls = defect.homogeneous_part(M + 1)
-        if cls.is_zero():
-            continue
-        cochain = Cochain.make(3, M + 1, cls.truncate(M + 1))
-        beta = solve_coboundary(cochain, invariant_only=False)
-        rho = rho + beta.value.truncate(N)
-    return rho
+    return _lift(r.to_series(N), N, 2, lambda rho: cocycle_defect(rho, phi.truncate(rho.N)),
+                 invariant_only=False)
 
 
 def lift(r: RMatrix, N: int) -> dict:

@@ -4,9 +4,13 @@ import collections
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starlift import (
     FormalSeriesTensor,
+    QTStructure,
+    RMatrix,
     derivation_D,
     c_s_basis,
     c_s_graded_dims,
@@ -23,7 +27,7 @@ from starlift import (
     sts_theta,
 )
 from starlift import envelope, linsolve, quasitriangular
-from starlift._rat import QQ
+from starlift._rat import QQ, ZERO
 from starlift.cli import main
 from starlift.envelope import (TAG_G, TAG_GSTAR, PBWElement, PBWTensorSquare, copoisson_delta,
                                coproduct_square, pbw_basis)
@@ -31,6 +35,8 @@ from starlift.errors import CYBViolation, Degenerate, NotAntisymmetric, NotCentr
 from starlift.quasitriangular import alpha_matrix_rank, c_s_coderivation, mu_of_rprime
 
 from conftest import data_path
+from test_actor_oracle import _rebased, unimodular
+from test_basis_independence import _rebased_r
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +155,118 @@ def test_inner_derivation_trivial_inputs(abelian3, nonabelian2):
     for g, r in (abelian3, nonabelian2):
         assert check_inner_derivation(qt_validate(g, r))["passed"]
 
+
+
+# ---- the hand-written inner-derivation loops, kept verbatim as the oracle ---
+
+def ref_mu_of_rprime(qt) -> tuple:
+    """The bracket contraction sum_ij r'_ij [x_i, x_j] as a coefficient
+    vector over the basis of g."""
+    g = qt.g
+    d = g.dim
+    out = [ZERO] * d
+    ent = qt.rprime.entries
+    for i in range(d):
+        for j in range(d):
+            if not ent[i][j]:
+                continue
+            for k, c in g.bracket_rows.get(i, {}).get(j, ()):
+                out[k] += ent[i][j] * c
+    return tuple(out)
+
+
+def ref_cobracket_g(qt, k: int):
+    """delta(x_k) = [x_k (x) 1 + 1 (x) x_k, r] as a dict (i, j) -> coeff."""
+    g = qt.g
+    d = g.dim
+    r = qt.r.entries
+    out: dict = {}
+
+    def put(i, j, v):
+        if v:
+            out[(i, j)] = out.get((i, j), ZERO) + v
+            if not out[(i, j)]:
+                del out[(i, j)]
+
+    for a in range(d):
+        for b in range(d):
+            if not r[a][b]:
+                continue
+            for m, c in g.bracket_rows.get(k, {}).get(a, ()):
+                put(m, b, r[a][b] * c)
+            for m, c in g.bracket_rows.get(k, {}).get(b, ()):
+                put(a, m, r[a][b] * c)
+    return out
+
+
+def ref_check_inner_derivation(qt) -> dict:
+    """On every generator x of g, compare mu(delta(x)) against -[mu(r'), x].
+    Returns a report with per-generator witnesses."""
+    g = qt.g
+    d = g.dim
+    mu_rp = ref_mu_of_rprime(qt)
+    witnesses = []
+    ok = True
+    for k in range(d):
+        lhs = [ZERO] * d
+        for (i, j), c in ref_cobracket_g(qt, k).items():
+            for m, w in g.bracket_rows.get(i, {}).get(j, ()):
+                lhs[m] += c * w
+        rhs = [ZERO] * d
+        for a in range(d):
+            if not mu_rp[a]:
+                continue
+            for m, w in g.bracket_rows.get(a, {}).get(k, ()):
+                rhs[m] -= mu_rp[a] * w
+        match = lhs == rhs
+        ok = ok and match
+        witnesses.append({
+            "generator": g.basis_names[k],
+            "mu_delta": tuple(lhs),
+            "minus_ad_mu": tuple(rhs),
+            "match": match,
+        })
+    return {
+        "passed": ok,
+        "mu_rprime": mu_rp,
+        "witnesses": witnesses,
+    }
+
+
+def _dense_candidate(alg):
+    """A QTStructure around a dense r' that is not quasitriangular, so that
+    mu(r') and the witnesses are dense. The identity still holds: by Jacobi,
+    mu(delta(x)) = [x, mu(r)] for every r, and mu kills the symmetric part."""
+    d = alg.dim
+    rp = RMatrix(alg, tuple(tuple(QQ(1 + (2 * i + j) % 5, 1 + (i * j) % 3) for j in range(d))
+                            for i in range(d)), "quasitriangular-candidate")
+    r = RMatrix(alg, tuple(tuple((rp.entries[i][j] - rp.entries[j][i]) / 2 for j in range(d))
+                           for i in range(d)))
+    t = tuple(tuple(rp.entries[i][j] + rp.entries[j][i] for j in range(d)) for i in range(d))
+    return QTStructure(alg, rp, r, t, FormalSeriesTensor.zero(alg, 3, 3), False)
+
+
+@pytest.mark.parametrize("name", ["sl2-qt", "abelian3", "nonabelian2"])
+def test_inner_derivation_report_matches_hand_loops(name):
+    alg, rp = load_lie_algebra(data_path(name))
+    for qt in (qt_validate(alg, rp), _dense_candidate(alg)):
+        report = check_inner_derivation(qt)
+        assert report["passed"]
+        assert report == ref_check_inner_derivation(qt)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_inner_derivation_report_matches_hand_loops_rebased(data):
+    """On unimodular rebasings of sl2-qt, where no witness is a multiple of
+    a basis element and mu(r') is a combination of several."""
+    alg, rp = load_lie_algebra(data_path("sl2-qt"))
+    P, Pinv = data.draw(unimodular(alg.dim))
+    g = _rebased(alg, P, Pinv)
+    qt = qt_validate(g, RMatrix(g, _rebased_r(rp, Pinv).entries, rp.kind))
+    report = check_inner_derivation(qt)
+    assert report["passed"]
+    assert report == ref_check_inner_derivation(qt)
 
 @pytest.mark.parametrize("s", ["0", "1", "-1/2", "3"])
 def test_c_s_graded_dims_uniform_in_s(qt, s):

@@ -174,6 +174,18 @@ def test_dim_must_not_be_bool():
         load_lie_algebra('{"dim": false}')
 
 
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_raw_rprime_entries_are_parsed_strictly(sl2qt, bad):
+    """qt_validate reads a raw matrix as load_lie_algebra reads r: a float
+    or a bool is refused, not taken for 1/2 or 1."""
+    g, rp = sl2qt
+    rows = [list(row) for row in rp.entries]
+    rows[1][1] = bad
+    with pytest.raises(ParseError, match=r"r'\[1,1\]"):
+        qt_validate(g, rows)
+    assert qt_validate(g, [list(row) for row in rp.entries]).r == qt_validate(g, rp).r
+
+
 def test_basis_names_must_be_distinct():
     with pytest.raises(ParseError, match="distinct"):
         load_lie_algebra({"dim": 2, "basis": ["a", "a"], "brackets": []})
