@@ -29,15 +29,9 @@ from .errors import BadDegree, CYBViolation, ParseError, StarliftError, TNotInva
 DEGREE_CAP = 8
 
 
-def _series_terms(f: FormalSeriesTensor) -> list:
-    return [[[list(vec) for vec in key], rat_str(f.coeffs[key])] for key in sorted(f.coeffs)]
-
-
-def _pbw_terms(x) -> list:
-    return [[list(mono), rat_str(c)] for mono, c in sorted(x.coeffs.items())]
-
-
 def _jsonable(obj):
+    """Tuples as lists and rationals as "p/q": a sparse vector x is reported
+    as sorted(x.coeffs.items())."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, (list, tuple)):
@@ -90,7 +84,7 @@ def cmd_validate(alg, rmat, args) -> dict:
         Z = cyb(rmat)
         certs["z_in_wedge3"] = alt_project(Z) == Z
         certs["z_invariant"] = is_invariant(Z)
-        report["z_terms"] = _series_terms(Z)
+        report["z_terms"] = sorted(Z.coeffs.items())
     else:
         try:
             qt = quasitriangular.qt_validate(alg, rmat)
@@ -122,12 +116,12 @@ def cmd_lift(alg, rmat, args) -> dict:
     report = {
         "degree": N,
         "certificates": certs,
-        "z_terms": _series_terms(Z),
+        "z_terms": sorted(Z.coeffs.items()),
         "alt_phi_to_z_ratio": None if Z.is_zero() else _ratio(alt_project(phi), alt_project(Z)),
     }
     if args.emit == "full":
-        report["phi_terms"] = _series_terms(phi)
-        report["rho_terms"] = _series_terms(rho)
+        report["phi_terms"] = sorted(phi.coeffs.items())
+        report["rho_terms"] = sorted(rho.coeffs.items())
     return report
 
 
@@ -137,7 +131,7 @@ def _ratio(num: FormalSeriesTensor, den: FormalSeriesTensor):
         return None
     key, base = next(iter(sorted(den.coeffs.items())))
     q = num.coeffs.get(key, QQ(0)) / base
-    return rat_str(q) if num == den.scale(q) else None
+    return q if num == den.scale(q) else None
 
 
 def cmd_cohomology(alg, rmat, args) -> dict:
@@ -176,7 +170,7 @@ def cmd_envelope(alg, rmat, args) -> dict:
     if rmat is not None and rmat.kind == "antisymmetric-coboundary":
         dual = envelope.dual_bracket(rmat)
         report["dual_structure_constants"] = [
-            [i, j, [[k, rat_str(v)] for k, v in enumerate(dual.c[i][j]) if v]]
+            [i, j, [[k, v] for k, v in enumerate(dual.c[i][j]) if v]]
             for i in range(dual.dim)
             for j in range(i + 1, dual.dim)
             if any(dual.c[i][j])
@@ -221,12 +215,9 @@ def cmd_theta(alg, rmat, args) -> dict:
     commutative = all(
         envelope.pbw_commutator(a, b).is_zero() for a, b in itertools.combinations(images, 2)
     )
-    # In m^2 a BCH word outgrows each of its letters, so gauging commutes with
-    # truncation, as _fixed_gauges does: gauging at T compares the same images.
-    T = min(N, max(maxdeg, 2))
     gauge_ok = True
-    for lam in _fixed_gauges(alg, T):
-        rho2 = lifts.gauge_rho(lam, rho.truncate(T))
+    for lam in _fixed_gauges(alg, N):
+        rho2 = lifts.gauge_rho(lam, rho)
         if [duality.theta(f, rho2) for f in traces] != images:
             gauge_ok = False
     report = {
@@ -238,7 +229,7 @@ def cmd_theta(alg, rmat, args) -> dict:
         "trace_orders": [f.order for f in traces],
     }
     if args.emit == "full":
-        report["theta_images"] = [_pbw_terms(x) for x in images]
+        report["theta_images"] = [sorted(x.coeffs.items()) for x in images]
     return report
 
 
@@ -266,11 +257,11 @@ def cmd_qt(alg, rmat, args) -> dict:
         "closed": closed,
     }
     report = {
-        "s": rat_str(s),
+        "s": s,
         "certificates": certs,
         "c_s_graded_dims": list(dims),
         "nondegenerate": qt.nondegenerate,
-        "mu_rprime": [rat_str(v) for v in inner["mu_rprime"]],
+        "mu_rprime": inner["mu_rprime"],
         "alpha_rank": list(quasitriangular.alpha_matrix_rank(qt, maxdeg)),
         "image_comparison": quasitriangular.compare_images(qt, maxdeg),
     }
@@ -281,7 +272,7 @@ def cmd_qt(alg, rmat, args) -> dict:
             if z.filtration == 0:
                 continue
             y = quasitriangular.sts_theta(z, qt)
-            transported.append(_pbw_terms(y))
+            transported.append(sorted(y.coeffs.items()))
             if not quasitriangular.c_s_map(y, qt.g, QQ(1)).is_zero():
                 in_c1 = False
         certs["theta_in_C1"] = in_c1

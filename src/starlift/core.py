@@ -634,29 +634,22 @@ def poisson_bracket(f: FormalSeriesTensor, g: FormalSeriesTensor) -> FormalSerie
 
 
 def g_action(i: int, f: FormalSeriesTensor) -> FormalSeriesTensor:
-    """The basis element x_i acting by ad(x_i), extended as a derivation."""
+    """The basis element x_i acting by ad(x_i), extended as a derivation:
+    on each slot, the one-slot bracket {x_i, x^vec}."""
     alg = f.alg
     if not 0 <= i < alg.dim:
         raise IndexOutOfRange(f"basis index {i} out of range for dim {alg.dim}")
-    Dc, int_rows = alg.integer_rows
-    rows = int_rows.get(i)
-    if rows is None:
-        return FormalSeriesTensor.zero(alg, f.k, f.N)
+    lookup = alg.slot_brackets.__getitem__
+    e_i = _unit(alg.dim, i)
     D, items = f.numerators
     out = {}
     for key, nf in items:
         for s, vec in enumerate(key):
-            for j, aj in enumerate(vec):
-                ent = rows.get(j) if aj else None
-                if ent is None:
-                    continue
-                for tgt, n in ent:
-                    new = list(vec)
-                    new[j] -= 1
-                    new[tgt] += 1
-                    nk = key[:s] + (tuple(new),) + key[s + 1:]
-                    out[nk] = out.get(nk, 0) + nf * aj * n
-    return FormalSeriesTensor(alg, f.k, f.N, out, D * Dc)
+            head, tail = key[:s], key[s + 1:]
+            for new, n in lookup((e_i, vec))[1]:
+                nk = head + (new,) + tail
+                out[nk] = out.get(nk, 0) + nf * n
+    return FormalSeriesTensor(alg, f.k, f.N, out, D * alg.integer_rows[0])
 
 
 def is_invariant(f: FormalSeriesTensor) -> bool:
@@ -726,11 +719,10 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def coproduct_insert(f: FormalSeriesTensor, blocks, n: int = None) -> FormalSeriesTensor:
+def coproduct_insert(f: FormalSeriesTensor, blocks, n: int) -> FormalSeriesTensor:
     """f^{I_1,...,I_m}: distribute each slot of f over its block of target
     slots with the cocommutative coproduct (x primitive), unit-filling
-    uncovered slots. Blocks use 0-based target indices; n defaults to
-    max index + 1."""
+    uncovered slots. Blocks use the target slots 0..n-1."""
     blocks = [tuple(b) for b in blocks]
     if len(blocks) != f.k:
         raise SlotMismatch(
@@ -744,8 +736,6 @@ def coproduct_insert(f: FormalSeriesTensor, blocks, n: int = None) -> FormalSeri
             if t in seen:
                 raise BlockOverlap(f"target slot {t} appears in two blocks")
             seen.add(t)
-    if n is None:
-        n = max(seen) + 1 if seen else 0
     for t in seen:
         if not 0 <= t < n:
             raise IndexOutOfRange(f"target slot {t} outside 0..{n - 1}")

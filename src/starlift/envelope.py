@@ -12,11 +12,10 @@ lookups stay cheap. Products and coproducts add up Python ints.
 from __future__ import annotations
 
 import itertools
-from operator import sub
 
-from ._rat import ONE, QQ, ZERO
+from ._rat import QQ, ZERO
 from .core import (LieAlgebraSpec, RMatrix, _compositions, _integer, _normal, _SparseVec,
-                   _unit, invariant_kernel)
+                   invariant_kernel)
 from .errors import AlgebraMismatch, IndexOutOfRange, UnsortedMonomial
 
 TAG_G = "U(g)"
@@ -211,26 +210,18 @@ def coadjoint_action(alg: LieAlgebraSpec, i: int, form: dict) -> dict:
     form maps exponent vectors over the dual basis to rationals;
     ad*(x_i) xi_a = -sum_m c_{im}^a xi_m.
     """
-    gen_img = [dict() for _ in range(alg.dim)]
-    for m, targets in alg.bracket_rows.get(i, {}).items():
-        for a, c in targets:
-            gen_img[a][m] = gen_img[a].get(m, ZERO) - c
-    out: dict = {}
-    for vec, coef in form.items():
-        for a in range(alg.dim):
-            if not vec[a]:
-                continue
-            for m, c in gen_img[a].items():
-                nv = list(vec)
-                nv[a] -= 1
-                nv[m] += 1
-                k = tuple(nv)
-                v = out.get(k, ZERO) + coef * vec[a] * c
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-    return out
+    Dc, rows = alg.integer_rows
+    out: dict = {}  # the coefficients times Dc
+    for m, targets in rows.get(i, {}).items():
+        for a, n in targets:
+            for vec, coef in form.items():
+                if vec[a]:
+                    nv = list(vec)
+                    nv[a] -= 1
+                    nv[m] += 1
+                    k = tuple(nv)
+                    out[k] = out.get(k, 0) - coef * vec[a] * n
+    return {vec: QQ(c) / Dc for vec, c in out.items() if c}
 
 
 def invariants_s_dual(alg: LieAlgebraSpec, maxdeg: int) -> list:
@@ -238,29 +229,28 @@ def invariants_s_dual(alg: LieAlgebraSpec, maxdeg: int) -> list:
     the coadjoint action, one degree at a time), returned as LinearForms."""
     return [LinearForm.make(alg, vec) for d in range(maxdeg + 1)
             for vec in invariant_kernel(alg, _compositions(d, alg.dim), lambda mono: mono,
-                                        lambda i, mono: coadjoint_action(alg, i, {mono: ONE}))]
+                                        lambda i, mono: coadjoint_action(alg, i, {mono: 1}))]
 
 
 def dual_bracket(r: RMatrix) -> LieAlgebraSpec:
     """The Lie algebra on the dual basis with
-    [a, b] = ad*(R(b))(a) - ad*(R(a))(b), R(xi) = (id (x) xi)(r)."""
+    [a, b] = ad*(R(b))(a) - ad*(R(a))(b), R(xi) = (id (x) xi)(r), where
+    each c_km^a adds -r_kb c_km^a xi_m to ad*(R(xi_b)) xi_a."""
     alg = r.alg
     dim = alg.dim
-
-    def ad_r(b, a):  # ad*(R(xi_b)) xi_a over the dual basis, R(xi_b) = sum_k r_{kb} x_k
-        out = [ZERO] * dim
-        for k in range(dim):
-            if r.entries[k][b]:
-                for vec, v in coadjoint_action(alg, k, {_unit(dim, a): ONE}).items():
-                    out[vec.index(1)] += r.entries[k][b] * v
-        return out
-
-    c = tuple(tuple(tuple(map(sub, ad_r(b, a), ad_r(a, b))) for b in range(dim))
-              for a in range(dim))
+    Dc, rows = alg.integer_rows
+    c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    for k, targets in rows.items():
+        for m, pairs in targets.items():
+            for a, n in pairs:
+                for b in range(dim):
+                    v = r.entries[k][b] * QQ(n, Dc)
+                    c[a][b][m] -= v
+                    c[b][a][m] += v
     return LieAlgebraSpec(
         dim=dim,
         basis_names=tuple(n + "*" for n in alg.basis_names),
-        c=c,
+        c=tuple(tuple(map(tuple, plane)) for plane in c),
     ).validate()
 
 
@@ -315,16 +305,9 @@ def _delta_generator(g: LieAlgebraSpec, dual: LieAlgebraSpec, tag: str,
                      a: int) -> PBWTensorSquare:
     """Cobracket of the dual generator a: the transpose of g's bracket."""
     Dc, rows = g.integer_rows
-    out = {}
-    for i, targets in rows.items():
-        for j, pairs in targets.items():
-            if i >= j:
-                continue
-            for tgt, c in pairs:
-                if tgt == a:
-                    out[(i,), (j,)] = c
-                    out[(j,), (i,)] = -c
-    return PBWTensorSquare(dual, tag, out, Dc)
+    return PBWTensorSquare(dual, tag, {((i,), (j,)): n for i, targets in rows.items()
+                                       for j, pairs in targets.items()
+                                       for tgt, n in pairs if tgt == a}, Dc)
 
 
 def copoisson_delta(x: PBWElement, g: LieAlgebraSpec) -> PBWTensorSquare:

@@ -1,8 +1,9 @@
 """Typed error hierarchy.
 
-Every exception carries a stable machine-readable ``code`` (surfaced
-verbatim in CLI reports) and an optional context dict with exact data
-about what failed (indices, classes, defects).
+Every exception carries a stable machine-readable ``code``, equal to its
+class name, which CLI error reports print as their ``type``, and an
+optional context dict with exact data about what failed (indices,
+classes, defects).
 """
 from __future__ import annotations
 
