@@ -14,14 +14,8 @@ from math import factorial, lcm
 
 from . import linsolve
 from ._rat import ZERO
-from .cohochschild import _monomial_fst, monomials
-from .core import (
-    FormalSeriesTensor,
-    LieAlgebraSpec,
-    coproduct_insert,
-    multiply,
-    poisson_bracket,
-)
+from .cohochschild import monomials
+from .core import FormalSeriesTensor, LieAlgebraSpec, coproduct_insert, multiply
 from .envelope import TAG_GSTAR, LinearForm, PBWElement, pbw_basis
 from .errors import NotATrace, NotInMSquared, SingularPairing, SlotMismatch, TruncationTooLow
 from .star import star_conjugate
@@ -110,15 +104,13 @@ def rho_product(l1: LinearForm, l2: LinearForm, rho: FormalSeriesTensor) -> Line
     return LinearForm(l1.alg, {vec: val * (D // den) for vec, val, den in vals}, D1 * D2 * D)
 
 
-def _monomial_brackets(alg: LieAlgebraSpec, d: int, N: int) -> list:
-    """(va, vb, {x^va, x^vb} truncated at N) over the monomial pairs whose
-    bracket has degree d, kept in alg.memo."""
-    if ("monomial_brackets", d, N) not in alg.memo:
-        alg.memo["monomial_brackets", d, N] = [
-            (va, vb, poisson_bracket(_monomial_fst(alg, (va,), N), _monomial_fst(alg, (vb,), N)))
-            for da in range(1, d + 1) for va in monomials(alg.dim, da)
-            for vb in monomials(alg.dim, d + 1 - da)]
-    return alg.memo["monomial_brackets", d, N]
+def _monomial_brackets(alg: LieAlgebraSpec, d: int):
+    """(va, vb, ((vec, n), ...)) over the monomial pairs whose bracket has
+    degree d: {x^va, x^vb} = sum n/Dc x^vec, read off alg.slot_brackets."""
+    for da in range(1, d + 1):
+        for va in monomials(alg.dim, da):
+            for vb in monomials(alg.dim, d + 1 - da):
+                yield va, vb, alg.slot_brackets[va, vb][1]
 
 
 def poisson_traces(alg: LieAlgebraSpec, maxdeg: int) -> list:
@@ -128,10 +120,11 @@ def poisson_traces(alg: LieAlgebraSpec, maxdeg: int) -> list:
     for d in range(1, maxdeg + 1):
         cols = monomials(alg.dim, d)
         col_index = {v: j for j, v in enumerate(cols)}
-        images = [{} for _ in cols]
-        for va, vb, br in _monomial_brackets(alg, d, d):
-            for (vec,), c in br.coeffs.items():
-                images[col_index[vec]][(va, vb)] = c * _vec_factorial(vec)
+        images = [{} for _ in cols]  # the pairings times Dc, which keeps the kernel
+        for va, vb, terms in _monomial_brackets(alg, d):
+            for vec, n in terms:
+                if n:
+                    images[col_index[vec]][va, vb] = n * _vec_factorial(vec)
         for ker in linsolve.kernel_of(images):
             out.append(LinearForm.make(alg, {cols[j]: c for j, c in ker.items()}))
     return out
@@ -139,9 +132,10 @@ def poisson_traces(alg: LieAlgebraSpec, maxdeg: int) -> list:
 
 def is_poisson_trace(l: LinearForm) -> bool:
     """Direct check that l kills {u, v} for all monomial pairs in range."""
-    n = l.order
-    return not any(form_pair(l, br) for d in range(1, n + 1)
-                   for _, _, br in _monomial_brackets(l.alg, d, n))
+    a = {vec: n * _vec_factorial(vec) for vec, n in l.numerators[1]}
+    return not any(sum(a.get(vec, 0) * n for vec, n in terms)
+                   for d in range(1, l.order + 1)
+                   for _, _, terms in _monomial_brackets(l.alg, d))
 
 
 def convolution_bracket(rho: FormalSeriesTensor) -> LieAlgebraSpec:

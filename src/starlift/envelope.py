@@ -310,30 +310,39 @@ def _delta_generator(g: LieAlgebraSpec, dual: LieAlgebraSpec, tag: str,
                                        for tgt, n in pairs if tgt == a}, Dc)
 
 
-def copoisson_delta(x: PBWElement, g: LieAlgebraSpec) -> PBWTensorSquare:
-    """The co-Poisson cobracket on U(g*): transpose structure constants on
-    generators, co-Leibniz rule delta(xy) = delta(x)Delta0(y) + Delta0(x)delta(y)."""
-    dual = x.alg
-    memo = dual.memo
+def _co_leibniz(x: PBWElement, owner: str, g: LieAlgebraSpec,
+                generator_image) -> PBWTensorSquare:
+    """The map F on U(a) -> U(a)^{(x)2} with F(x_a) = generator_image(a),
+    F(1) = 0 and the co-Leibniz rule F(yz) = F(y)Delta0(z) + Delta0(y)F(z),
+    memoized per monomial on x's algebra under (owner, g, tag, mono)."""
+    alg, tag, memo = x.alg, x.tag, x.alg.memo
+    zero = PBWTensorSquare.zero(alg, tag)
 
     def of_monomial(mono):
-        key = ("copoisson_delta", g, x.tag, mono)
+        key = (owner, g, tag, mono)
         hit = memo.get(key)
         if hit is not None:
             return hit
         if not mono:
-            res = PBWTensorSquare.zero(dual, x.tag)
+            hit = zero
         elif len(mono) == 1:
-            res = _delta_generator(g, dual, x.tag, mono[0])
+            hit = generator_image(mono[0])
         else:
-            head = PBWElement.generator(dual, x.tag, mono[0])
-            rest = PBWElement(dual, x.tag, {mono[1:]: 1})
-            res = _mult_square(of_monomial((mono[0],)), coproduct_square(rest))
-            res = res + _mult_square(coproduct_square(head), of_monomial(mono[1:]))
-        memo[key] = res
-        return res
+            head = PBWElement.generator(alg, tag, mono[0])
+            rest = PBWElement(alg, tag, {mono[1:]: 1})
+            hit = (_mult_square(of_monomial(mono[:1]), coproduct_square(rest))
+                   + _mult_square(coproduct_square(head), of_monomial(mono[1:])))
+        memo[key] = hit
+        return hit
 
-    return x.extend_linearly(of_monomial, PBWTensorSquare.zero(dual, x.tag))
+    return x.extend_linearly(of_monomial, zero)
+
+
+def copoisson_delta(x: PBWElement, g: LieAlgebraSpec) -> PBWTensorSquare:
+    """The co-Poisson cobracket on U(g*): transpose structure constants on
+    generators, co-Leibniz rule delta(xy) = delta(x)Delta0(y) + Delta0(x)delta(y)."""
+    return _co_leibniz(x, "copoisson_delta", g,
+                       lambda a: _delta_generator(g, x.alg, x.tag, a))
 
 
 def derivation_D(x: PBWElement, g: LieAlgebraSpec) -> PBWElement:

@@ -1,9 +1,9 @@
 """Typed error hierarchy.
 
-Every exception carries a stable machine-readable ``code``, equal to its
-class name, which CLI error reports print as their ``type``, and an
-optional context dict with exact data about what failed (indices,
-classes, defects).
+Every exception carries a stable machine-readable ``code``, set to its
+class name when the class is defined (the base's is "Error"), which CLI
+error reports print as their ``type``, and an optional context dict with
+exact data about what failed (indices, classes, defects).
 """
 from __future__ import annotations
 
@@ -11,127 +11,122 @@ from __future__ import annotations
 class StarliftError(Exception):
     code = "Error"
 
+    def __init_subclass__(cls):
+        cls.code = cls.__name__
+
     def __init__(self, message: str = "", **context):
         super().__init__(message)
         self.context = context
 
 
 class ParseError(StarliftError):
-    code = "ParseError"
+    pass
 
 
 class BadDegree(StarliftError):
     """A --degree or --maxdeg value outside what the command accepts."""
 
-    code = "BadDegree"
-
 
 class AntisymmetryViolation(StarliftError):
-    code = "AntisymmetryViolation"
+    pass
 
 
 class JacobiViolation(StarliftError):
     """Jacobi identity fails; context carries the offending basis triple."""
 
-    code = "JacobiViolation"
-
 
 class SlotMismatch(StarliftError):
-    code = "SlotMismatch"
+    pass
 
 
 class TruncationMismatch(StarliftError):
-    code = "TruncationMismatch"
+    pass
 
 
 class BlockOverlap(StarliftError):
-    code = "BlockOverlap"
+    pass
 
 
 class IndexOutOfRange(StarliftError):
-    code = "IndexOutOfRange"
+    pass
 
 
 class NotAntisymmetric(StarliftError):
-    code = "NotAntisymmetric"
+    pass
 
 
 class NotInMSquared(StarliftError):
-    code = "NotInMSquared"
+    pass
 
 
 class NotInMTensor(StarliftError):
-    code = "NotInMTensor"
+    pass
 
 
 class NotHomogeneous(StarliftError):
-    code = "NotHomogeneous"
+    pass
 
 
 class NotACocycle(StarliftError):
-    code = "NotACocycle"
+    pass
 
 
 class Obstruction(StarliftError):
     """A cocycle with no primitive; context carries the nonzero class."""
-
-    code = "Obstruction"
 
 
 class RankCertificate(StarliftError):
     """Internal-consistency failure: a solve that theory says must succeed
     did not. Treated as a bug in this package, never as user error."""
 
-    code = "RankCertificate"
-
 
 class ObstructionAt4(StarliftError):
-    code = "ObstructionAt4"
+    pass
 
 
 class NotInvariant(StarliftError):
-    code = "NotInvariant"
+    pass
 
 
 class NotInWedge3(StarliftError):
-    code = "NotInWedge3"
+    pass
 
 
 class CompatibilityViolation(StarliftError):
-    code = "CompatibilityViolation"
+    pass
 
 
 class AlgebraMismatch(StarliftError):
-    code = "AlgebraMismatch"
+    pass
 
 
 class UnsortedMonomial(StarliftError):
-    code = "UnsortedMonomial"
+    pass
 
 
 class TruncationTooLow(StarliftError):
-    code = "TruncationTooLow"
+    pass
 
 
 class NotATrace(StarliftError):
-    code = "NotATrace"
+    pass
 
 
 class SingularPairing(StarliftError):
-    code = "SingularPairing"
+    pass
 
 
 class CYBViolation(StarliftError):
-    code = "CYBViolation"
+    pass
 
 
 class TNotInvariant(StarliftError):
-    code = "TNotInvariant"
+    pass
 
 
 class NotCentral(StarliftError):
-    code = "NotCentral"
+    pass
 
 
 class Degenerate(StarliftError):
-    code = "Degenerate"
+    pass

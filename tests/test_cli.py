@@ -1,5 +1,6 @@
 """End-to-end command line behavior: certificates, exit codes, and
 byte-deterministic reports."""
+import ast
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import starlift
-from starlift import load_lie_algebra
+from starlift import cli, errors, load_lie_algebra
 from starlift.cli import _fixed_gauges, main
 
 from conftest import data_path
@@ -438,6 +439,41 @@ def test_unit_tests_under_python_O():
                            "tests/test_dual_kernel_oracle.py"],
                           cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:]
+
+
+def test_package_has_no_assert_or_debug():
+    """python -O strips assert statements and __debug__ blocks, so the
+    package states every invariant as a typed StarliftError instead."""
+    found = []
+    for path in sorted(Path(starlift.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert) or (isinstance(node, ast.Name)
+                                                and node.id == "__debug__"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def _error_classes():
+    return [cls for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.StarliftError)
+            and cls is not errors.StarliftError]
+
+
+def test_every_error_code_is_its_class_name():
+    assert _error_classes()
+    assert all(cls.code == cls.__name__ for cls in _error_classes())
+    assert errors.StarliftError.code == "Error"
+
+
+def test_cli_error_report_type_is_the_raised_code(capsys, monkeypatch):
+    for cls in _error_classes():
+        def fail(path, cls=cls):
+            raise cls("raised on load")
+
+        monkeypatch.setattr(cli, "load_lie_algebra", fail)
+        code, out = run(capsys, "validate", data_path("sl2"))
+        assert code == (2 if cls is errors.ParseError else 1)
+        assert json.loads(out)["error"] == {"type": cls.code, "message": "raised on load"}
 
 
 # The demos call the lift, defect, gauge, theta and C_s entry points.

@@ -29,13 +29,15 @@ from starlift import (
 from starlift import envelope, linsolve, quasitriangular
 from starlift._rat import QQ, ZERO
 from starlift.cli import main
-from starlift.envelope import (TAG_G, TAG_GSTAR, PBWElement, PBWTensorSquare, copoisson_delta,
-                               coproduct_square, pbw_basis)
+from starlift.envelope import (TAG_G, TAG_GSTAR, PBWElement, PBWTensorSquare, _mult_square,
+                               copoisson_delta, coproduct_square, pbw_basis)
 from starlift.errors import CYBViolation, Degenerate, NotAntisymmetric, NotCentral, TNotInvariant
-from starlift.quasitriangular import alpha_matrix_rank, c_s_coderivation, mu_of_rprime
+from starlift.quasitriangular import (_d_tensor_id, alpha_matrix_rank, c_s_coderivation,
+                                      mu_of_rprime)
 
 from conftest import data_path
 from test_actor_oracle import _rebased, unimodular
+from test_kernel_oracle import COEFFS, _rescaled
 from test_basis_independence import _rebased_r
 
 
@@ -436,7 +438,7 @@ def ref_sts_alpha(x, qt):
 
 @pytest.mark.parametrize("name, maxdeg", [("sl2-qt", 4), ("nonabelian2", 3)])
 def test_per_monomial_recurrences_match_direct_formulas(name, maxdeg):
-    """derivation_D by Leibniz and alpha from the memoized L and S_0R images,
+    """derivation_D by Leibniz and alpha by its fold over generator images,
     on every basis monomial and on one element spanning them, against the
     unmemoized formulas."""
     g, rp = load_lie_algebra(data_path(name))
@@ -449,6 +451,70 @@ def test_per_monomial_recurrences_match_direct_formulas(name, maxdeg):
         assert derivation_D(x, g) == ref_derivation_D(x, g)
         assert sts_alpha(x, qt) == ref_sts_alpha(x, qt)
     assert not derivation_D(mixed, g).is_zero() and not sts_alpha(mixed, qt).is_zero()
+
+
+def _qt_structures():
+    """sl2-qt, its bracket scaled by 2/3 and -5/7 (Dc = 3, 7), nonabelian2,
+    and the dense r' of _dense_candidate on sl2-qt: the fold and the
+    co-Leibniz recursion agree with the direct formulas for every r'."""
+    alg, rp = load_lie_algebra(data_path("sl2-qt"))
+    out = {"sl2-qt": qt_validate(alg, rp), "sl2-qt-dense": _dense_candidate(alg),
+           "nonabelian2": qt_validate(*load_lie_algebra(data_path("nonabelian2")))}
+    for q in (QQ(2, 3), QQ(-5, 7)):
+        g = _rescaled(alg, q)
+        out[f"sl2-qt*{q}"] = qt_validate(g, RMatrix(g, rp.entries, rp.kind))
+    return out
+
+
+QT_STRUCTURES = _qt_structures()
+
+
+def test_scaled_qt_structures_have_a_denominator():
+    assert [QT_STRUCTURES[f"sl2-qt*{q}"].g.integer_rows[0] for q in ("2/3", "-5/7")] == [3, 7]
+
+
+@pytest.mark.parametrize("name", sorted(QT_STRUCTURES))
+def test_fold_and_co_leibniz_match_direct_formulas(name):
+    """sts_alpha's fold and _d_tensor_id's co-Leibniz recursion against
+    m_0 (L (x) S_0R) Delta_0 and D (x) id on the expanded Delta_0, on every
+    PBW monomial to filtration 5."""
+    qt = QT_STRUCTURES[name]
+    for mono in pbw_basis(qt.g.dim, 5):
+        x = PBWElement.make(qt.dual, TAG_GSTAR, {mono: QQ(1)})
+        assert sts_alpha(x, qt) == ref_sts_alpha(x, qt)
+        assert _d_tensor_id(x, qt.g) == ref_d_tensor_id(x, qt.g)
+
+
+@st.composite
+def _dual_elements(draw, qt, maxdeg):
+    """A dual element with at least two terms, of filtration <= maxdeg."""
+    monos = draw(st.lists(st.sampled_from(pbw_basis(qt.g.dim, maxdeg)), min_size=2,
+                          max_size=6, unique=True))
+    return PBWElement.make(qt.dual, TAG_GSTAR, {m: draw(COEFFS) for m in monos})
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fold_and_co_leibniz_on_random_elements(data):
+    """On mixed elements: both maps against the direct formulas, and
+    F = (D (x) id)Delta_0 obeys F(yz) = F(y)Delta_0(z) + Delta_0(y)F(z)."""
+    qt = QT_STRUCTURES[data.draw(st.sampled_from(sorted(QT_STRUCTURES)))]
+    x = data.draw(_dual_elements(qt, 5))
+    assert sts_alpha(x, qt) == ref_sts_alpha(x, qt)
+    assert _d_tensor_id(x, qt.g) == ref_d_tensor_id(x, qt.g)
+    y, z, g = data.draw(_dual_elements(qt, 3)), data.draw(_dual_elements(qt, 2)), qt.g
+    assert _d_tensor_id(pbw_product(y, z), g) == (
+        _mult_square(_d_tensor_id(y, g), coproduct_square(z))
+        + _mult_square(coproduct_square(y), _d_tensor_id(z, g)))
+
+
+@pytest.mark.parametrize("name, maxdeg", [("sl2-qt", 4), ("nonabelian2", 3)])
+@pytest.mark.parametrize("s", ["0", "1", "4/3", "-3/4"])
+def test_c_s_basis_length_is_its_rank(name, maxdeg, s):
+    """compare_images counts each kernel basis by its length."""
+    qt = QT_STRUCTURES[name]
+    basis = c_s_basis(QQ(s), maxdeg, qt)
+    assert len(basis) == linsolve.rank_of([x.coeffs for x in basis])
 
 
 class _CountingMemo(dict):
