@@ -7,9 +7,9 @@ The differential on a k-cochain c is
     d(c) = c^{2,...,k+1} + sum_{i=1}^{k} (-1)^i c^{1,...,(i i+1),...,k+1}
            + (-1)^{k+1} c^{1,...,k}
 
-(slot labels 1-based as usual for insertion notation). The unit-fill
-contributions of the first and last terms cancel against the merge
-terms, so d lands back in slot-positive cochains; Cochain.make checks this.
+(slot labels 1-based as usual for insertion notation). On slot-positive
+cochains every unit-filled term cancels, so d is the signed sum of the
+slots' reduced coproducts (_d_integer); _d_raw keeps the k + 2 faces.
 Cohomology is wedge^k(g) (invariantly: wedge^k(g)^g) concentrated in
 degree N = k, realized by alt_project.
 """
@@ -25,8 +25,8 @@ from .core import (
     FormalSeriesTensor,
     LieAlgebraSpec,
     _compositions,
-    _insert_key,
     _Record,
+    _splits,
     alt_project,
     combine,
     coproduct_insert,
@@ -92,20 +92,23 @@ def _d_faces(k: int) -> tuple:
 
 
 def _d_raw(f: FormalSeriesTensor) -> FormalSeriesTensor:
-    """The differential on the underlying tensor (no validation): the
-    signed faces in one combine."""
+    """The differential on any tensor, unit slots allowed (no validation):
+    the k + 2 signed faces in one combine."""
     return combine([(sign, coproduct_insert(f, blocks, f.k + 1))
                     for sign, blocks in _d_faces(f.k)])
 
 
 def _d_integer(vec: dict) -> dict:
-    """d of sum_key vec[key] x^key, vec over the integers, as {key: integer};
-    no algebra enters."""
+    """d of sum_key vec[key] x^key, slot-positive keys over the integers, as
+    {key: integer}; no algebra enters: the sum over 0-based slots s of
+    (-1)^(s+1) times the splits of slot s into two nonconstant parts."""
     out = {}
     for key, n in vec.items():
-        unit_fill = [tuple([0] * len(key[0]))] * (len(key) + 1)
-        for sign, blocks in _d_faces(len(key)):
-            _insert_key(out, key, sign * n, blocks, unit_fill)
+        for s, vec_s in enumerate(key):
+            for (a, b), w in _splits(vec_s, 2):
+                if any(a) and any(b):
+                    nk = key[:s] + (a, b) + key[s + 1:]
+                    out[nk] = out.get(nk, 0) + (n if s % 2 else -n) * w
     return {nk: m for nk, m in out.items() if m}
 
 

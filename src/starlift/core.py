@@ -474,11 +474,9 @@ class FormalSeriesTensor(_SparseVec):
                                         if key_degree(key) <= N))
 
     @classmethod
-    def generator(cls, alg, i, N, k=1, slot=0) -> "FormalSeriesTensor":
-        """The basis element x_i placed in one slot (units elsewhere)."""
-        zero = tuple([0] * alg.dim)
-        key = tuple(_unit(alg.dim, i) if s == slot else zero for s in range(k))
-        return cls(alg, k, N, {key: 1})
+    def generator(cls, alg, i, N) -> "FormalSeriesTensor":
+        """The basis element x_i as a 1-slot series."""
+        return cls(alg, 1, N, {(_unit(alg.dim, i),): 1})
 
     @cached_property
     def memo(self) -> dict:
@@ -743,31 +741,25 @@ def coproduct_insert(f: FormalSeriesTensor, blocks, n: int) -> FormalSeriesTenso
     unit_fill = [tuple([0] * f.alg.dim)] * n
     D, items = f.numerators
     out = {}
-    for key, weight in items:
-        _insert_key(out, key, weight, blocks, unit_fill)
+    for key, weight0 in items:  # each key's insertion in first-hit key order
+        base = unit_fill.copy()
+        split, per_slot = [], []
+        for vec, block in zip(key, blocks):
+            if len(block) == 1:  # a singleton block takes the slot as it is, with weight 1
+                base[block[0]] = vec
+            else:
+                split.append(block)
+                per_slot.append(_splits(vec, len(block)))
+        for combo in itertools.product(*per_slot):
+            weight = weight0
+            new_key = base.copy()
+            for block, (vecs, w) in zip(split, combo):
+                weight *= w
+                for t, v in zip(block, vecs):
+                    new_key[t] = v
+            nk = tuple(new_key)
+            out[nk] = out.get(nk, 0) + weight
     return FormalSeriesTensor(f.alg, n, f.N, out, D)
-
-
-def _insert_key(out: dict, key: Key, weight0: int, blocks, unit_fill: list) -> None:
-    """Add weight0 times the insertion of the monomial key to the integer dict
-    out, in first-hit key order; unit_fill is the all-units target key."""
-    base = unit_fill.copy()
-    split, per_slot = [], []
-    for vec, block in zip(key, blocks):
-        if len(block) == 1:  # a singleton block takes the slot as it is, with weight 1
-            base[block[0]] = vec
-        else:
-            split.append(block)
-            per_slot.append(_splits(vec, len(block)))
-    for combo in itertools.product(*per_slot):
-        weight = weight0
-        new_key = base.copy()
-        for block, (vecs, w) in zip(split, combo):
-            weight *= w
-            for t, v in zip(block, vecs):
-                new_key[t] = v
-        nk = tuple(new_key)
-        out[nk] = out.get(nk, 0) + weight
 
 
 @cache

@@ -5,7 +5,7 @@ the co-Poisson cobracket, and the derivation it generates.
 
 Monomials are non-decreasing tuples of generator indices; straightening
 rewrites x_j x_i -> x_i x_j + [x_j, x_i] for j > i. Straightened words (as
-integer numerators), monomial cobrackets and D on monomials are memoized
+integer numerators), and Delta_0, the cobracket and D of monomials are memoized
 per algebra, and an algebra hashes its structure constants only once, so
 lookups stay cheap. Products and coproducts add up Python ints.
 """
@@ -310,32 +310,40 @@ def _delta_generator(g: LieAlgebraSpec, dual: LieAlgebraSpec, tag: str,
                                        for tgt, n in pairs if tgt == a}, Dc)
 
 
-def _co_leibniz(x: PBWElement, owner: str, g: LieAlgebraSpec,
-                generator_image) -> PBWTensorSquare:
-    """The map F on U(a) -> U(a)^{(x)2} with F(x_a) = generator_image(a),
-    F(1) = 0 and the co-Leibniz rule F(yz) = F(y)Delta0(z) + Delta0(y)F(z),
+def _product_rule(x: PBWElement, owner: str, g: LieAlgebraSpec, generator_image,
+                  product, e, zero):
+    """The linear F with F(1) = 0, F(x_a) = generator_image(a) and, on sorted
+    monomials, F(x_a m) = product(F(x_a), e(m)) + product(e(x_a), F(m)),
     memoized per monomial on x's algebra under (owner, g, tag, mono)."""
-    alg, tag, memo = x.alg, x.tag, x.alg.memo
-    zero = PBWTensorSquare.zero(alg, tag)
+    memo = x.alg.memo
 
     def of_monomial(mono):
-        key = (owner, g, tag, mono)
+        key = (owner, g, x.tag, mono)
         hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if not mono:
-            hit = zero
-        elif len(mono) == 1:
-            hit = generator_image(mono[0])
-        else:
-            head = PBWElement.generator(alg, tag, mono[0])
-            rest = PBWElement(alg, tag, {mono[1:]: 1})
-            hit = (_mult_square(of_monomial(mono[:1]), coproduct_square(rest))
-                   + _mult_square(coproduct_square(head), of_monomial(mono[1:])))
-        memo[key] = hit
+        if hit is None:
+            hit = memo[key] = (zero if not mono else
+                               generator_image(mono[0]) if len(mono) == 1 else
+                               product(of_monomial(mono[:1]), e(mono[1:]))
+                               + product(e(mono[:1]), of_monomial(mono[1:])))
         return hit
 
     return x.extend_linearly(of_monomial, zero)
+
+
+def _co_leibniz(x: PBWElement, owner: str, g: LieAlgebraSpec,
+                generator_image) -> PBWTensorSquare:
+    """_product_rule with e = Delta_0, built once per monomial, algebra and
+    tag: the co-Leibniz rule F(yz) = F(y)Delta_0(z) + Delta_0(y)F(z)."""
+    alg, tag, memo = x.alg, x.tag, x.alg.memo
+
+    def delta0(mono):
+        key = ("Delta_0", tag, mono)
+        if key not in memo:
+            memo[key] = coproduct_square(PBWElement(alg, tag, {mono: 1}))
+        return memo[key]
+
+    return _product_rule(x, owner, g, generator_image, _mult_square, delta0,
+                         PBWTensorSquare.zero(alg, tag))
 
 
 def copoisson_delta(x: PBWElement, g: LieAlgebraSpec) -> PBWTensorSquare:
@@ -346,30 +354,19 @@ def copoisson_delta(x: PBWElement, g: LieAlgebraSpec) -> PBWTensorSquare:
 
 
 def derivation_D(x: PBWElement, g: LieAlgebraSpec) -> PBWElement:
-    """bracket-after-cobracket of the dual algebra, extended as a derivation:
-    memoized per monomial by Leibniz, D(m x_a) = D(m) x_a + m D(x_a)."""
+    """bracket-after-cobracket of the dual algebra on generators, extended
+    as a derivation by _product_rule: D(x_a m) = D(x_a) m + x_a D(m)."""
     dual, tag = x.alg, x.tag
 
-    def of_monomial(mono):
-        key = ("derivation_D", g, tag, mono)
-        hit = dual.memo.get(key)
-        if hit is not None:
-            return hit
-        if not mono:
-            hit = PBWElement.zero(dual, tag)
-        elif len(mono) == 1:  # the dual bracket of each cobracket term of x_a
-            Dd, rows = dual.integer_rows
-            Dg, delta = _delta_generator(g, dual, tag, mono[0]).numerators
-            out = {}
-            for ((i,), (j,)), c in delta:
-                for tgt, w in rows.get(i, {}).get(j, ()):
-                    out[(tgt,)] = out.get((tgt,), 0) + c * w
-            hit = PBWElement(dual, tag, out, Dg * Dd)
-        else:
-            head, last = mono[:-1], mono[-1:]
-            hit = (pbw_product(of_monomial(head), PBWElement(dual, tag, {last: 1}))
-                   + pbw_product(PBWElement(dual, tag, {head: 1}), of_monomial(last)))
-        dual.memo[key] = hit
-        return hit
+    def generator_image(a):  # the dual bracket of each cobracket term of x_a
+        Dd, rows = dual.integer_rows
+        Dg, delta = _delta_generator(g, dual, tag, a).numerators
+        out = {}
+        for ((i,), (j,)), c in delta:
+            for tgt, w in rows.get(i, {}).get(j, ()):
+                out[(tgt,)] = out.get((tgt,), 0) + c * w
+        return PBWElement(dual, tag, out, Dg * Dd)
 
-    return x.extend_linearly(of_monomial, PBWElement.zero(dual, tag))
+    return _product_rule(x, "derivation_D", g, generator_image, pbw_product,
+                         lambda mono: PBWElement(dual, tag, {mono: 1}),
+                         PBWElement.zero(dual, tag))

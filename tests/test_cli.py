@@ -425,8 +425,9 @@ def test_report_bytes_under_python_O(argv):
 
 # The co-Hochschild, lift, envelope, qt, duality, sparse-vector, core and star
 # unit tests themselves (the record checks among them), the all-generator kernel
-# oracles, the dense ad-invariance oracle and the Fraction oracles of the tensor
-# and dual-side bracket kernels, with assert statements stripped from the package.
+# oracles, the dense ad-invariance oracle, the Fraction oracles of the tensor
+# and dual-side bracket kernels and the differential oracle, with assert
+# statements stripped from the package.
 def test_unit_tests_under_python_O():
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(Path(starlift.__file__).parent.parent))
@@ -436,7 +437,8 @@ def test_unit_tests_under_python_O():
                            "tests/test_sparse_vec.py", "tests/test_core.py",
                            "tests/test_star.py", "tests/test_actor_oracle.py",
                            "tests/test_validation.py", "tests/test_kernel_oracle.py",
-                           "tests/test_dual_kernel_oracle.py"],
+                           "tests/test_dual_kernel_oracle.py",
+                           "tests/test_differential_oracle.py"],
                           cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:]
 

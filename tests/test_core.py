@@ -140,8 +140,8 @@ def test_mismatched_truncations_rejected(sl2):
 
 def test_mismatched_slots_rejected(sl2):
     alg, _ = sl2
-    f = FormalSeriesTensor.generator(alg, 0, 4, k=1)
-    g = FormalSeriesTensor.generator(alg, 0, 4, k=2)
+    f = FormalSeriesTensor.generator(alg, 0, 4)
+    g = coproduct_insert(f, [(0,)], 2)  # x_0 (x) 1
     with pytest.raises(SlotMismatch):
         f + g
 

@@ -1,9 +1,10 @@
 """The integer co-Hochschild differential against the Fraction one it
 replaced: _d_raw on general tensors, the memoised monomial images
-_d_monomial, d o d = 0, and the canonical solutions of both
-solve_coboundary modes, over sl2, sl3, nonabelian2 and a rescaled sl2.
-The rank of d taken once per exponent shape against the rank summed over
-every multidegree block, on abelian algebras of dim 1-5 and on sl3."""
+_d_monomial, _d_integer by reduced coproducts against _d_raw, d o d = 0,
+and the canonical solutions of both solve_coboundary modes, over sl2,
+sl3, nonabelian2 and a rescaled sl2. The rank of d taken once per
+exponent shape against the rank summed over every multidegree block, on
+abelian algebras of dim 1-5 and on sl3."""
 from functools import cache
 from math import comb
 
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 from starlift import (FormalSeriesTensor, LieAlgebraSpec, cohomology_dimension,
                       coproduct_insert, linsolve, load_lie_algebra)
 from starlift._rat import QQ
-from starlift.cohochschild import (Cochain, _d_monomial, _d_raw, _exponent_shapes,
-                                   _monomial_fst, _multidegree_blocks, _rank_d,
-                                   invariant_basis, slot_positive_keys, solve_coboundary)
+from starlift.cohochschild import (Cochain, _compositions_positive, _d_integer, _d_monomial,
+                                   _d_raw, _exponent_shapes, _monomial_fst,
+                                   _multidegree_blocks, _rank_d, invariant_basis, monomials,
+                                   slot_positive_keys, solve_coboundary)
 
 from conftest import data_path
 from test_kernel_oracle import ALGEBRAS, COEFFS, tensors
@@ -128,6 +130,30 @@ def test_d_squares_to_zero(data):
     k, N = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 5))
     f = data.draw(tensors(alg, k, N))
     assert _d_raw(_d_raw(f)).is_zero()
+
+
+@st.composite
+def integer_cochains(draw):
+    """(dim, k, N, {key: n}): 1-6 slot-positive k-slot keys of degree N over
+    dim variables, dim and k in 1..4 and N in k..k+3, with n in +-1..9."""
+    dim, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    N = draw(st.integers(k, k + 3))
+    keys = st.sampled_from(_compositions_positive(N, k)).flatmap(
+        lambda degs: st.tuples(*(st.sampled_from(monomials(dim, d)) for d in degs)))
+    coeffs = st.integers(1, 9).flatmap(lambda n: st.sampled_from((n, -n)))
+    return dim, k, N, draw(st.dictionaries(keys, coeffs, min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_cochains())
+def test_d_integer_is_d_raw_by_reduced_coproducts(case):
+    """The signed proper splits of each slot give d_raw's k + 2 faces, in
+    integers, with every slot of every image key nonconstant."""
+    dim, k, N, vec = case
+    got = _d_integer(vec)
+    assert all(type(n) is int and n for n in got.values())
+    assert all(all(map(any, key)) for key in got)
+    assert got == _d_raw(FormalSeriesTensor(_abelian(dim), k, N, vec)).coeffs
 
 
 # sl3's invariant bases get large fast: solve there at N = k only.

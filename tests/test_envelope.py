@@ -29,6 +29,8 @@ from starlift.envelope import (
 )
 from starlift.errors import AlgebraMismatch, IndexOutOfRange, UnsortedMonomial
 
+from test_qt import QT_STRUCTURES
+
 
 def gen(alg, i, tag=TAG_G):
     return PBWElement.generator(alg, tag, i)
@@ -208,8 +210,10 @@ def test_derivation_d_generators_frozen(sl2):
         assert D.coeffs == want
 
 
-def test_derivation_d_leibniz(sl2):
-    alg, r = sl2
+# sl2-qt with its bracket times 2/3 and -5/7 has bracket denominators Dc = 3 and 7
+@pytest.mark.parametrize("name", ["sl2", "sl2-qt*2/3", "sl2-qt*-5/7"])
+def test_derivation_d_leibniz(name, sl2):
+    alg, r = sl2 if name == "sl2" else (QT_STRUCTURES[name].g, QT_STRUCTURES[name].r)
     dual = dual_bracket(r)
     rng = random.Random(29)
     for _ in range(4):

@@ -555,3 +555,14 @@ def test_one_qt_run_builds_each_image_once(monkeypatch, capsys):
         assert len(monos) == len(set(monos)) == memo.lookups[owner, False] == 35
         assert memo.lookups[owner, True] > 0
     assert len(alpha_args) == len(set(alpha_args)) == 35
+
+
+def test_one_qt_run_builds_each_delta0_once(monkeypatch, capsys):
+    """delta and (D (x) id)Delta_0 read one memoized Delta_0 per monomial."""
+    built = []
+    square = envelope.coproduct_square
+    monkeypatch.setattr(envelope, "coproduct_square",
+                        lambda x: built.append((x.tag, tuple(x.coeffs))) or square(x))
+    assert main(["qt", data_path("sl2-qt"), "--maxdeg", "4"]) == 0
+    capsys.readouterr()
+    assert built and len(built) == len(set(built))
