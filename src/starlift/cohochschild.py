@@ -157,9 +157,7 @@ def _rank_d_on(basis) -> int:
 
 def _multidegree_keys(tot, k: int) -> list:
     """The slot-positive k-slot keys of multidegree tot, sorted."""
-    splits = [[tuple(a - 1 for a in c) for c in _compositions_positive(t + k, k)] for t in tot]
-    keys = (tuple(zip(*cols)) for cols in itertools.product(*splits))
-    return sorted(key for key in keys if all(map(any, key)))
+    return sorted(key for key, _ in _splits(tot, k) if all(map(any, key)))
 
 
 def _exponent_shapes(dim: int, N: int) -> list:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from functools import cache, cached_property
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import itemgetter, mul
 
 from . import linsolve
@@ -676,34 +676,17 @@ def invariant_kernel(alg: LieAlgebraSpec, keys, multidegree, act) -> list:
 @cache
 def _splits(vec: Vec, parts: int) -> tuple:
     """All ways to write vec as an ordered sum of `parts` exponent vectors,
-    with the multinomial weight prod_i a_i!/(prod_t parts_t,i!)."""
-    if parts == 1:
-        return (((vec,), 1),)
+    with the multinomial weight prod_i a_i!/(prod_t parts_t,i!): each
+    composition of the first coordinate, in _compositions order, joined
+    with the splits of the rest."""
+    if not vec:
+        return ((((),) * parts, 1),)
     out = []
-    # combine per-coordinate compositions
-    for combo in itertools.product(*_coordinate_splits(vec, parts)):
-        weight = 1
-        cols = []
-        for (comp, w) in combo:
-            weight *= w
-            cols.append(comp)
-        vecs = tuple(tuple(col[t] for col in cols) for t in range(parts))
-        out.append((vecs, weight))
+    for comp in _compositions(vec[0], parts):
+        w = factorial(vec[0]) // prod(map(factorial, comp))
+        for vecs, rest in _splits(vec[1:], parts):
+            out.append((tuple((c,) + v for c, v in zip(comp, vecs)), w * rest))
     return tuple(out)
-
-
-def _coordinate_splits(vec: Vec, parts: int):
-    """Per coordinate: list of (composition, multinomial coefficient)."""
-    out = []
-    for a in vec:
-        comps = []
-        for comp in _compositions(a, parts):
-            w = factorial(a)
-            for part in comp:
-                w //= factorial(part)
-            comps.append((comp, w))
-        out.append(comps)
-    return out
 
 
 def _compositions(total: int, parts: int):

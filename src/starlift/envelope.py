@@ -183,13 +183,10 @@ def pbw_commutator(a: PBWElement, b: PBWElement) -> PBWElement:
     return pbw_product(a, b) - pbw_product(b, a)
 
 
-def sorted_monomials(dim: int, length: int):
-    return list(itertools.combinations_with_replacement(range(dim), length))
-
-
 def pbw_basis(dim: int, maxdeg: int):
     """All sorted monomials of length <= maxdeg, graded order."""
-    return [mono for ln in range(maxdeg + 1) for mono in sorted_monomials(dim, ln)]
+    return [mono for ln in range(maxdeg + 1)
+            for mono in itertools.combinations_with_replacement(range(dim), ln)]
 
 
 def center(alg: LieAlgebraSpec, maxdeg: int, tag: str = TAG_G) -> list:

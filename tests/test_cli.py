@@ -301,6 +301,14 @@ SL3_GOLDEN = {
     # taken before the kernels moved to weight-zero columns and a generating set
     ("envelope", "--maxdeg", "4"):
         "ce9cd5162995fd48c2fa2a8d2137952cac5c4e652d460663cfdb0c879f6757b4",
+    # ladder rungs, taken before theta's coproduct table and the integer
+    # elimination were changed
+    ("theta", "--maxdeg", "2"):
+        "5ab658bb4585aaa09fa88d2306491b7e8c0b7921728c9b2a636defb02ea70eea",
+    ("theta", "--maxdeg", "3"):
+        "9b1bcf99988715daf6fa24b48ef2005cf45b4021cfed35f19c999a27cddf4030",
+    ("envelope", "--maxdeg", "6"):
+        "bb3d66ee64e5a8b9c190c4d6212ef66b9fe73fe7c8862d0ade9e7d873bdd4daf",
 }
 
 
@@ -396,6 +404,9 @@ GOLDEN = {
         (1, "69de274b6fae6a4c4224b91da05cb3560fc8e5e684bc9be70969ebe97f98c2bb"),
     ("theta", "nonabelian2", "--degree", "2", "--maxdeg", "2"):
         (0, "8460be57184bc2cb9ff4841193107c0e5406948947a28e71ce51bba8e84b7b31"),
+    # a ladder rung, taken before the integer elimination was changed
+    ("qt", "sl2-qt", "--maxdeg", "8"):
+        (0, "705b16a6df611be931c5afc77c7bbd43d854ad20f878c7dc0f1db9157f3217bf"),
 }
 
 
@@ -421,6 +432,42 @@ def test_report_bytes_under_python_O(argv):
                            data_path(argv[1]), *argv[2:]],
                           env=env, capture_output=True, timeout=120)
     assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[argv]
+
+
+# Runs the CLI on the given backend: "fraction" blocks gmpy2 before starlift
+# is imported, so that _rat falls back to fractions.Fraction.
+_BACKEND_RUN = """import sys
+if sys.argv[1] == "fraction":
+    sys.modules["gmpy2"] = None
+from starlift import _rat, cli
+if sys.argv[1] == "fraction" and _rat.QQ.__module__ != "fractions":
+    sys.exit(99)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+_BACKEND_ARGV = [("lift", "sl2", "--degree", "5"),
+                 ("cohomology", "sl2", "--degree", "4"),
+                 ("theta", "sl2", "--degree", "3", "--maxdeg", "3"),
+                 ("qt", "sl2-qt", "--maxdeg", "4", "--s=-3/4")]
+
+
+def _run_backend(backend, argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(starlift.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-c", _BACKEND_RUN, backend, argv[0],
+                           data_path(argv[1]), *argv[2:]],
+                          env=env, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", _BACKEND_ARGV, ids=" ".join)
+def test_fraction_backend_report_bytes(argv):
+    proc = _run_backend("fraction", argv)
+    assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", _BACKEND_ARGV, ids=" ".join)
+def test_backends_print_the_same_bytes(argv):
+    pytest.importorskip("gmpy2")
+    fraction, default = _run_backend("fraction", argv), _run_backend("default", argv)
+    assert (default.returncode, default.stdout) == (fraction.returncode, fraction.stdout)
 
 
 # The co-Hochschild, lift, envelope, qt, duality, sparse-vector, core and star

@@ -1,15 +1,17 @@
 """The integer co-Hochschild differential against the Fraction one it
 replaced: _d_raw on general tensors, the memoised monomial images
 _d_monomial, _d_integer by reduced coproducts against _d_raw, d o d = 0,
-and the canonical solutions of both solve_coboundary modes, over sl2,
-sl3, nonabelian2 and a rescaled sl2. The rank of d taken once per
+_multidegree_keys against the per-coordinate enumeration, and the
+canonical solutions of both solve_coboundary modes, over sl2, sl3,
+nonabelian2 and a rescaled sl2. The rank of d taken once per
 exponent shape against the rank summed over every multidegree block, on
 abelian algebras of dim 1-5 and on sl3."""
+import itertools
 from functools import cache
-from math import comb
+from math import comb, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from starlift import (FormalSeriesTensor, LieAlgebraSpec, cohomology_dimension,
@@ -17,8 +19,9 @@ from starlift import (FormalSeriesTensor, LieAlgebraSpec, cohomology_dimension,
 from starlift._rat import QQ
 from starlift.cohochschild import (Cochain, _compositions_positive, _d_integer, _d_monomial,
                                    _d_raw, _exponent_shapes, _monomial_fst,
-                                   _multidegree_blocks, _rank_d, invariant_basis, monomials,
-                                   slot_positive_keys, solve_coboundary)
+                                   _multidegree_blocks, _multidegree_keys, _rank_d,
+                                   invariant_basis, monomials, slot_positive_keys,
+                                   solve_coboundary)
 
 from conftest import data_path
 from test_kernel_oracle import ALGEBRAS, COEFFS, tensors
@@ -67,6 +70,12 @@ def ref_solve_coboundary(c, invariant_only):
         for j, x in sol.items():
             value = value + basis[j].scale(x)
     return value
+
+
+def ref_multidegree_keys(tot, k):
+    splits = [[tuple(a - 1 for a in c) for c in _compositions_positive(t + k, k)] for t in tot]
+    keys = (tuple(zip(*cols)) for cols in itertools.product(*splits))
+    return sorted(key for key in keys if all(map(any, key)))
 
 
 def ref_rank_d(alg, k, N):
@@ -154,6 +163,16 @@ def test_d_integer_is_d_raw_by_reduced_coproducts(case):
     assert all(type(n) is int and n for n in got.values())
     assert all(all(map(any, key)) for key in got)
     assert got == _d_raw(FormalSeriesTensor(_abelian(dim), k, N, vec)).coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=4), st.integers(1, 4))
+def test_multidegree_keys_match_the_per_coordinate_oracle(tot, k):
+    """Multidegrees of length 1-4 with entries 0-4 and at most 2,000 splits
+    into k parts, since _splits keeps every table it builds."""
+    tot = tuple(tot)
+    assume(prod(comb(t + k - 1, k - 1) for t in tot) <= 2000)
+    assert _multidegree_keys(tot, k) == ref_multidegree_keys(tot, k)
 
 
 # sl3's invariant bases get large fast: solve there at N = k only.

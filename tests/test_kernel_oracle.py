@@ -1,12 +1,13 @@
 """The integer-numerator kernels (poisson_bracket, coproduct_insert,
 g_action) against the Fraction loops they replaced: equal coefficients and
 equal key insertion order, on algebras with integer and with non-integer
-structure constants, and on equal but distinct algebra instances."""
+structure constants, and on equal but distinct algebra instances. The
+split table _splits against the per-coordinate product it replaced."""
 import itertools
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from starlift import (
@@ -18,7 +19,7 @@ from starlift import (
     poisson_bracket,
 )
 from starlift._rat import QQ
-from starlift.core import key_degree
+from starlift.core import _splits, key_degree
 
 from conftest import data_path
 
@@ -245,6 +246,25 @@ def test_coproduct_insert_matches_fraction_oracle(data):
     want = ref_coproduct_insert(f, blocks, n)
     _same(coproduct_insert(f, blocks, n), want)
     _same(coproduct_insert(_on(_twin(alg), f), blocks, n), want)
+
+
+@st.composite
+def split_cases(draw):
+    """(vec, parts): vec of length 0-4 with entries 0-4 and parts in 1-4,
+    with at most 2,000 splits, since _splits keeps every table it builds."""
+    vec = tuple(draw(st.lists(st.integers(0, 4), max_size=4)))
+    parts = draw(st.integers(1, 4))
+    assume(prod(comb(a + parts - 1, parts - 1) for a in vec) <= 2000)
+    return vec, parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+def test_splits_match_the_per_coordinate_oracle(case):
+    """The same split vectors and weights in the same order: the order is
+    coproduct_insert's key order."""
+    vec, parts = case
+    assert _splits(vec, parts) == tuple(_ref_splits(vec, parts))
 
 
 def test_numerators_share_one_denominator():
