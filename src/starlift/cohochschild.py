@@ -150,11 +150,6 @@ def _multidegree_blocks(keys, dim: int) -> dict:
     return blocks
 
 
-def _rank_d_on(basis) -> int:
-    """Rank of d restricted to the span of the given cochains."""
-    return linsolve.rank_of([_d_raw(v).coeffs for v in basis])
-
-
 def _multidegree_keys(tot, k: int) -> list:
     """The slot-positive k-slot keys of multidegree tot, sorted."""
     return sorted(key for key, _ in _splits(tot, k) if all(map(any, key)))
@@ -173,30 +168,25 @@ def _exponent_shapes(dim: int, N: int) -> list:
             for shape in parts(N, N) if len(shape) <= dim]
 
 
-def _rank_d(alg, k: int, N: int) -> int:
-    """Rank of d on (S^{>0})^{(x)k} in degree N; computed once per algebra
-    instance. d splits by multidegree, reads no algebra, and commutes with
+def _dim_rank(alg, k: int, N: int, invariant_only: bool) -> tuple:
+    """(dimension, rank of d) of the k-cochains in degree N, N >= k >= 1, the
+    invariant ones when flagged; computed once per algebra instance. On all
+    cochains d splits by multidegree, reads no algebra, and commutes with
     every permutation of the variables; a multidegree block uses only the
     variables with a nonzero exponent. So a block's rank depends only on its
     exponent shape, and one block per shape is eliminated."""
-    if k < 1 or N < k:
-        return 0
-    memo = alg.memo
-    if ("rank_d", k, N) not in memo:
-        memo["rank_d", k, N] = sum(
-            count * linsolve.rank_of([_d_monomial(key) for key in _multidegree_keys(shape, k)])
-            for shape, count in _exponent_shapes(alg.dim, N))
-    return memo["rank_d", k, N]
-
-
-def _invariant_dim_rank(alg, k: int, N: int) -> tuple:
-    """(dimension, rank of d) of the invariant k-cochains in degree N;
-    computed once per algebra instance."""
-    memo = alg.memo
-    if ("invariant_dim_rank", k, N) not in memo:
-        basis = invariant_basis(alg, k, N)
-        memo["invariant_dim_rank", k, N] = (len(basis), _rank_d_on(basis))
-    return memo["invariant_dim_rank", k, N]
+    key = ("dim_rank", k, N, invariant_only)
+    if key not in alg.memo:
+        if invariant_only:
+            basis = invariant_basis(alg, k, N)
+            alg.memo[key] = (len(basis), linsolve.rank_of(_d_raw(v).coeffs for v in basis))
+        else:
+            blocks = [(count, _multidegree_keys(shape, k))
+                      for shape, count in _exponent_shapes(alg.dim, N)]
+            alg.memo[key] = (sum(count * len(keys) for count, keys in blocks),
+                             sum(count * linsolve.rank_of(map(_d_monomial, keys))
+                                 for count, keys in blocks))
+    return alg.memo[key]
 
 
 def cohomology_dimension(alg: LieAlgebraSpec, k: int, N: int,
@@ -206,12 +196,8 @@ def cohomology_dimension(alg: LieAlgebraSpec, k: int, N: int,
         raise ValueError("need k >= 1 and N >= 1")
     if N < k:
         return 0
-    if invariant_only:
-        dim, rank = _invariant_dim_rank(alg, k, N)
-        return dim - rank - (_invariant_dim_rank(alg, k - 1, N)[1] if k >= 2 else 0)
-    ncols = sum(count * len(_multidegree_keys(shape, k))
-                for shape, count in _exponent_shapes(alg.dim, N))
-    return ncols - _rank_d(alg, k, N) - _rank_d(alg, k - 1, N)
+    dim, rank = _dim_rank(alg, k, N, invariant_only)
+    return dim - rank - (_dim_rank(alg, k - 1, N, invariant_only)[1] if k >= 2 else 0)
 
 
 def solve_coboundary(c: Cochain, invariant_only: bool = False) -> Cochain:
@@ -230,30 +216,31 @@ def solve_coboundary(c: Cochain, invariant_only: bool = False) -> Cochain:
     if invariant_only and not is_invariant(c.value):
         raise NotInvariant("cochain is not g-invariant")
 
+    coeffs = c.value.coeffs
+    items = {}
     if invariant_only:
         # column j is D_j times basis vector j, whose numerators are integers
         # over D_j: x_j / D_j solves, so the sum is the same beta
         basis = [dict(v.numerators[1]) for v in invariant_basis(alg, k - 1, N)]
-        pieces = [([_d_integer(vec) for vec in basis], basis, c.value.coeffs)]
-    else:
-        pieces = []
-        for tot, rhs_keys in sorted(_multidegree_blocks(c.value.coeffs, alg.dim).items()):
-            keys = _multidegree_keys(tot, k - 1)
-            pieces.append(([_d_monomial(key) for key in keys], [{key: 1} for key in keys],
-                           {key: c.value.coeffs[key] for key in rhs_keys}))
-
-    items = {}
-    for images, basis, target in pieces:
-        sol = linsolve.preimage(images, target)
-        if sol is None:
-            _raise_unsolvable(c)
+        sol = _preimage(c, dict(enumerate(map(_d_integer, basis))), coeffs)
         for j, x in sol.items():
             for key, v in basis[j].items():
                 items[key] = items.get(key, 0) + x * v
+    else:
+        # a multidegree block's columns are the monomials, so its solution
+        # holds the coefficients
+        for tot, rhs_keys in sorted(_multidegree_blocks(coeffs, alg.dim).items()):
+            images = {key: _d_monomial(key) for key in _multidegree_keys(tot, k - 1)}
+            items.update(_preimage(c, images, {key: coeffs[key] for key in rhs_keys}))
     return Cochain.make(k - 1, N, FormalSeriesTensor.make(alg, k - 1, N, items))
 
 
-def _raise_unsolvable(c: Cochain):
+def _preimage(c: Cochain, images: dict, target: dict) -> dict:
+    """linsolve.preimage(images, target), raising as solve_coboundary
+    documents when there is none."""
+    sol = linsolve.preimage(images, target)
+    if sol is not None:
+        return sol
     if c.degree == c.k:
         cls = alt_project(c.value)
         raise Obstruction(

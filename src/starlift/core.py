@@ -78,6 +78,18 @@ class LieAlgebraSpec(_Record):
     def __init__(self, dim: int, basis_names: tuple, c: tuple):
         self.__dict__.update(dim=dim, basis_names=basis_names, c=c)
 
+    @classmethod
+    def from_brackets(cls, basis_names, terms) -> "LieAlgebraSpec":
+        """The validated algebra on basis_names whose brackets are the sums
+        of the terms (i, j, k, v): each adds v x_k to [x_i, x_j] and -v x_k
+        to [x_j, x_i]."""
+        d = len(basis_names)
+        c = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
+        for i, j, k, v in terms:
+            c[i][j][k] += v
+            c[j][i][k] -= v
+        return cls(d, tuple(basis_names), tuple(tuple(map(tuple, plane)) for plane in c)).validate()
+
     @cached_property
     def bracket_rows(self):
         """Sparse view: rows[i][j] = ((k, c_ijk), ...) over nonzero entries."""
@@ -281,7 +293,7 @@ def load_lie_algebra(source) -> "tuple[LieAlgebraSpec, RMatrix | None]":
     if len(set(basis)) != dim:
         raise ParseError(f"basis names must be distinct, got {basis!r}")
 
-    c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    summands = []
     for ent in _as_list(data.get("brackets", []), "brackets"):
         try:
             i, j, terms = ent
@@ -296,15 +308,8 @@ def load_lie_algebra(source) -> "tuple[LieAlgebraSpec, RMatrix | None]":
                 raise ParseError(f"malformed bracket term: {term!r}") from None
             if not _is_index(k, dim):
                 raise ParseError(f"bracket target index out of range: {term!r}")
-            val = _parse_rat(coeff, f"bracket [{i},{j}]")
-            c[i][j][k] += val
-            c[j][i][k] -= val
-
-    alg = LieAlgebraSpec(
-        dim=dim,
-        basis_names=tuple(basis),
-        c=tuple(tuple(tuple(row) for row in plane) for plane in c),
-    ).validate()
+            summands.append((i, j, k, _parse_rat(coeff, f"bracket [{i},{j}]")))
+    alg = LieAlgebraSpec.from_brackets(basis, summands)
 
     rmat = None
     if "r" in data:
@@ -661,16 +666,14 @@ def invariant_kernel(alg: LieAlgebraSpec, keys, multidegree, act) -> list:
     of the column images act(i, key) ({image key: c}, all with one common
     nonzero scale) stacked over alg.actors' gens i (see LieAlgebraSpec.actors)."""
     weight_zero = {}
-    kept = []
+    images = {}
     for key in keys:
         tot = multidegree(key)
         if tot not in weight_zero:
             weight_zero[tot] = alg.weight_zero(tot)
         if weight_zero[tot]:
-            kept.append(key)
-    images = [{(i, m): c for i in alg.actors[1] for m, c in act(i, key).items()}
-              for key in kept]
-    return [{kept[j]: c for j, c in vec.items()} for vec in linsolve.kernel_of(images)]
+            images[key] = {(i, m): c for i in alg.actors[1] for m, c in act(i, key).items()}
+    return linsolve.kernel_of(images)
 
 
 @cache

@@ -10,6 +10,7 @@ makes the gr(theta) = inclusion check come out with no stray factors.
 """
 from __future__ import annotations
 
+import itertools
 from math import factorial, lcm
 
 from . import linsolve
@@ -118,15 +119,13 @@ def poisson_traces(alg: LieAlgebraSpec, maxdeg: int) -> list:
     degree by degree (degree d forms against brackets of degree d)."""
     out = [LinearForm.one(alg)]
     for d in range(1, maxdeg + 1):
-        cols = monomials(alg.dim, d)
-        col_index = {v: j for j, v in enumerate(cols)}
-        images = [{} for _ in cols]  # the pairings times Dc, which keeps the kernel
+        # the pairings times Dc, which keeps the kernel
+        images = {vec: {} for vec in monomials(alg.dim, d)}
         for va, vb, terms in _monomial_brackets(alg, d):
             for vec, n in terms:
                 if n:
-                    images[col_index[vec]][va, vb] = n * _vec_factorial(vec)
-        for ker in linsolve.kernel_of(images):
-            out.append(LinearForm.make(alg, {cols[j]: c for j, c in ker.items()}))
+                    images[vec][va, vb] = n * _vec_factorial(vec)
+        out += [LinearForm.make(alg, ker) for ker in linsolve.kernel_of(images)]
     return out
 
 
@@ -148,21 +147,13 @@ def convolution_bracket(rho: FormalSeriesTensor) -> LieAlgebraSpec:
     if ("convolution_bracket",) in rho.memo:
         return rho.memo[("convolution_bracket",)]
     alg = rho.alg
-    d = alg.dim
-    gens = [LinearForm.generator(alg, i) for i in range(d)]
-    c = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            comm = rho_product(gens[i], gens[j], rho) - rho_product(gens[j], gens[i], rho)
-            for vec, val in comm.homogeneous_part(1).coeffs.items():
-                a = vec.index(1)
-                c[i][j][a] = val
-                c[j][i][a] = -val
-    rho.memo[("convolution_bracket",)] = LieAlgebraSpec(
-        dim=d,
-        basis_names=tuple(n + "*" for n in alg.basis_names),
-        c=tuple(tuple(tuple(row) for row in plane) for plane in c),
-    ).validate()
+    gens = [LinearForm.generator(alg, i) for i in range(alg.dim)]
+    terms = []
+    for i, j in itertools.combinations(range(alg.dim), 2):
+        comm = rho_product(gens[i], gens[j], rho) - rho_product(gens[j], gens[i], rho)
+        terms += [(i, j, vec.index(1), val) for vec, val in comm.homogeneous_part(1).coeffs.items()]
+    rho.memo[("convolution_bracket",)] = LieAlgebraSpec.from_brackets(
+        [n + "*" for n in alg.basis_names], terms)
     return rho.memo[("convolution_bracket",)]
 
 
@@ -178,16 +169,11 @@ def theta(f: LinearForm, rho: FormalSeriesTensor) -> PBWElement:
     if rho.N < n:
         raise TruncationTooLow(f"rho truncated at {rho.N}, need degree {n}")
 
-    basis = pbw_basis(alg.dim, n)
     forms = {(): LinearForm.one(alg)}
-    for mono in basis:
-        if not mono:
-            continue
-        prefix = forms[mono[:-1]]
-        forms[mono] = rho_product(prefix, LinearForm.generator(alg, mono[-1]), rho)
+    for mono in pbw_basis(alg.dim, n)[1:]:
+        forms[mono] = rho_product(forms[mono[:-1]], LinearForm.generator(alg, mono[-1]), rho)
 
-    sol = linsolve.preimage([forms[mono].coeffs for mono in basis], f.coeffs)
+    sol = linsolve.preimage({mono: form.coeffs for mono, form in forms.items()}, f.coeffs)
     if sol is None:
         raise SingularPairing("convolution pairing matrix failed to solve")
-    return PBWElement.make(convolution_bracket(rho), TAG_GSTAR,
-                           {basis[j]: c for j, c in sol.items()})
+    return PBWElement.make(convolution_bracket(rho), TAG_GSTAR, sol)

@@ -234,21 +234,12 @@ def dual_bracket(r: RMatrix) -> LieAlgebraSpec:
     [a, b] = ad*(R(b))(a) - ad*(R(a))(b), R(xi) = (id (x) xi)(r), where
     each c_km^a adds -r_kb c_km^a xi_m to ad*(R(xi_b)) xi_a."""
     alg = r.alg
-    dim = alg.dim
     Dc, rows = alg.integer_rows
-    c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for k, targets in rows.items():
-        for m, pairs in targets.items():
-            for a, n in pairs:
-                for b in range(dim):
-                    v = r.entries[k][b] * QQ(n, Dc)
-                    c[a][b][m] -= v
-                    c[b][a][m] += v
-    return LieAlgebraSpec(
-        dim=dim,
-        basis_names=tuple(n + "*" for n in alg.basis_names),
-        c=tuple(tuple(map(tuple, plane)) for plane in c),
-    ).validate()
+    return LieAlgebraSpec.from_brackets(
+        [n + "*" for n in alg.basis_names],
+        [(b, a, m, r.entries[k][b] * QQ(n, Dc))
+         for k, targets in rows.items() for m, pairs in targets.items()
+         for a, n in pairs for b in range(alg.dim)])
 
 
 class PBWTensorSquare(_SparseVec):

@@ -7,10 +7,12 @@ pivot row fully reduced. The reduced echelon form is unique once the
 column order is fixed, so no result depends on the row order. No floating
 point anywhere.
 
-Callers describe a map by its column images: entry j is the image of basis
-vector j, a dict {key: coefficient} over any hashable keys with no zero
-coefficient stored. kernel_of, rank_of and preimage transpose images into
-rows, so the key order changes nothing either.
+Callers describe a map by its column images: a dict {basis key: image},
+whose insertion order is the column order, each image a dict {key:
+coefficient} over any hashable keys with no zero coefficient stored.
+kernel_of and preimage answer over the basis keys; rank_of takes any
+iterable of images. They transpose the images into rows, so the order of
+the image keys changes nothing either.
 """
 from __future__ import annotations
 
@@ -64,33 +66,35 @@ def _rows_of(images) -> dict:
     return rows
 
 
-def kernel_of(images) -> list:
-    """Basis of the kernel of the map whose column j is images[j], as sparse
-    dicts over column indices, one per free column, in increasing order."""
-    echelon = echelonize(_rows_of(images).values())
-    out = {j: {j: QQ(1)} for j in range(len(images)) if j not in echelon}
+def kernel_of(images: dict) -> list:
+    """Basis of the kernel of the map sending each basis key b to images[b],
+    as sparse dicts over the basis keys, one per free column, in column order."""
+    cols = list(images)
+    echelon = echelonize(_rows_of(images.values()).values())
+    out = {j: {b: QQ(1)} for j, b in enumerate(cols) if j not in echelon}
     for c, row in echelon.items():
         for j, coef in row.items():
             if j != c:
-                out[j][c] = -coef
+                out[j][cols[c]] = -coef
     return list(out.values())
 
 
 def rank_of(images) -> int:
-    """Rank of the map whose column j is images[j]."""
+    """Rank of the map whose columns are the given images."""
     return len(echelonize(_rows_of(images).values()))
 
 
-def preimage(images, target: dict):
-    """One exact x with sum_j x[j] * images[j] = target, or None when there
-    is none. Free variables are set to zero, so the answer is the canonical
-    pivot-order particular solution."""
-    aug = len(images)  # the augmented column
-    rows = _rows_of(images)
+def preimage(images: dict, target: dict):
+    """One exact x = {basis key: coefficient} with sum_b x[b] * images[b] =
+    target, or None when there is none. Free variables are set to zero, so
+    the answer is the canonical pivot-order particular solution."""
+    cols = list(images)
+    aug = len(cols)  # the augmented column
+    rows = _rows_of(images.values())
     for key, b in target.items():
         if b:
             rows.setdefault(key, {})[aug] = -b
     echelon = echelonize(rows.values())
     if aug in echelon:
         return None
-    return {c: -row[aug] for c, row in echelon.items() if row.get(aug)}
+    return {cols[c]: -row[aug] for c, row in echelon.items() if row.get(aug)}

@@ -23,7 +23,7 @@ from .envelope import (
     pbw_commutator,
     pbw_product,
 )
-from .errors import (CYBViolation, Degenerate, NotCentral, RankCertificate,
+from .errors import (CYBViolation, Degenerate, NotCentral, ParseError, RankCertificate,
                      SingularPairing, TNotInvariant)
 
 
@@ -57,6 +57,9 @@ def qt_validate(g: LieAlgebraSpec, rprime) -> QTStructure:
     if isinstance(rprime, RMatrix):
         rp = rprime
     else:
+        if not (isinstance(rprime, (list, tuple)) and len(rprime) == d
+                and all(isinstance(row, (list, tuple)) and len(row) == d for row in rprime)):
+            raise ParseError(f"r' must be a list of {d} lists of {d} entries")
         rp = RMatrix(g, tuple(tuple(_parse_rat(v, f"r'[{i},{j}]") for j, v in enumerate(row))
                               for i, row in enumerate(rprime)), "quasitriangular-candidate")
 
@@ -130,18 +133,17 @@ def c_s_basis(s, maxdeg: int, qt: QTStructure) -> list:
     dual = qt.dual
     key = ("c_s_basis", QQ(s), maxdeg)
     if key not in dual.memo:
-        basis = pbw_basis(qt.g.dim, maxdeg)
-        images = [c_s_map(PBWElement(dual, TAG_GSTAR, {mono: 1}), qt.g, s).coeffs
-                  for mono in basis]
-        dual.memo[key] = [PBWElement.make(dual, TAG_GSTAR, {basis[j]: c for j, c in vec.items()})
+        images = {mono: c_s_map(PBWElement(dual, TAG_GSTAR, {mono: 1}), qt.g, s).coeffs
+                  for mono in pbw_basis(qt.g.dim, maxdeg)}
+        dual.memo[key] = [PBWElement.make(dual, TAG_GSTAR, vec)
                           for vec in linsolve.kernel_of(images)]
     return list(dual.memo[key])
 
 
 def c_s_graded_dims(s, maxdeg: int, qt: QTStructure) -> tuple:
     """dim gr(C_s) per degree 0..maxdeg. Each c_s_basis vector is read off
-    the RREF over the graded PBW basis: 1 at its free column j, support in
-    columns <= j, so its filtration is len(basis[j]) and those of
+    the RREF over the graded PBW basis: 1 at its free column, a monomial m,
+    support in the columns up to m, so its filtration is len(m) and those of
     filtration <= d are a basis of the cutoff-d kernel."""
     dims = [0] * (maxdeg + 1)
     for x in c_s_basis(s, maxdeg, qt):
@@ -170,26 +172,25 @@ def sts_alpha(x: PBWElement, qt: QTStructure) -> PBWElement:
     return x.extend_linearly(of_monomial, PBWElement.zero(g, TAG_G))
 
 
-def _alpha_images(qt: QTStructure, maxdeg: int) -> tuple:
-    """(basis, images): the PBW basis of the dual enveloping algebra up to
-    filtration maxdeg, and alpha of each basis monomial as a column image,
-    memoized per monomial and r' (with it g) on the dual."""
-    basis = pbw_basis(qt.g.dim, maxdeg)
-    images = []
-    for mono in basis:
+def _alpha_images(qt: QTStructure, maxdeg: int) -> dict:
+    """{mono: alpha(mono)} over the PBW basis of the dual enveloping algebra
+    up to filtration maxdeg, each image memoized per monomial and r' (with
+    it g) on the dual."""
+    images = {}
+    for mono in pbw_basis(qt.g.dim, maxdeg):
         key = ("sts_alpha", qt.rprime, mono)
         img = qt.dual.memo.get(key)
         if img is None:
             unit = PBWElement(qt.dual, TAG_GSTAR, {mono: 1})
             img = qt.dual.memo[key] = sts_alpha(unit, qt).coeffs
-        images.append(img)
-    return basis, images
+        images[mono] = img
+    return images
 
 
 def alpha_matrix_rank(qt: QTStructure, maxdeg: int) -> tuple:
     """(rank, dimension) of alpha restricted to filtration <= maxdeg."""
-    basis, images = _alpha_images(qt, maxdeg)
-    return (linsolve.rank_of(images), len(basis))
+    images = _alpha_images(qt, maxdeg)
+    return (linsolve.rank_of(images.values()), len(images))
 
 
 def sts_theta(z: PBWElement, qt: QTStructure) -> PBWElement:
@@ -202,12 +203,10 @@ def sts_theta(z: PBWElement, qt: QTStructure) -> PBWElement:
     if not qt.nondegenerate:
         raise Degenerate("t is singular; alpha is not invertible")
 
-    basis, images = _alpha_images(qt, z.filtration)
-    sol = linsolve.preimage(images, z.coeffs)
+    sol = linsolve.preimage(_alpha_images(qt, z.filtration), z.coeffs)
     if sol is None:
         raise SingularPairing("alpha did not reach the requested element")
-    return PBWElement.make(qt.dual, TAG_GSTAR,
-                           {basis[j]: c for j, c in sol.items()})
+    return PBWElement.make(qt.dual, TAG_GSTAR, sol)
 
 
 def _bracket_contraction(f: FormalSeriesTensor) -> tuple:

@@ -82,12 +82,12 @@ def bch_terms(max_len: int) -> tuple:
     """
     if max_len < 2:
         return ()
-    words = [w for w in product((0, 1), repeat=max_len) if w[-1] != w[-2]]
+    words = {w: _expand(w) for w in product((0, 1), repeat=max_len) if w[-1] != w[-2]}
     target = {w: c for w, c in assoc_log_exp_exp(max_len).items() if len(w) == max_len}
-    x = preimage([_expand(w) for w in words], target)
+    x = preimage(words, target)
     if x is None:
         raise RankCertificate(f"BCH terms of length {max_len} are not a Lie element")
-    return bch_terms(max_len - 1) + tuple((x[j], words[j]) for j in sorted(x))
+    return bch_terms(max_len - 1) + tuple((x[w], w) for w in sorted(x))
 
 
 def _check_star_pair(f, g):

@@ -43,7 +43,7 @@ def ref_center(alg, maxdeg, tag=TAG_G):
                 col[(i, m)] = c
         images.append(col)
     out = []
-    for vec in linsolve.kernel_of(images):
+    for vec in linsolve.kernel_of(dict(enumerate(images))):
         out.append(PBWElement.make(alg, tag,
                                    {basis[j]: c for j, c in vec.items()}))
     return out
@@ -60,7 +60,7 @@ def ref_invariants_s_dual(alg, maxdeg):
                 for m, c in coadjoint_action(alg, i, {mono: QQ(1)}).items():
                     col[(i, m)] = c
             images.append(col)
-        for vec in linsolve.kernel_of(images):
+        for vec in linsolve.kernel_of(dict(enumerate(images))):
             out.append(LinearForm.make(alg, {monos[j]: c for j, c in vec.items()}))
     return out
 
@@ -114,7 +114,7 @@ def ref_invariant_basis(alg, k, N):
         images.append(col)
 
     out = []
-    for vec in linsolve.kernel_of(images):
+    for vec in linsolve.kernel_of(dict(enumerate(images))):
         items = {kept[j]: v for j, v in vec.items()}
         out.append(FormalSeriesTensor.make(alg, k, N, items))
     return out

@@ -407,6 +407,15 @@ GOLDEN = {
     # a ladder rung, taken before the integer elimination was changed
     ("qt", "sl2-qt", "--maxdeg", "8"):
         (0, "705b16a6df611be931c5afc77c7bbd43d854ad20f878c7dc0f1db9157f3217bf"),
+    # taken before the kernels and preimages answered over the callers' basis
+    # keys: the Poisson traces and theta's solve, the top rank of d on a
+    # solvable algebra, and C_s and alpha at an s no other pin uses
+    ("theta", "nonabelian2", "--maxdeg", "5"):
+        (0, "289bd1d0b20b42191fcdd77ebdbd892b86a098281b955ccd8c21d157daa92b6a"),
+    ("cohomology", "nonabelian2", "--degree", "6"):
+        (0, "48dfcb85e87f8ab08553520f0779b42e39b7e9f1be2ec5a0878cc2a31c8233ae"),
+    ("qt", "sl2-qt", "--maxdeg", "6", "--s=4/3"):
+        (0, "0e700bb4f164fb690c65782d13f9f0d3a46fa413357840f83a76805f03f9def6"),
 }
 
 

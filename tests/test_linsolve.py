@@ -24,7 +24,7 @@ def _cols(rows, ncols):
 
 # The row-form systems below, posed through the column-image entry points.
 def solve(rows, rhs, ncols):
-    return preimage(_cols(rows, ncols), {i: b for i, b in enumerate(rhs) if b})
+    return preimage(dict(enumerate(_cols(rows, ncols))), {i: b for i, b in enumerate(rhs) if b})
 
 
 def rank(rows, ncols=5):
@@ -32,7 +32,7 @@ def rank(rows, ncols=5):
 
 
 def kernel_basis(rows, ncols):
-    return kernel_of(_cols(rows, ncols))
+    return kernel_of(dict(enumerate(_cols(rows, ncols))))
 
 
 def test_solve_unique():

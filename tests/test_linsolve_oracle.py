@@ -1,8 +1,9 @@
 """The column-image entry points of linsolve against sympy's DomainMatrix
-over QQ, their independence of key order, and c_s_graded_dims against the
+over QQ, their independence of key order, answers over the basis keys as
+the positional answers relabelled, and c_s_graded_dims against the
 successive-difference computation it replaced."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import QQ as SQQ
 from sympy.polys.matrices import DomainMatrix
@@ -79,8 +80,8 @@ def test_entry_points_match_sympy(system):
     keys, images, target = system
     M = _oracle(keys, images)
     assert rank_of(images) == M.rank()
-    assert kernel_of(images) == _rref_nullspace(M, len(images))
-    x = preimage(images, target)
+    assert kernel_of(dict(enumerate(images))) == _rref_nullspace(M, len(images))
+    x = preimage(dict(enumerate(images)), target)
     assert x == _canonical_solution(_oracle(keys, images, target), len(images))
     if x is not None:
         image = {}
@@ -101,9 +102,53 @@ def test_key_order_changes_nothing(system, rnd):
         return {key: col[key] for key in order if key in col}
 
     shuffled = [reordered(col) for col in images]
-    assert kernel_of(shuffled) == kernel_of(images)
+    assert kernel_of(dict(enumerate(shuffled))) == kernel_of(dict(enumerate(images)))
     assert rank_of(shuffled) == rank_of(images)
-    assert preimage(shuffled, reordered(target)) == preimage(images, target)
+    assert (preimage(dict(enumerate(shuffled)), reordered(target))
+            == preimage(dict(enumerate(images)), target))
+
+
+@st.composite
+def keyed_systems(draw):
+    """(labels, images, target): a rank-deficient system, one column a
+    combination of the others, whose columns carry distinct labels listed in
+    an order other than their sorted one; the target is in the image or not."""
+    keys, images, _ = draw(systems())
+    coeffs = draw(st.lists(NONZERO, min_size=len(images), max_size=len(images)))
+    combo = {}
+    for a, col in zip(coeffs, images):
+        for key, v in col.items():
+            combo[key] = combo.get(key, QQ(0)) + a * v
+    images.insert(draw(st.integers(0, len(images))), {k: v for k, v in combo.items() if v})
+    labels = draw(st.lists(st.tuples(st.sampled_from("uvw"), st.integers(0, 9)),
+                           unique=True, min_size=len(images), max_size=len(images)))
+    assume(labels != sorted(labels))
+    if draw(st.booleans()):
+        target = combo
+    else:
+        target = draw(st.dictionaries(st.sampled_from(keys), NONZERO)) if keys else {}
+    return keys, labels, images, {k: v for k, v in target.items() if v}
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_systems())
+def test_keyed_answers_are_positional_answers_relabelled(system):
+    """Kernel vectors and preimages over the basis keys are the positional
+    answers (which sympy's RREF confirms) with position j renamed to the j-th
+    key inserted: the insertion order, not the key order, fixes the answer."""
+    keys, labels, images, target = system
+    keyed = dict(zip(labels, images))
+    positional = dict(enumerate(images))
+
+    kernel = kernel_of(positional)
+    assert kernel == _rref_nullspace(_oracle(keys, images), len(images))
+    assert kernel  # rank-deficient
+    assert kernel_of(keyed) == [{labels[j]: c for j, c in vec.items()} for vec in kernel]
+
+    x = preimage(positional, target)
+    assert x == _canonical_solution(_oracle(keys, images, target), len(images))
+    relabelled = None if x is None else {labels[j]: c for j, c in x.items()}
+    assert preimage(keyed, target) == relabelled
 
 
 def successive_difference_dims(s, maxdeg, qt):

@@ -365,7 +365,7 @@ def ref_c_s_basis(s, maxdeg, qt):
         x = PBWElement.make(qt.dual, TAG_GSTAR, {mono: QQ(1)})
         images.append((copoisson_delta(x, qt.g) - ref_d_tensor_id(x, qt.g).scale(QQ(s))).coeffs)
     return [PBWElement.make(qt.dual, TAG_GSTAR, {basis[j]: c for j, c in vec.items()})
-            for vec in linsolve.kernel_of(images)]
+            for vec in linsolve.kernel_of(dict(enumerate(images)))]
 
 
 @pytest.mark.parametrize("name, maxdeg", [("sl2-qt", 4), ("nonabelian2", 3)])

@@ -1,6 +1,8 @@
 """Algebra validation and hashing: the sparse Jacobi and ad-invariance
-checks against the dense loops they replaced, the once-only hash of a
-spec, and strict parsing of algebra inputs."""
+checks against the dense loops they replaced, LieAlgebraSpec.from_brackets
+against the cube loop it replaced, the once-only hash of a spec, and strict
+parsing of algebra inputs and raw r' matrices."""
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +31,8 @@ from starlift.errors import (
     TNotInvariant,
 )
 from starlift.quasitriangular import qt_validate
+
+from conftest import data_path
 
 LITERALS = ("1", "-1", "2", "-2", "1/2", "-3/2")
 
@@ -121,6 +125,55 @@ def test_sparse_validate_matches_dense_oracle_without_antisymmetry(data, draw):
     assert outcome(spec.validate) == outcome(dense_validate, d, c)
 
 
+def ref_from_brackets(basis_names, terms):
+    """The cube loop load_lie_algebra ran before LieAlgebraSpec.from_brackets,
+    kept verbatim."""
+    dim = len(basis_names)
+    c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, j, k, val in terms:
+        c[i][j][k] += val
+        c[j][i][k] -= val
+    return LieAlgebraSpec(
+        dim=dim,
+        basis_names=tuple(basis_names),
+        c=tuple(tuple(tuple(row) for row in plane) for plane in c),
+    ).validate()
+
+
+@st.composite
+def bracket_terms(draw):
+    """(basis names, (i, j, k, v) terms) over dims 1-4, with i == j terms and
+    terms that repeat an (i, j, k) mixed in."""
+    d = draw(st.integers(1, 4))
+    idx = st.integers(0, d - 1)
+    val = st.sampled_from(LITERALS).map(rat)
+    terms = draw(st.lists(st.tuples(idx, idx, idx, val), max_size=5))
+    diagonal = [(i, i, k, v) for i, k, v in draw(st.lists(st.tuples(idx, idx, val), max_size=2))]
+    repeats = [(i, j, k, draw(val)) for i, j, k, _ in
+               draw(st.lists(st.sampled_from(terms), max_size=2))] if terms else []
+    return [f"x{i}" for i in range(d)], draw(st.permutations(terms + diagonal + repeats))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket_terms())
+def test_from_brackets_matches_cube_loop(case):
+    """An equal spec, or the same JacobiViolation and triple."""
+    names, terms = case
+    want = outcome(ref_from_brackets, names, terms)
+    assert outcome(LieAlgebraSpec.from_brackets, names, terms) == want
+    if want == "ok":
+        assert LieAlgebraSpec.from_brackets(names, terms) == ref_from_brackets(names, terms)
+
+
+@pytest.mark.parametrize("name", ["abelian3", "nonabelian2", "sl2", "sl2-qt", "sl3"])
+def test_shipped_inputs_load_as_the_cube_loop_builds_them(name):
+    with open(data_path(name)) as fh:
+        data = json.load(fh)
+    terms = [(i, j, k, rat(v)) for i, j, ts in data.get("brackets", []) for k, v in ts]
+    names = data.get("basis", [f"x{i}" for i in range(data["dim"])])
+    assert load_lie_algebra(data_path(name))[0] == ref_from_brackets(names, terms)
+
+
 @settings(max_examples=150, deadline=None)
 @given(algebra_inputs(), st.data())
 def test_sparse_invariance_matches_dense_oracle(data, draw):
@@ -184,6 +237,21 @@ def test_raw_rprime_entries_are_parsed_strictly(sl2qt, bad):
     with pytest.raises(ParseError, match=r"r'\[1,1\]"):
         qt_validate(g, rows)
     assert qt_validate(g, [list(row) for row in rp.entries]).r == qt_validate(g, rp).r
+
+
+@pytest.mark.parametrize("shape", ["two rows", "ragged", "ints", "long row", "extra row"])
+def test_raw_rprime_shape_is_checked(sl2qt, shape):
+    """qt_validate refuses a raw r' that is not dim lists of dim entries,
+    rather than failing inside or dropping the extra entries."""
+    g, rp = sl2qt
+    rows = [list(row) for row in rp.entries]
+    bad = {"two rows": rows[:2],
+           "ragged": rows[:1] + [rows[1][:2]] + rows[2:],
+           "ints": [1, 2, 3],
+           "long row": rows[:1] + [rows[1] + ["1"]] + rows[2:],
+           "extra row": rows + [["1"] * g.dim]}[shape]
+    with pytest.raises(ParseError, match="r' must be"):
+        qt_validate(g, bad)
 
 
 def test_basis_names_must_be_distinct():
