@@ -25,7 +25,7 @@ except ImportError:
 
 
 def show(tag, series, limit=8):
-    items = series.sorted_items()
+    items = sorted(series.coeffs.items())
     print(f"{tag}: {len(items)} terms")
     for key, c in items[:limit]:
         print("   ", key, rat_str(c))

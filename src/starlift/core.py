@@ -91,28 +91,15 @@ class LieAlgebraSpec(_Record):
         return cls(d, tuple(basis_names), tuple(tuple(map(tuple, plane)) for plane in c)).validate()
 
     @cached_property
-    def bracket_rows(self):
-        """Sparse view: rows[i][j] = ((k, c_ijk), ...) over nonzero entries."""
-        rows = {}
-        for i in range(self.dim):
-            row = {}
-            for j in range(self.dim):
-                ent = tuple((k, v) for k, v in enumerate(self.c[i][j]) if v)
-                if ent:
-                    row[j] = ent
-            if row:
-                rows[i] = row
-        return rows
-
-    @cached_property
     def integer_rows(self):
-        """(Dc, rows): bracket_rows with each c_ijk written as the integer
-        numerator of c_ijk = n / Dc, Dc the lcm of their denominators."""
-        ents = [ent for row in self.bracket_rows.values() for ent in row.values()]
-        Dc = lcm(*(v.denominator for ent in ents for _, v in ent))
-        rows = {i: {j: tuple((k, v.numerator * (Dc // v.denominator)) for k, v in ent)
-                    for j, ent in row.items()}
-                for i, row in self.bracket_rows.items()}
+        """(Dc, rows): rows[i][j] = ((k, n), ...) over the nonzero c_ijk =
+        n / Dc in index order, Dc the lcm of their denominators."""
+        nums, Dc = _integer(((i, j, k), v) for i, plane in enumerate(self.c)
+                            for j, col in enumerate(plane) for k, v in enumerate(col))
+        rows = {}
+        for (i, j, k), n in nums.items():
+            row = rows.setdefault(i, {})
+            row[j] = row.get(j, ()) + ((k, n),)
         return Dc, rows
 
     @cached_property
@@ -129,7 +116,18 @@ class LieAlgebraSpec(_Record):
 
     @cached_property
     def is_abelian(self) -> bool:
-        return not self.bracket_rows
+        return not self.integer_rows[1]
+
+    @cached_property
+    def _integer_weights(self) -> dict:
+        """{i: (n_0, ...)} for each diagonal index i, ad(x_i) x_j = n_j / Dc x_j."""
+        rows = self.integer_rows[1]
+        weights = {}
+        for i in range(self.dim):
+            row = rows.get(i, {})
+            if all(len(ent) == 1 and ent[0][0] == j for j, ent in row.items()):
+                weights[i] = tuple(row[j][0][1] if j in row else 0 for j in range(self.dim))
+        return weights
 
     @cached_property
     def actors(self) -> tuple:
@@ -139,43 +137,30 @@ class LieAlgebraSpec(_Record):
         generate g as a Lie algebra. A diagonal x_i scales x^a by sum a_j w_j,
         and if x and y act by 0 so does [x, y]: an element is g-invariant iff
         it has weight zero and every gens element kills it."""
-        rows = self.bracket_rows
-        weights = {}
-        for i in range(self.dim):
-            row = rows.get(i, {})
-            if all(len(ent) == 1 and ent[0][0] == j for j, ent in row.items()):
-                weights[i] = tuple(row[j][0][1] if j in row else ZERO for j in range(self.dim))
+        Dc, rows = self.integer_rows
+        weights = {i: tuple(QQ(n, Dc) for n in lam) for i, lam in self._integer_weights.items()}
         gens = []
-        span = [{i: QQ(1)} for i in weights]  # the subalgebra the actors generate
+        span = [{i: 1} for i in weights]  # the subalgebra the actors generate, times powers of Dc
         for i in range(self.dim):
-            if i in weights or linsolve.rank_of(span + [{i: QQ(1)}]) == len(span):
+            if i in weights or linsolve.rank_of(span + [{i: 1}]) == len(span):
                 continue
             gens.append(i)
             closed = len(span)  # span[:closed] is closed under ad of the earlier actors
-            span.append({i: QQ(1)})
+            span.append({i: 1})
             for n, u in enumerate(span):  # grows until closed under ad of every actor
                 for a in ([i] if n < closed else [*weights, *gens]):
                     w = {}
                     for b, cb in u.items():
                         for k, v in rows.get(a, {}).get(b, ()):
-                            w[k] = w.get(k, ZERO) + cb * v
+                            w[k] = w.get(k, 0) + cb * v
                     w = {k: v for k, v in w.items() if v}
                     if w and linsolve.rank_of(span + [w]) > len(span):
                         span.append(w)
         return weights, tuple(gens)
 
-    @cached_property
-    def _integer_weights(self) -> tuple:
-        """Each diagonal actor's weights times the lcm of their denominators."""
-        out = []
-        for lam in self.actors[0].values():
-            D = lcm(*(w.denominator for w in lam))
-            out.append(tuple(w.numerator * (D // w.denominator) for w in lam))
-        return tuple(out)
-
     def weight_zero(self, vec) -> bool:
         """Whether every diagonal actor kills x^vec (vec an exponent vector)."""
-        return not any(sum(map(mul, vec, lam)) for lam in self._integer_weights)
+        return not any(sum(map(mul, vec, lam)) for lam in self._integer_weights.values())
 
     def validate(self):
         d = self.dim
@@ -187,14 +172,15 @@ class LieAlgebraSpec(_Record):
                 )
         # [x_i,[x_j,x_l]] + [x_j,[x_l,x_i]] + [x_l,[x_i,x_j]] = 0. With c
         # antisymmetric the Jacobiator is alternating, so the lex-first
-        # failing ordered triple is sorted: checking i < j < l suffices.
-        rows = self.bracket_rows
+        # failing ordered triple is sorted: checking i < j < l suffices. The
+        # sums are over integer rows, so each is Dc^2 times the Jacobiator.
+        rows = self.integer_rows[1]
         for i, j, l in itertools.combinations(range(d), 3):
             acc = {}
             for a, b, e in ((i, j, l), (j, l, i), (l, i, j)):
                 for m, u in rows.get(b, {}).get(e, ()):
                     for k, v in rows.get(a, {}).get(m, ()):
-                        acc[k] = acc.get(k, ZERO) + u * v
+                        acc[k] = acc.get(k, 0) + u * v
             if any(acc.values()):
                 raise JacobiViolation(
                     f"Jacobi fails on basis triple ({i},{j},{l})",
@@ -308,7 +294,10 @@ def load_lie_algebra(source) -> "tuple[LieAlgebraSpec, RMatrix | None]":
                 raise ParseError(f"malformed bracket term: {term!r}") from None
             if not _is_index(k, dim):
                 raise ParseError(f"bracket target index out of range: {term!r}")
-            summands.append((i, j, k, _parse_rat(coeff, f"bracket [{i},{j}]")))
+            v = _parse_rat(coeff, f"bracket [{i},{j}]")
+            if i == j and v:
+                raise ParseError(f"bracket [{i},{i}] must be zero: {ent!r}")
+            summands.append((i, j, k, v))
     alg = LieAlgebraSpec.from_brackets(basis, summands)
 
     rmat = None
@@ -324,11 +313,7 @@ def load_lie_algebra(source) -> "tuple[LieAlgebraSpec, RMatrix | None]":
             entries[i][j] += _parse_rat(coeff, f"r[{i},{j}]")
         kind = data.get("kind")
         if kind is None:
-            skew = all(
-                entries[i][j] == -entries[j][i]
-                for i in range(dim)
-                for j in range(dim)
-            )
+            skew = _asymmetry(entries) is None
             kind = "antisymmetric-coboundary" if skew else "quasitriangular-candidate"
         if kind not in ("antisymmetric-coboundary", "quasitriangular-candidate"):
             raise ParseError(f"unknown kind: {kind!r}")
@@ -347,14 +332,9 @@ class RMatrix(_Record):
         self.__dict__.update(alg=alg, entries=entries, kind=kind)
 
     def validate(self):
-        d = self.alg.dim
-        if self.kind == "antisymmetric-coboundary":
-            for i in range(d):
-                for j in range(d):
-                    if self.entries[i][j] != -self.entries[j][i]:
-                        raise AntisymmetryViolation(
-                            f"r[{i}][{j}] != -r[{j}][{i}]", pair=(i, j)
-                        )
+        pair = _asymmetry(self.entries) if self.kind == "antisymmetric-coboundary" else None
+        if pair is not None:
+            raise AntisymmetryViolation("r[{0}][{1}] != -r[{1}][{0}]".format(*pair), pair=pair)
         return self
 
     def to_series(self, N: int = 2) -> "FormalSeriesTensor":
@@ -367,13 +347,13 @@ class RMatrix(_Record):
                     items[(_unit(d, i), _unit(d, j))] = v
         return FormalSeriesTensor.make(self.alg, 2, N, items)
 
-    def transpose(self) -> "RMatrix":
-        d = self.alg.dim
-        return RMatrix(
-            self.alg,
-            tuple(tuple(self.entries[j][i] for j in range(d)) for i in range(d)),
-            self.kind,
-        )
+
+def _asymmetry(entries):
+    """The first (i, j) in index order with entries[i][j] != -entries[j][i]
+    (entries a square matrix), or None when the matrix is antisymmetric."""
+    d = len(entries)
+    return next(((i, j) for i in range(d) for j in range(d)
+                 if entries[i][j] != -entries[j][i]), None)
 
 
 def _unit(dim: int, i: int) -> Vec:
@@ -496,13 +476,6 @@ class FormalSeriesTensor(_SparseVec):
             buckets.setdefault(sum(map(sum, item[0])), []).append(item)
         return buckets
 
-    @property
-    def degree_buckets(self):
-        """numerator_buckets with the rational coefficients."""
-        coeffs = self.coeffs
-        return {deg: [(key, coeffs[key]) for key, _ in items]
-                for deg, items in self.numerator_buckets.items()}
-
     # ---- predicates ------------------------------------------------
 
     def in_m_tensor(self) -> bool:
@@ -555,9 +528,6 @@ class FormalSeriesTensor(_SparseVec):
             raise TruncationMismatch(f"cannot {op} truncations N={self.N} and N={other.N}")
         if self.alg != other.alg:
             raise SlotMismatch("operands live over different Lie algebras")
-
-    def sorted_items(self):
-        return sorted(self.coeffs.items())
 
     def __repr__(self):
         n = len(self.numerators[1])
@@ -790,11 +760,9 @@ def cyb(r: RMatrix, require_antisymmetric: bool = True) -> FormalSeriesTensor:
     if require_antisymmetric:
         if r.kind != "antisymmetric-coboundary":
             raise NotAntisymmetric("cyb needs an antisymmetric r")
-        d = r.alg.dim
-        for i in range(d):
-            for j in range(d):
-                if r.entries[i][j] != -r.entries[j][i]:
-                    raise NotAntisymmetric(f"r[{i}][{j}] != -r[{j}][{i}]")
+        pair = _asymmetry(r.entries)
+        if pair is not None:
+            raise NotAntisymmetric("r[{0}][{1}] != -r[{1}][{0}]".format(*pair))
     rs = r.to_series(3)
     r12 = coproduct_insert(rs, ((0,), (1,)), 3)
     r13 = coproduct_insert(rs, ((0,), (2,)), 3)

@@ -155,35 +155,36 @@ def sts_alpha(x: PBWElement, qt: QTStructure) -> PBWElement:
     """m_0 . (L (x) (S_0 . R)) . Delta_0 : U(g*) -> U(g), for L and R the
     algebra morphisms extending the generator images r'(xi_a (x) .) and
     -r'(. (x) xi_a), and S_0 the antihomomorphism negating generators. As
-    Delta_0(x_a m) = (x_a (x) 1 + 1 (x) x_a) Delta_0(m), each monomial is a
-    fold from the right: alpha(x_a m) = L(x_a) alpha(m) + alpha(m) S_0R(x_a)."""
+    Delta_0(x_a m) = (x_a (x) 1 + 1 (x) x_a) Delta_0(m), each monomial is
+    alpha(x_a m) = L(x_a) alpha(m) + alpha(m) S_0R(x_a), with alpha(m) read
+    from _alpha_images' memo when it holds m."""
     g, ent = qt.g, qt.rprime.entries
     gens = [(PBWElement.make(g, TAG_G, {(j,): ent[a][j] for j in range(g.dim)}),
              PBWElement.make(g, TAG_G, {(i,): ent[i][a] for i in range(g.dim)}))
             for a in range(g.dim)]
 
     def of_monomial(mono):
-        acc = PBWElement.one(g, TAG_G)
-        for a in reversed(mono):
-            left, right = gens[a]
-            acc = pbw_product(left, acc) + pbw_product(acc, right)
-        return acc
+        if not mono:
+            return PBWElement.one(g, TAG_G)
+        rest = qt.dual.memo.get(("sts_alpha", qt.rprime, mono[1:])) or of_monomial(mono[1:])
+        left, right = gens[mono[0]]
+        return pbw_product(left, rest) + pbw_product(rest, right)
 
     return x.extend_linearly(of_monomial, PBWElement.zero(g, TAG_G))
 
 
 def _alpha_images(qt: QTStructure, maxdeg: int) -> dict:
-    """{mono: alpha(mono)} over the PBW basis of the dual enveloping algebra
-    up to filtration maxdeg, each image memoized per monomial and r' (with
-    it g) on the dual."""
+    """{mono: alpha(mono) coefficients} over the PBW basis of the dual
+    enveloping algebra up to filtration maxdeg, each image memoized per
+    monomial and r' (with it g) on the dual. The basis is graded, so each
+    sts_alpha call finds alpha(mono[1:]) in the memo."""
     images = {}
     for mono in pbw_basis(qt.g.dim, maxdeg):
         key = ("sts_alpha", qt.rprime, mono)
         img = qt.dual.memo.get(key)
         if img is None:
-            unit = PBWElement(qt.dual, TAG_GSTAR, {mono: 1})
-            img = qt.dual.memo[key] = sts_alpha(unit, qt).coeffs
-        images[mono] = img
+            img = qt.dual.memo[key] = sts_alpha(PBWElement(qt.dual, TAG_GSTAR, {mono: 1}), qt)
+        images[mono] = img.coeffs
     return images
 
 

@@ -26,7 +26,7 @@ from starlift.cohochschild import invariant_basis, monomials, slot_positive_keys
 from starlift.duality import LinearForm
 from starlift.envelope import TAG_G, PBWElement, coadjoint_action, pbw_basis, pbw_commutator
 
-from conftest import data_path
+from conftest import data_path, rational_rows
 
 # ---- reference oracles: the all-generator kernels, kept verbatim ------------
 
@@ -69,7 +69,7 @@ def ref_diagonal_actions(alg):
     diag = {}
     others = []
     for i in range(alg.dim):
-        row = alg.bracket_rows.get(i, {})
+        row = rational_rows(alg).get(i, {})
         lam = [QQ(0)] * alg.dim
         ok = True
         for j, ent in row.items():

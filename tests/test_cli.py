@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -425,6 +426,32 @@ def test_report_bytes(capsys, argv):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
 
 
+# SHA-256 of reports on sl2 with its brackets scaled by 2/3, so that the
+# integer bracket table has Dc = 3 (no shipped input has Dc != 1). Taken
+# before integer_rows was built from the structure constants.
+SCALED_SL2_GOLDEN = {
+    ("lift", "--degree", "5"):
+        "cb5337956e382f0744d105642f43dbec6b1fe486f62976d030649e660f7abcff",
+    ("envelope", "--maxdeg", "4"):
+        "57301974f78259d5a67c252fb472991fdd577c0b3c6b2d8887701b9e6fcf78d6",
+    ("cohomology", "--degree", "4"):
+        "68148a94039b7c23a8218d8ab8e04de95acef4a643b4923f20b8df365727d3eb",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SCALED_SL2_GOLDEN), ids=" ".join)
+def test_scaled_sl2_report_bytes(capsys, tmp_path, argv):
+    with open(data_path("sl2")) as fh:
+        data = json.load(fh)
+    data["brackets"] = [[i, j, [[k, str(Fraction(v) * Fraction(2, 3))] for k, v in terms]]
+                        for i, j, terms in data["brackets"]]
+    assert data["brackets"][0] == [1, 0, [[0, "4/3"]]]
+    path = tmp_path / "sl2-scaled.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, SCALED_SL2_GOLDEN[argv])
+
+
 # The BCH derivation, its RankCertificate guard and the typed operand checks
 # of the four sparse types must hold when python -O strips assert statements.
 @pytest.mark.parametrize("argv", [("lift", "sl2", "--degree", "5"),
@@ -508,6 +535,26 @@ def test_package_has_no_assert_or_debug():
             if isinstance(node, ast.Assert) or (isinstance(node, ast.Name)
                                                 and node.id == "__debug__"):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every name a module binds by a top-level import is read somewhere
+    in it, over the package, the tests and the demos."""
+    root = Path(__file__).resolve().parent.parent
+    found = []
+    for path in sorted([*Path(starlift.__file__).parent.glob("*.py"),
+                        *(root / "tests").glob("*.py"), *(root / "demos").glob("*.py")]):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update((a.asname or a.name, node.lineno) for a in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        found += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
     assert found == []
 
 

@@ -234,13 +234,6 @@ def test_cyb_vanishes_on_triangular(abelian3, nonabelian2):
         assert cyb(r).is_zero()
 
 
-def test_rmatrix_transpose(sl2):
-    _, r = sl2
-    t = r.transpose()
-    assert t.entries[2][0] == QQ(1, 2)
-    assert t.transpose().entries == r.entries
-
-
 # ---- the record classes -------------------------------------------------------
 
 RECORD_FIELDS = {

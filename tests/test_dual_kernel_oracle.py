@@ -18,7 +18,7 @@ from starlift.envelope import TAG_GSTAR, PBWTensorSquare, _delta_generator, coad
 from starlift.errors import StarliftError
 from starlift.quasitriangular import _bracket_contraction, mu_of_rprime, qt_validate
 
-from conftest import data_path
+from conftest import data_path, rational_rows
 from test_kernel_oracle import COEFFS, _rescaled, vecs
 
 # ---- reference oracles: the rational-table loops, kept verbatim -------------
@@ -26,7 +26,7 @@ from test_kernel_oracle import COEFFS, _rescaled, vecs
 
 def ref_coadjoint_action(alg, i, form):
     gen_img = [dict() for _ in range(alg.dim)]
-    for m, targets in alg.bracket_rows.get(i, {}).items():
+    for m, targets in rational_rows(alg).get(i, {}).items():
         for a, c in targets:
             gen_img[a][m] = gen_img[a].get(m, ZERO) - c
     out: dict = {}
@@ -86,7 +86,7 @@ def ref_bracket_contraction(f):
     g = f.alg
     out = [ZERO] * g.dim
     for (a, b), c in f.coeffs.items():
-        for m, w in g.bracket_rows.get(a.index(1), {}).get(b.index(1), ()):
+        for m, w in rational_rows(g).get(a.index(1), {}).get(b.index(1), ()):
             out[m] += c * w
     return tuple(out)
 

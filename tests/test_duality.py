@@ -23,7 +23,6 @@ from starlift import (
 from starlift._rat import QQ
 from starlift.cohochschild import _monomial_fst, monomials
 from starlift.duality import LinearForm, _coproduct_images
-from starlift.envelope import TAG_GSTAR, PBWElement
 from starlift.errors import NotATrace, TruncationTooLow
 
 E, H, F = (1, 0, 0), (0, 1, 0), (0, 0, 1)

@@ -12,7 +12,6 @@ from starlift import (
     derivation_D,
     dual_bracket,
     invariants_s_dual,
-    load_lie_algebra,
     pbw_commutator,
     pbw_product,
     poisson_bracket,

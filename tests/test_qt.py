@@ -35,7 +35,7 @@ from starlift.errors import CYBViolation, Degenerate, NotAntisymmetric, NotCentr
 from starlift.quasitriangular import (_d_tensor_id, alpha_matrix_rank, c_s_coderivation,
                                       mu_of_rprime)
 
-from conftest import data_path
+from conftest import data_path, rational_rows
 from test_actor_oracle import _rebased, unimodular
 from test_kernel_oracle import COEFFS, _rescaled
 from test_basis_independence import _rebased_r
@@ -65,7 +65,7 @@ def ref_t_bracket_z(alg, t):
     items = {}
     for i, j, k, l in itertools.product(range(d), repeat=4):
         if t[i][j] and t[k][l]:
-            for m, c in alg.bracket_rows.get(j, {}).get(k, ()):
+            for m, c in rational_rows(alg).get(j, {}).get(k, ()):
                 key = (unit[i], unit[m], unit[l])
                 items[key] = items.get(key, QQ(0)) + QQ(1, 4) * t[i][j] * t[k][l] * c
     return FormalSeriesTensor.make(alg, 3, 3, items)
@@ -172,7 +172,7 @@ def ref_mu_of_rprime(qt) -> tuple:
         for j in range(d):
             if not ent[i][j]:
                 continue
-            for k, c in g.bracket_rows.get(i, {}).get(j, ()):
+            for k, c in rational_rows(g).get(i, {}).get(j, ()):
                 out[k] += ent[i][j] * c
     return tuple(out)
 
@@ -194,9 +194,9 @@ def ref_cobracket_g(qt, k: int):
         for b in range(d):
             if not r[a][b]:
                 continue
-            for m, c in g.bracket_rows.get(k, {}).get(a, ()):
+            for m, c in rational_rows(g).get(k, {}).get(a, ()):
                 put(m, b, r[a][b] * c)
-            for m, c in g.bracket_rows.get(k, {}).get(b, ()):
+            for m, c in rational_rows(g).get(k, {}).get(b, ()):
                 put(a, m, r[a][b] * c)
     return out
 
@@ -212,13 +212,13 @@ def ref_check_inner_derivation(qt) -> dict:
     for k in range(d):
         lhs = [ZERO] * d
         for (i, j), c in ref_cobracket_g(qt, k).items():
-            for m, w in g.bracket_rows.get(i, {}).get(j, ()):
+            for m, w in rational_rows(g).get(i, {}).get(j, ()):
                 lhs[m] += c * w
         rhs = [ZERO] * d
         for a in range(d):
             if not mu_rp[a]:
                 continue
-            for m, w in g.bracket_rows.get(a, {}).get(k, ()):
+            for m, w in rational_rows(g).get(a, {}).get(k, ()):
                 rhs[m] -= mu_rp[a] * w
         match = lhs == rhs
         ok = ok and match
@@ -390,7 +390,7 @@ def ref_derivation_D(x, g):
     for a in range(dual.dim):
         items = {}
         for i, j in itertools.permutations(range(g.dim), 2):
-            for tgt, w in dual.bracket_rows.get(i, {}).get(j, ()):
+            for tgt, w in rational_rows(dual).get(i, {}).get(j, ()):
                 items[(tgt,)] = items.get((tgt,), QQ(0)) + g.c[i][j][a] * w
         gen_img.append(PBWElement.make(dual, tag, items))
     out = PBWElement.zero(dual, tag)

@@ -22,7 +22,7 @@ from starlift.envelope import (TAG_G, TAG_GSTAR, PBWElement, PBWTensorSquare, _m
 from starlift.errors import AlgebraMismatch
 from starlift.star import bch_terms, star
 
-from conftest import data_path
+from conftest import data_path, rational_rows
 from test_kernel_oracle import (ALGEBRAS, COEFFS, ref_coproduct_insert, ref_g_action,
                                 ref_poisson_bracket, settings_, tensors, vecs)
 
@@ -188,7 +188,7 @@ def ref_straighten(alg, word):
         swapped = word[:p] + (i, j) + word[p + 2:]
         for m, c in ref_straighten(alg, swapped).items():
             out[m] = out.get(m, QQ(0)) + c
-        for k, c in alg.bracket_rows.get(j, {}).get(i, ()):
+        for k, c in rational_rows(alg).get(j, {}).get(i, ()):
             shorter = word[:p] + (k,) + word[p + 2:]
             for m, c2 in ref_straighten(alg, shorter).items():
                 v = out.get(m, QQ(0)) + c * c2

@@ -22,6 +22,7 @@ from starlift import (
     load_lie_algebra,
 )
 from starlift._rat import QQ, ZERO, rat
+from starlift.cli import main
 from starlift.envelope import TAG_GSTAR, PBWElement, _straighten
 from starlift.errors import (
     AntisymmetryViolation,
@@ -106,8 +107,32 @@ def dense_c(data):
 @settings(max_examples=200, deadline=None)
 @given(algebra_inputs())
 def test_sparse_jacobi_matches_dense_oracle_on_load(data):
+    """An [i, i] entry (every drawn term is nonzero) is refused; without
+    those entries, which cancel in c, the sparse Jacobi check agrees with
+    the dense one."""
     expected = outcome(dense_validate, data["dim"], dense_c(data))
+    assert outcome(load_lie_algebra, without_self_brackets(data)) == expected
+    selfs = [ent for ent in data["brackets"] if ent[0] == ent[1]]
+    if selfs:
+        i = selfs[0][0]
+        expected = (ParseError, f"bracket [{i},{i}] must be zero: {selfs[0]!r}", None)
     assert outcome(load_lie_algebra, data) == expected
+
+
+def without_self_brackets(data):
+    """data without its [i, i] entries, which from_brackets cancels."""
+    return dict(data, brackets=[ent for ent in data["brackets"] if ent[0] != ent[1]])
+
+
+@pytest.mark.parametrize("terms, code", [([[0, "1"]], 2), ([[0, "0"]], 0), ([], 0)])
+def test_self_bracket_must_be_zero(capsys, terms, code):
+    """[x_0, x_0] = x_0 is refused with exit 2, not loaded as zero."""
+    spec = json.dumps({"dim": 1, "brackets": [[0, 0, terms]]})
+    assert main(["validate", spec]) == code
+    out = json.loads(capsys.readouterr().out)
+    if code:
+        assert out["error"] == {"type": "ParseError",
+                                "message": f"bracket [0,0] must be zero: {[0, 0, terms]!r}"}
 
 
 @settings(max_examples=200, deadline=None)
@@ -180,7 +205,7 @@ def test_sparse_invariance_matches_dense_oracle(data, draw):
     """r' = y(x)y has CYB(r') = 0 for every y, so qt_validate reaches the
     ad-invariance check of t = 2 y(x)y, which holds iff y is central."""
     try:
-        g, _ = load_lie_algebra(data)
+        g, _ = load_lie_algebra(without_self_brackets(data))
     except JacobiViolation:
         assume(False)
     d = g.dim
