@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from math import comb
 
@@ -49,13 +50,10 @@ def _print_report(report: dict, output: str) -> None:
     certs = report.get("certificates", {})
     for name in sorted(certs):
         print(f"certificate {name}: {'PASS' if certs[name] else 'FAIL'}")
-    for key in sorted(report):
-        if key in ("certificates",):
-            continue
+    for key in sorted(report.keys() - {"certificates"}):
         val = report[key]
-        if isinstance(val, (str, int, bool)) or val is None:
-            print(f"{key}: {val}")
-        elif isinstance(val, list) and all(isinstance(v, int) for v in val):
+        if (val is None or isinstance(val, (str, int))
+                or isinstance(val, list) and all(isinstance(v, int) for v in val)):
             print(f"{key}: {val}")
 
 
@@ -345,5 +343,21 @@ def main(argv=None) -> int:
     return 0 if all(report.get("certificates", {}).values()) else 1
 
 
+def console_main() -> None:
+    """Run main() as a process: once the report is flushed, os._exit skips an
+    interpreter teardown that only frees what the OS reclaims. A failed flush,
+    or a profiler or tracer that writes its results at exit, takes sys.exit."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # no stdout (fd 1 closed at start) or a broken one
+        sys.exit(code)
+    tools = getattr(sys, "monitoring", None)  # cProfile's hook from Python 3.12 on
+    if sys.getprofile() or sys.gettrace() or tools and any(map(tools.get_tool, range(6))):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

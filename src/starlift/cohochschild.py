@@ -63,17 +63,6 @@ def monomials(dim: int, degree: int):
     return list(_compositions(degree, dim))
 
 
-def slot_positive_keys(dim: int, k: int, N: int):
-    """All k-slot monomial keys of total degree N with every slot degree >= 1,
-    in a fixed deterministic order."""
-    out = []
-    for degs in _compositions_positive(N, k):
-        slot_choices = [monomials(dim, d) for d in degs]
-        for combo in itertools.product(*slot_choices):
-            out.append(tuple(combo))
-    return sorted(out)
-
-
 def _compositions_positive(total: int, parts: int):
     """The ways to write total as `parts` positive integers, in lex order."""
     return [tuple(a + 1 for a in c) for c in _compositions(total - parts, parts)]

@@ -245,9 +245,9 @@ def load_lie_algebra(source) -> "tuple[LieAlgebraSpec, RMatrix | None]":
 
     ``source`` may be a path, a JSON string, or an already-decoded dict
     with fields ``dim``, ``basis``, ``brackets`` (entries
-    [i, j, [[k, "p/q"], ...]]), and optionally ``r`` ([i, j, "p/q"]
-    entries) plus ``kind``. Returns the validated algebra and the r
-    matrix (None when absent).
+    [i, j, [[k, "p/q"], ...]]), and optionally ``r`` ([i, j, "p/q"] entries,
+    repeats adding up) plus ``kind``, and no other field. Returns the
+    validated algebra and the r matrix (None when absent).
     """
     if isinstance(source, dict):
         data = source
@@ -266,6 +266,9 @@ def load_lie_algebra(source) -> "tuple[LieAlgebraSpec, RMatrix | None]":
 
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object")
+    unknown = [key for key in data if key not in ("dim", "basis", "brackets", "r", "kind")]
+    if unknown:
+        raise ParseError(f"unknown field: {unknown[0]!r}")
     try:
         dim = data["dim"]
     except KeyError:
@@ -515,11 +518,6 @@ class FormalSeriesTensor(_SparseVec):
             if deg <= N:
                 out.update(items)
         return self._with(out, self.numerators[0], N)
-
-    def multidegree_part(self, degs) -> "FormalSeriesTensor":
-        degs = tuple(degs)
-        D, items = self.numerators
-        return self._with({key: n for key, n in items if slot_degrees(key) == degs}, D)
 
     def _check_pair(self, other, op="combine"):
         if self.k != other.k:

@@ -41,6 +41,14 @@ class QTStructure(_Record):
     def dual(self) -> LieAlgebraSpec:
         return dual_bracket(self.r)
 
+    @cached_property
+    def alpha_generators(self) -> tuple:
+        """sts_alpha's (L(xi_a), S_0R(xi_a)) = (sum_j r'_aj x_j, sum_i r'_ia x_i) per a."""
+        g, ent = self.g, self.rprime.entries
+        return tuple((PBWElement.make(g, TAG_G, {(j,): ent[a][j] for j in range(g.dim)}),
+                      PBWElement.make(g, TAG_G, {(i,): ent[i][a] for i in range(g.dim)}))
+                     for a in range(g.dim))
+
 
 def _t_bracket_z(alg: LieAlgebraSpec, t) -> FormalSeriesTensor:
     """(1/4)[t^{12}, t^{23}] as a 3-slot series, bracketing t's insertions
@@ -77,26 +85,15 @@ def qt_validate(g: LieAlgebraSpec, rprime) -> QTStructure:
             i, j = min((a.index(1), b.index(1)) for a, b in bad)
             raise TNotInvariant(f"symmetric part not ad-invariant at ({k},{i},{j})")
 
-    rmat = RMatrix(
-        g,
-        tuple(
-            tuple((ent[i][j] - ent[j][i]) / 2 for j in range(d))
-            for i in range(d)
-        ),
-    ).validate()
+    rmat = RMatrix(g, tuple(tuple((ent[i][j] - ent[j][i]) / 2 for j in range(d))
+                            for i in range(d))).validate()
 
     Z = _t_bracket_z(g, t)
     if cyb(rmat) != Z:
         raise RankCertificate("internal check: CYB of the antisymmetric half")
 
-    return QTStructure(
-        g=g,
-        rprime=rp,
-        r=rmat,
-        t=t,
-        Z=Z,
-        nondegenerate=linsolve.rank_of([{j: v for j, v in enumerate(row) if v} for row in t]) == d,
-    )
+    nondegenerate = linsolve.rank_of([{j: v for j, v in enumerate(row) if v} for row in t]) == d
+    return QTStructure(g=g, rprime=rp, r=rmat, t=t, Z=Z, nondegenerate=nondegenerate)
 
 
 def c_s_coderivation(x: PBWElement, g: LieAlgebraSpec) -> PBWElement:
@@ -158,10 +155,7 @@ def sts_alpha(x: PBWElement, qt: QTStructure) -> PBWElement:
     Delta_0(x_a m) = (x_a (x) 1 + 1 (x) x_a) Delta_0(m), each monomial is
     alpha(x_a m) = L(x_a) alpha(m) + alpha(m) S_0R(x_a), with alpha(m) read
     from _alpha_images' memo when it holds m."""
-    g, ent = qt.g, qt.rprime.entries
-    gens = [(PBWElement.make(g, TAG_G, {(j,): ent[a][j] for j in range(g.dim)}),
-             PBWElement.make(g, TAG_G, {(i,): ent[i][a] for i in range(g.dim)}))
-            for a in range(g.dim)]
+    g, gens = qt.g, qt.alpha_generators
 
     def of_monomial(mono):
         if not mono:

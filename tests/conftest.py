@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 
-from starlift import load_lie_algebra
+from starlift import FormalSeriesTensor, load_lie_algebra
+from starlift.cohochschild import _compositions_positive, monomials
+from starlift.core import slot_degrees
 
 try:
     from importlib.resources import files
@@ -27,6 +31,21 @@ def rational_rows(alg):
                 rows[i] = row
         alg.memo[key] = rows
     return alg.memo[key]
+
+
+def slot_positive_keys(dim: int, k: int, N: int):
+    """All k-slot monomial keys of total degree N with every slot degree >= 1,
+    sorted."""
+    return sorted(itertools.chain.from_iterable(
+        itertools.product(*(monomials(dim, d) for d in degs))
+        for degs in _compositions_positive(N, k)))
+
+
+def multidegree_part(f, degs):
+    """The part of the series f whose keys have slot degrees degs."""
+    D, items = f.numerators
+    return FormalSeriesTensor(f.alg, f.k, f.N, {key: n for key, n in items
+                                                if slot_degrees(key) == tuple(degs)}, D)
 
 
 @pytest.fixture(scope="session")

@@ -22,11 +22,11 @@ from starlift import (
 )
 from starlift import linsolve
 from starlift._rat import QQ
-from starlift.cohochschild import invariant_basis, monomials, slot_positive_keys
+from starlift.cohochschild import invariant_basis, monomials
 from starlift.duality import LinearForm
 from starlift.envelope import TAG_G, PBWElement, coadjoint_action, pbw_basis, pbw_commutator
 
-from conftest import data_path, rational_rows
+from conftest import data_path, rational_rows, slot_positive_keys
 
 # ---- reference oracles: the all-generator kernels, kept verbatim ------------
 

@@ -279,6 +279,17 @@ def test_non_list_fields_exit_2(capsys, tmp_path, spec):
     assert json.loads(out)["error"]["type"] == "ParseError"
 
 
+# A misspelt field once loaded a different algebra: without "brackets" this
+# is abelian, and validate passed it with "jacobi": true.
+def test_unknown_field_exits_2(capsys, tmp_path):
+    src = tmp_path / "typo.json"
+    src.write_text('{"dim": 3, "brackts": [[0, 1, [[2, "1"]]]], '
+                   '"r": [[0, 1, "1"], [1, 0, "-1"]]}')
+    code, out = run(capsys, "validate", str(src))
+    assert (code, json.loads(out)["error"]) == (
+        2, {"type": "ParseError", "message": "unknown field: 'brackts'"})
+
+
 # SHA-256 of the sl3 reports, taken before the structure-constant caching
 # and sparse validation; any change to these bytes is a regression.
 SL3_GOLDEN = {
@@ -633,3 +644,81 @@ def test_text_output(capsys):
     code, out = run(capsys, "envelope", data_path("sl2"), "--output", "text")
     assert code == 0
     assert "certificate commutative: PASS" in out
+
+
+# ---- the process exit: console_main ends with os._exit once the report is
+# flushed, which must leave the status and the bytes as main() gives them.
+
+def _cli_process(*args, stdout=subprocess.PIPE, unbuffered=False, **run_args):
+    env = dict(os.environ, PYTHONPATH=str(Path(starlift.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          env=env, timeout=60, **run_args)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", data_path("sl2")], 0),
+    (["lift", data_path("sl2"), "--degree", "2"], 1),
+    (["validate", "missing-input.json"], 2),
+    (["validate", data_path("sl2"), "--bogus"], 2),
+], ids=["passes", "bad-degree", "missing-file", "usage"])
+def test_process_exit_matches_main(capsys, argv, code):
+    try:
+        in_process = main(argv)
+    except SystemExit as exc:
+        in_process = exc.code
+    out = capsys.readouterr().out.encode()
+    proc = _cli_process("-m", "starlift.cli", *argv)
+    assert (proc.returncode, proc.stdout) == (in_process, out)
+    assert in_process == code
+
+
+# A reader that has gone away: the report stays in stdout's buffer, so the
+# failed flush takes the normal exit, whose teardown reports it (status 120,
+# no traceback); unbuffered, print itself raises (status 1, a traceback).
+# Both as before the hard exit.
+@pytest.mark.parametrize("unbuffered, code", [(False, 120), (True, 1)],
+                         ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_as_before(unbuffered, code):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process("-m", "starlift.cli", "validate", data_path("sl2"), stdout=write,
+                            unbuffered=unbuffered)
+    finally:
+        os.close(write)
+    err = proc.stderr.decode()
+    assert (proc.returncode, err.strip().splitlines()[-1], "Traceback" in err) == (
+        code, "BrokenPipeError: [Errno 32] Broken pipe", unbuffered)
+
+
+def test_no_stdout_exits_as_before():
+    """With fd 1 closed at start sys.stdout is None and print writes nothing;
+    the run still exits 0."""
+    proc = _cli_process("-m", "starlift.cli", "validate", data_path("sl2"), stdout=None,
+                        preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_profiler_gets_its_normal_exit(capsys):
+    """Under cProfile the process exits normally, so the profile is printed."""
+    assert main(["validate", data_path("sl2"), "--emit", "certificates"]) == 0
+    report = capsys.readouterr().out.encode()
+    proc = _cli_process("-m", "cProfile", "-m", "starlift.cli", "validate", data_path("sl2"),
+                        "--emit", "certificates")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith(report)
+    assert b"ncalls" in proc.stdout[len(report):]
+
+
+def test_script_entry_is_what_python_m_runs():
+    """The installed starlift script and python -m starlift.cli end the same way."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"starlift": "starlift.cli:console_main"}
+    (block,) = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in block.body] == ["console_main()"]

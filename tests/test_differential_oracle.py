@@ -20,10 +20,9 @@ from starlift._rat import QQ
 from starlift.cohochschild import (Cochain, _compositions_positive, _d_integer, _d_monomial,
                                    _d_raw, _dim_rank, _exponent_shapes, _monomial_fst,
                                    _multidegree_blocks, _multidegree_keys,
-                                   invariant_basis, monomials, slot_positive_keys,
-                                   solve_coboundary)
+                                   invariant_basis, monomials, solve_coboundary)
 
-from conftest import data_path
+from conftest import data_path, slot_positive_keys
 from test_kernel_oracle import ALGEBRAS, COEFFS, tensors
 
 # ---- reference oracles: the Fraction differential and solve, kept verbatim --

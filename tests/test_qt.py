@@ -557,6 +557,17 @@ def test_one_qt_run_builds_each_image_once(monkeypatch, capsys):
     assert len(alpha_args) == len(set(alpha_args)) == 35
 
 
+def test_sts_alpha_builds_generator_images_once(sl2qt, monkeypatch):
+    """L(xi_a) and S_0R(xi_a) are built once per QTStructure, not per call."""
+    qt = qt_validate(*sl2qt)
+    prop = QTStructure.__dict__["alpha_generators"]
+    built, build = [], prop.func
+    monkeypatch.setattr(prop, "func", lambda q: built.append(q) or build(q))
+    x = PBWElement.make(qt.dual, TAG_GSTAR, {(0, 1, 2): 1, (2, 2): QQ(1, 2)})
+    assert sts_alpha(x, qt) == sts_alpha(x, qt) != PBWElement.zero(qt.g, TAG_G)
+    assert built == [qt]
+
+
 def test_one_qt_run_builds_each_delta0_once(monkeypatch, capsys):
     """delta and (D (x) id)Delta_0 read one memoized Delta_0 per monomial."""
     built = []
