@@ -4,6 +4,8 @@ Run from the repository root:
 
     python3 demos/lift_tour.py
 """
+import itertools
+
 from starlift import (
     alt_project,
     cocycle_defect,
@@ -57,11 +59,10 @@ print("\nafter a lambda-gauge, cocycle defect still zero:",
 
 dual = dual_bracket(r)
 print("\ndual bracket structure constants (nonzero, i<j):")
-for i in range(3):
-    for j in range(i + 1, 3):
-        row = [(k, rat_str(v)) for k, v in enumerate(dual.c[i][j]) if v]
-        if row:
-            print(f"    [{alg.basis_names[i]}*, {alg.basis_names[j]}*] ->", row)
+for (i, j), terms in itertools.groupby(dual.brackets, lambda item: item[0][:2]):
+    if i < j:
+        row = [(k, rat_str(v)) for (_, _, k), v in terms]
+        print(f"    [{alg.basis_names[i]}*, {alg.basis_names[j]}*] ->", row)
 
 print("\nPoisson traces up to order 4 and their transports:")
 for t in poisson_traces(alg, 4):

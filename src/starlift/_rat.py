@@ -18,13 +18,13 @@ except ImportError:  # pragma: no cover
 ZERO = QQ(0)
 ONE = QQ(1)
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RAT_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 def rat(value) -> "QQ":
-    """Coerce an int, rational, or canonical "p/q" string to a scalar."""
+    """Coerce an int, rational, or canonical ASCII "p/q" string to a scalar."""
     if isinstance(value, str):
-        if not _RAT_RE.match(value):
+        if not _RAT_RE.fullmatch(value):
             raise ValueError(f"malformed rational literal: {value!r}")
         return QQ(value)
     if isinstance(value, (bool, float)):

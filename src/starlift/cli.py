@@ -168,10 +168,9 @@ def cmd_envelope(alg, rmat, args) -> dict:
     if rmat is not None and rmat.kind == "antisymmetric-coboundary":
         dual = envelope.dual_bracket(rmat)
         report["dual_structure_constants"] = [
-            [i, j, [[k, v] for k, v in enumerate(dual.c[i][j]) if v]]
-            for i in range(dual.dim)
-            for j in range(i + 1, dual.dim)
-            if any(dual.c[i][j])
+            [i, j, [[k, v] for (_, _, k), v in terms]]
+            for (i, j), terms in itertools.groupby(dual.brackets, lambda item: item[0][:2])
+            if i < j
         ]
         # invariants Poisson-commute in S(g*) under the dual bracket
         series = [FormalSeriesTensor(dual, 1, 2 * maxdeg, {(v,): n for v, n in items}, D)

@@ -234,12 +234,9 @@ def dual_bracket(r: RMatrix) -> LieAlgebraSpec:
     [a, b] = ad*(R(b))(a) - ad*(R(a))(b), R(xi) = (id (x) xi)(r), where
     each c_km^a adds -r_kb c_km^a xi_m to ad*(R(xi_b)) xi_a."""
     alg = r.alg
-    Dc, rows = alg.integer_rows
     return LieAlgebraSpec.from_brackets(
         [n + "*" for n in alg.basis_names],
-        [(b, a, m, r.entries[k][b] * QQ(n, Dc))
-         for k, targets in rows.items() for m, pairs in targets.items()
-         for a, n in pairs for b in range(alg.dim)])
+        [(b, a, m, r.entries[k][b] * v) for (k, m, a), v in alg.brackets for b in range(alg.dim)])
 
 
 class PBWTensorSquare(_SparseVec):

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from starlift import FormalSeriesTensor, load_lie_algebra
+from starlift import FormalSeriesTensor, LieAlgebraSpec, load_lie_algebra
+from starlift._rat import QQ
 from starlift.cohochschild import _compositions_positive, monomials
 from starlift.core import slot_degrees
 
@@ -16,21 +17,41 @@ def data_path(name: str) -> str:
     return str(files("starlift").joinpath("data", name + ".json"))
 
 
+def dense_c(alg):
+    """The structure constants of alg as a dim^3 cube, c[i][j][k] the
+    coefficient of x_k in [x_i, x_j]: the dense view of the reference loops.
+    Kept in alg.memo, so that no lookup compares structure constants."""
+    key = ("dense_c",)
+    if key not in alg.memo:
+        d = alg.dim
+        c = [[[QQ(0)] * d for _ in range(d)] for _ in range(d)]
+        for (i, j, k), v in alg.brackets:
+            c[i][j][k] = v
+        alg.memo[key] = tuple(tuple(map(tuple, plane)) for plane in c)
+    return alg.memo[key]
+
+
 def rational_rows(alg):
     """rows[i][j] = ((k, c_ijk), ...) over the nonzero structure constants,
-    read from alg.c in index order: the rational bracket table of the
+    read from alg.brackets in index order: the rational bracket table of the
     reference loops, independent of LieAlgebraSpec.integer_rows. Kept in
     alg.memo, so that no lookup compares structure constants."""
     key = ("rational_rows",)
     if key not in alg.memo:
         rows = {}
-        for i, plane in enumerate(alg.c):
-            row = {j: ent for j, col in enumerate(plane)
-                   if (ent := tuple((k, v) for k, v in enumerate(col) if v))}
-            if row:
-                rows[i] = row
+        for (i, j, k), v in alg.brackets:
+            row = rows.setdefault(i, {})
+            row[j] = row.get(j, ()) + ((k, v),)
         alg.memo[key] = rows
     return alg.memo[key]
+
+
+def from_cube(d, names, c):
+    """The LieAlgebraSpec on names whose stored brackets are the nonzero
+    entries of the cube c, unvalidated."""
+    return LieAlgebraSpec(d, tuple(names), tuple(
+        ((i, j, k), v) for i, plane in enumerate(c) for j, row in enumerate(plane)
+        for k, v in enumerate(row) if v))
 
 
 def slot_positive_keys(dim: int, k: int, N: int):

@@ -26,7 +26,7 @@ from starlift.cohochschild import invariant_basis, monomials
 from starlift.duality import LinearForm
 from starlift.envelope import TAG_G, PBWElement, coadjoint_action, pbw_basis, pbw_commutator
 
-from conftest import data_path, rational_rows, slot_positive_keys
+from conftest import data_path, dense_c, from_cube, rational_rows, slot_positive_keys
 
 # ---- reference oracles: the all-generator kernels, kept verbatim ------------
 
@@ -130,16 +130,17 @@ def ref_is_invariant(f):
 def _rebased(alg, P, Pinv):
     """alg in the basis y_a = sum_i P[a][i] x_i: c'_ab^c = P_ai P_bj c_ij^k Pinv_kc."""
     d = alg.dim
-    c = tuple(tuple(tuple(
-        sum((P[a][i] * P[b][j] * alg.c[i][j][k] * Pinv[k][e]
+    c = dense_c(alg)
+    new = tuple(tuple(tuple(
+        sum((P[a][i] * P[b][j] * c[i][j][k] * Pinv[k][e]
              for i, j, k in itertools.product(range(d), repeat=3)), QQ(0))
         for e in range(d)) for b in range(d)) for a in range(d))
-    return LieAlgebraSpec(d, tuple(f"y{a}" for a in range(d)), c).validate()
+    return from_cube(d, (f"y{a}" for a in range(d)), new).validate()
 
 
 def _rescaled(alg, q):
-    c = tuple(tuple(tuple(v * q for v in row) for row in plane) for plane in alg.c)
-    return LieAlgebraSpec(alg.dim, alg.basis_names, c).validate()
+    brackets = tuple((key, v * q) for key, v in alg.brackets)
+    return LieAlgebraSpec(alg.dim, alg.basis_names, brackets).validate()
 
 
 _SL2 = load_lie_algebra(data_path("sl2"))[0]  # basis e, h, f
@@ -195,11 +196,12 @@ def _check_actors(alg):
     non-diagonally, and the actors generate g (rank by sympy)."""
     weights, gens = alg.actors
     d = alg.dim
+    c = dense_c(alg)
     for i in range(d):
-        diagonal = all(not alg.c[i][j][k] for j in range(d) for k in range(d) if k != j)
+        diagonal = all(not c[i][j][k] for j in range(d) for k in range(d) if k != j)
         assert (i in weights) == diagonal
         if diagonal:
-            assert weights[i] == tuple(alg.c[i][j][j] for j in range(d))
+            assert weights[i] == tuple(c[i][j][j] for j in range(d))
     assert set(gens).isdisjoint(weights) and list(gens) == sorted(gens)
 
     def rank(vectors):
@@ -208,7 +210,7 @@ def _check_actors(alg):
 
     span = [[QQ(int(i == j)) for j in range(d)] for i in [*weights, *gens]]
     while True:  # add every bracket of two span vectors until the rank stops growing
-        new = [[sum((u[i] * v[j] * alg.c[i][j][k] for i in range(d) for j in range(d)), QQ(0))
+        new = [[sum((u[i] * v[j] * c[i][j][k] for i in range(d) for j in range(d)), QQ(0))
                 for k in range(d)] for u, v in itertools.combinations(span, 2)]
         if not new or rank(span + new) == rank(span):
             break

@@ -16,7 +16,7 @@ from starlift import RMatrix, load_lie_algebra
 from starlift._rat import rat_str
 from starlift.cli import main
 
-from conftest import data_path
+from conftest import data_path, dense_c
 from test_actor_oracle import _rebased, unimodular
 
 # per input: (command and options, the report fields that name no basis element)
@@ -46,11 +46,12 @@ def _report(spec: dict, argv) -> tuple:
 def _spec(alg, r) -> dict:
     """The input JSON object of alg with r, listing each bracket once."""
     d = alg.dim
+    c = dense_c(alg)
     return {
         "dim": d,
         "basis": list(alg.basis_names),
-        "brackets": [[i, j, [[k, rat_str(v)] for k, v in enumerate(alg.c[i][j]) if v]]
-                     for i, j in itertools.combinations(range(d), 2) if any(alg.c[i][j])],
+        "brackets": [[i, j, [[k, rat_str(v)] for k, v in enumerate(c[i][j]) if v]]
+                     for i, j in itertools.combinations(range(d), 2) if any(c[i][j])],
         "r": [[i, j, rat_str(v)]
               for i, row in enumerate(r.entries) for j, v in enumerate(row) if v],
         "kind": r.kind,

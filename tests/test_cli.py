@@ -226,7 +226,7 @@ def test_malformed_s_exits_2(capsys):
     assert json.loads(out)["error"]["type"] == "ParseError"
 
 
-@pytest.mark.parametrize("s", ["0.5", "1e3", "1/0", " 1"])
+@pytest.mark.parametrize("s", ["0.5", "1e3", "1/0", " 1", "\u0663", "\uff11", "3/4\n"])
 def test_s_must_be_a_rational_literal(capsys, s):
     code, out = run(capsys, "qt", data_path("sl2-qt"), "--maxdeg", "1", f"--s={s}")
     assert code == 2

@@ -117,7 +117,7 @@ def test_invariant_table_builds_each_basis_once(sl2, monkeypatch):
     from starlift import LieAlgebraSpec, cohochschild
 
     alg, _ = sl2
-    fresh = LieAlgebraSpec(alg.dim, alg.basis_names, alg.c)
+    fresh = LieAlgebraSpec(alg.dim, alg.basis_names, alg.brackets)
     built = []
     real = cohochschild.invariant_basis
     monkeypatch.setattr(cohochschild, "invariant_basis",

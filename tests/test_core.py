@@ -31,6 +31,8 @@ from starlift.errors import (
     TruncationMismatch,
 )
 
+from conftest import dense_c
+
 E, H, F = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
 
@@ -49,10 +51,14 @@ def test_kind_autodetected(sl2qt):
 def test_structure_constants(sl2):
     alg, _ = sl2
     # [h,e] = 2e, [h,f] = -2f, [e,f] = h
-    assert alg.c[1][0][0] == 2
-    assert alg.c[1][2][2] == -2
-    assert alg.c[0][2][1] == 1
-    assert alg.c[2][0][1] == -1
+    c = dense_c(alg)
+    assert c[1][0][0] == 2
+    assert c[1][2][2] == -2
+    assert c[0][2][1] == 1
+    assert c[2][0][1] == -1
+    # only the nonzero constants are stored, in index order
+    keys = [key for key, v in alg.brackets if v]
+    assert keys == sorted(set(keys)) == [key for key, _ in alg.brackets] and len(keys) == 6
 
 
 def test_jacobi_violation_rejected():
@@ -237,7 +243,7 @@ def test_cyb_vanishes_on_triangular(abelian3, nonabelian2):
 # ---- the record classes -------------------------------------------------------
 
 RECORD_FIELDS = {
-    LieAlgebraSpec: ("dim", "basis_names", "c"),
+    LieAlgebraSpec: ("dim", "basis_names", "brackets"),
     RMatrix: ("alg", "entries", "kind"),
     FormalSeriesTensor: ("alg", "k", "N", "numerators"),
     Cochain: ("k", "degree", "value"),
@@ -279,7 +285,7 @@ def test_records_refuse_assignment(sl2, sl2qt, cls):
 
 def test_value_records_compare_and_hash_by_fields(sl2, sl2qt):
     alg, r = sl2
-    twin = LieAlgebraSpec(alg.dim, alg.basis_names, alg.c)
+    twin = LieAlgebraSpec(alg.dim, alg.basis_names, alg.brackets)
     assert twin is not alg and twin == alg and hash(twin) == hash(alg)
     same_r = RMatrix(twin, r.entries)
     assert same_r == r and hash(same_r) == hash(r)

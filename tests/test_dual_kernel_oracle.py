@@ -18,7 +18,7 @@ from starlift.envelope import TAG_GSTAR, PBWTensorSquare, _delta_generator, coad
 from starlift.errors import StarliftError
 from starlift.quasitriangular import _bracket_contraction, mu_of_rprime, qt_validate
 
-from conftest import data_path, rational_rows
+from conftest import data_path, from_cube, rational_rows
 from test_kernel_oracle import COEFFS, _rescaled, vecs
 
 # ---- reference oracles: the rational-table loops, kept verbatim -------------
@@ -61,11 +61,7 @@ def ref_dual_bracket(r):
 
     c = tuple(tuple(tuple(map(sub, ad_r(b, a), ad_r(a, b))) for b in range(dim))
               for a in range(dim))
-    return LieAlgebraSpec(
-        dim=dim,
-        basis_names=tuple(n + "*" for n in alg.basis_names),
-        c=c,
-    ).validate()
+    return from_cube(dim, (n + "*" for n in alg.basis_names), c).validate()
 
 
 def ref_delta_generator(g, dual, tag, a):
@@ -184,7 +180,7 @@ def test_dual_bracket_of_shipped_r_matches_rational_loops(name):
     got, outcome = _unvalidated(dual_bracket, rmat)
     want, want_outcome = _unvalidated(ref_dual_bracket, rmat)
     assert got == want and outcome == want_outcome
-    _exact(v for plane in got.c for row in plane for v in row)
+    _exact(v for _, v in got.brackets)
 
 
 @settings(max_examples=150, deadline=None)
@@ -197,7 +193,7 @@ def test_dual_bracket_of_random_r_matches_rational_loops(data):
     got, outcome = _unvalidated(dual_bracket, rmat)
     want, want_outcome = _unvalidated(ref_dual_bracket, rmat)
     assert got == want and outcome == want_outcome
-    _exact(v for plane in got.c for row in plane for v in row)
+    _exact(v for _, v in got.brackets)
 
 
 # ---- cobracket of a dual generator ------------------------------------------

@@ -28,6 +28,7 @@ from starlift.envelope import (
 )
 from starlift.errors import AlgebraMismatch, IndexOutOfRange, UnsortedMonomial
 
+from conftest import dense_c
 from test_qt import QT_STRUCTURES
 
 
@@ -139,9 +140,10 @@ def test_dual_bracket_sl2_frozen(sl2):
         (1, 2): {2: QQ(-1, 2)},
         (2, 1): {2: QQ(1, 2)},
     }
+    c = dense_c(dual)
     for i in range(3):
         for j in range(3):
-            got = {k: v for k, v in enumerate(dual.c[i][j]) if v}
+            got = {k: v for k, v in enumerate(c[i][j]) if v}
             assert got == expected.get((i, j), {})
 
 

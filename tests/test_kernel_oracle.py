@@ -163,13 +163,13 @@ def ref_coproduct_insert(f, blocks, n):
 
 def _rescaled(alg, q):
     """The same bracket times q: still a Lie algebra, with c_ijk = q * c_ijk."""
-    c = tuple(tuple(tuple(v * q for v in row) for row in plane) for plane in alg.c)
-    return LieAlgebraSpec(alg.dim, alg.basis_names, c).validate()
+    brackets = tuple((key, v * q) for key, v in alg.brackets)
+    return LieAlgebraSpec(alg.dim, alg.basis_names, brackets).validate()
 
 
 def _twin(alg):
     """An equal but distinct instance, with no caches filled."""
-    return LieAlgebraSpec(alg.dim, alg.basis_names, alg.c)
+    return LieAlgebraSpec(alg.dim, alg.basis_names, alg.brackets)
 
 
 _SL2 = load_lie_algebra(data_path("sl2"))[0]

@@ -35,7 +35,7 @@ from starlift.errors import CYBViolation, Degenerate, NotAntisymmetric, NotCentr
 from starlift.quasitriangular import (_d_tensor_id, alpha_matrix_rank, c_s_coderivation,
                                       mu_of_rprime)
 
-from conftest import data_path, rational_rows
+from conftest import data_path, dense_c, rational_rows
 from test_actor_oracle import _rebased, unimodular
 from test_kernel_oracle import COEFFS, _rescaled
 from test_basis_independence import _rebased_r
@@ -386,12 +386,13 @@ def ref_derivation_D(x, g):
     """sum over each letter x_t of a monomial of pre * D(x_t) * post, with
     D(xi_a) = sum_{i != j} c_ij^a [xi_i, xi_j] read off g's brackets."""
     dual, tag = x.alg, x.tag
+    cube = dense_c(g)
     gen_img = []
     for a in range(dual.dim):
         items = {}
         for i, j in itertools.permutations(range(g.dim), 2):
             for tgt, w in rational_rows(dual).get(i, {}).get(j, ()):
-                items[(tgt,)] = items.get((tgt,), QQ(0)) + g.c[i][j][a] * w
+                items[(tgt,)] = items.get((tgt,), QQ(0)) + cube[i][j][a] * w
         gen_img.append(PBWElement.make(dual, tag, items))
     out = PBWElement.zero(dual, tag)
     for mono, c in x.coeffs.items():

@@ -230,8 +230,8 @@ def ref_star(f, g):
 
 def _rescaled(alg, q):
     """The same bracket times q: non-integer structure constants for q = 2/3."""
-    c = tuple(tuple(tuple(v * q for v in row) for row in plane) for plane in alg.c)
-    return LieAlgebraSpec(alg.dim, alg.basis_names, c).validate()
+    brackets = tuple((key, v * q) for key, v in alg.brackets)
+    return LieAlgebraSpec(alg.dim, alg.basis_names, brackets).validate()
 
 
 ORACLE_ALGEBRAS = {"sl2": SL2, "sl3": SL3, "sl2*2/3": _rescaled(SL2, QQ(2, 3))}

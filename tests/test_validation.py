@@ -23,6 +23,7 @@ from starlift import (
 )
 from starlift._rat import QQ, ZERO, rat
 from starlift.cli import main
+from starlift.core import MAX_DIM
 from starlift.envelope import TAG_GSTAR, PBWElement, _straighten
 from starlift.errors import (
     AntisymmetryViolation,
@@ -33,7 +34,7 @@ from starlift.errors import (
 )
 from starlift.quasitriangular import qt_validate
 
-from conftest import data_path
+from conftest import data_path, dense_c, from_cube
 
 LITERALS = ("1", "-1", "2", "-2", "1/2", "-3/2")
 
@@ -65,12 +66,13 @@ def dense_validate(d, c):
 def dense_invariance(g, t):
     """Reference oracle: the dense (k, i, j) ad-invariance sweep of t."""
     d = g.dim
+    c = dense_c(g)
     for k in range(d):
         for i in range(d):
             for j in range(d):
                 s = ZERO
                 for m in range(d):
-                    s += g.c[k][m][i] * t[m][j] + g.c[k][m][j] * t[i][m]
+                    s += c[k][m][i] * t[m][j] + c[k][m][j] * t[i][m]
                 if s:
                     raise TNotInvariant(f"symmetric part not ad-invariant at ({k},{i},{j})")
 
@@ -84,17 +86,17 @@ def outcome(fn, *args):
 
 
 @st.composite
-def algebra_inputs(draw):
-    """A JSON algebra input of dim 2..5 with a few sparse bracket entries."""
-    d = draw(st.integers(2, 5))
+def algebra_inputs(draw, max_dim=5):
+    """A JSON algebra input of dim 2..max_dim with a few sparse bracket entries."""
+    d = draw(st.integers(2, max_dim))
     idx = st.integers(0, d - 1)
     term = st.tuples(idx, st.sampled_from(LITERALS)).map(list)
     entry = st.tuples(idx, idx, st.lists(term, min_size=1, max_size=2)).map(list)
     return {"dim": d, "brackets": draw(st.lists(entry, max_size=6))}
 
 
-def dense_c(data):
-    """The structure constants load_lie_algebra builds from ``data``."""
+def data_cube(data):
+    """The structure constants load_lie_algebra builds from ``data``, as a cube."""
     d = data["dim"]
     c = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
     for i, j, terms in data["brackets"]:
@@ -110,7 +112,7 @@ def test_sparse_jacobi_matches_dense_oracle_on_load(data):
     """An [i, i] entry (every drawn term is nonzero) is refused; without
     those entries, which cancel in c, the sparse Jacobi check agrees with
     the dense one."""
-    expected = outcome(dense_validate, data["dim"], dense_c(data))
+    expected = outcome(dense_validate, data["dim"], data_cube(data))
     assert outcome(load_lie_algebra, without_self_brackets(data)) == expected
     selfs = [ent for ent in data["brackets"] if ent[0] == ent[1]]
     if selfs:
@@ -139,30 +141,42 @@ def test_self_bracket_must_be_zero(capsys, terms, code):
 @given(algebra_inputs(), st.data())
 def test_sparse_validate_matches_dense_oracle_without_antisymmetry(data, draw):
     """Specs built directly may break antisymmetry, which is checked first."""
+    assert_direct_spec_validates_as_dense(data, draw)
+
+
+def assert_direct_spec_validates_as_dense(data, draw):
+    """The spec of data's cube with up to two drawn terms added to single
+    entries, built directly, validates as the dense sweep does."""
     d = data["dim"]
-    c = dense_c(data)
+    c = data_cube(data)
     for i, j, k, v in draw.draw(st.lists(st.tuples(
             st.integers(0, d - 1), st.integers(0, d - 1), st.integers(0, d - 1),
             st.sampled_from(LITERALS)), max_size=2)):
         c[i][j][k] += rat(v)
-    spec = LieAlgebraSpec(d, tuple(f"x{i}" for i in range(d)),
-                          tuple(tuple(tuple(row) for row in plane) for plane in c))
+    spec = from_cube(d, (f"x{i}" for i in range(d)), c)
     assert outcome(spec.validate) == outcome(dense_validate, d, c)
+
+
+@settings(max_examples=15, deadline=None)  # a full dense sweep at dim 12 takes 2 s
+@given(algebra_inputs(max_dim=12), st.data())
+def test_sparse_validate_matches_dense_oracle_on_far_apart_brackets(data, draw):
+    """Dims up to 12 with at most 6 entries, so that bracketed pairs sit far
+    apart and most triples are never reached: on load, and built directly
+    with antisymmetry possibly broken."""
+    data = without_self_brackets(data)
+    assert outcome(load_lie_algebra, data) == outcome(dense_validate, data["dim"], data_cube(data))
+    assert_direct_spec_validates_as_dense(data, draw)
 
 
 def ref_from_brackets(basis_names, terms):
     """The cube loop load_lie_algebra ran before LieAlgebraSpec.from_brackets,
-    kept verbatim."""
+    kept verbatim, stored as the cube's nonzero entries."""
     dim = len(basis_names)
     c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     for i, j, k, val in terms:
         c[i][j][k] += val
         c[j][i][k] -= val
-    return LieAlgebraSpec(
-        dim=dim,
-        basis_names=tuple(basis_names),
-        c=tuple(tuple(tuple(row) for row in plane) for plane in c),
-    ).validate()
+    return from_cube(dim, basis_names, c).validate()
 
 
 @st.composite
@@ -228,7 +242,7 @@ class CountingTuple(tuple):
 
 def test_structure_constants_hashed_once(sl2):
     alg, r = sl2
-    spec = LieAlgebraSpec(alg.dim, alg.basis_names, CountingTuple(alg.c))
+    spec = LieAlgebraSpec(alg.dim, alg.basis_names, CountingTuple(alg.brackets))
     CountingTuple.hashes = 0
     assert len(center(spec, 2)) == 2
     dual = dual_bracket(RMatrix(spec, r.entries))
@@ -239,9 +253,9 @@ def test_structure_constants_hashed_once(sl2):
 
 def test_equal_specs_hash_equal_and_share_memo(sl2):
     alg, _ = sl2
-    twin = LieAlgebraSpec(alg.dim, tuple(alg.basis_names), tuple(tuple(p) for p in alg.c))
+    twin = LieAlgebraSpec(alg.dim, tuple(alg.basis_names), tuple(item for item in alg.brackets))
     assert twin is not alg and twin == alg
-    assert hash(twin) == hash(alg) == hash((alg.dim, alg.basis_names, alg.c))
+    assert hash(twin) == hash(alg) == hash((alg.dim, alg.basis_names, alg.brackets))
     assert _straighten(twin, (2, 1, 0)) is _straighten(alg, (2, 1, 0))
 
 
@@ -277,6 +291,49 @@ def test_raw_rprime_shape_is_checked(sl2qt, shape):
            "extra row": rows + [["1"] * g.dim]}[shape]
     with pytest.raises(ParseError, match="r' must be"):
         qt_validate(g, bad)
+
+
+def test_bracket_coefficients_must_be_ascii_literals():
+    """An Arabic-Indic one with a trailing newline is not the literal 1."""
+    with pytest.raises(ParseError, match=r"^bracket \[0,1\]: malformed rational literal"):
+        load_lie_algebra({"dim": 2, "brackets": [[0, 1, [[0, "\u0661\n"]]]]})
+
+
+# Run in a child whose address space is capped, so that a regression that
+# allocates by dim fails there and not on the host.
+CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({cap} << 20, {cap} << 20))
+from starlift import LieAlgebraSpec
+from starlift.cli import main
+"""
+
+
+def run_capped(cap_mb, code):
+    env = dict(os.environ, PYTHONPATH=str(Path(starlift.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-c", CAPPED.format(cap=cap_mb) + code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("field", ["brackets", "r"])
+def test_huge_dim_is_refused_before_it_is_allocated(field):
+    spec = json.dumps({"dim": 10 ** 6, field: []})
+    proc = run_capped(1024, f"sys.exit(main(['validate', {spec!r}]))")
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["error"] == {
+        "type": "ParseError", "message": f"dim must be at most {MAX_DIM}, got 1000000"}
+
+
+def test_abelian_validation_allocates_nothing_by_dim():
+    """Abelian dim 2,000 builds and validates in 512 MB, where a dim^3 cube
+    would need 8e9 slots; the largest dim load accepts validates too."""
+    proc = run_capped(512, f"""
+alg = LieAlgebraSpec.from_brackets([f"x{{i}}" for i in range(2000)], [])
+print(alg.brackets, alg.is_abelian)
+sys.exit(main(["validate", '{{"dim": {MAX_DIM}, "brackets": []}}']))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("() True\n")
 
 
 def test_basis_names_must_be_distinct():
