@@ -21,15 +21,9 @@ from starlift.envelope import TAG_G
 g, rprime = load_lie_algebra(str(files("starlift").joinpath("data", "sl2-qt.json")))
 qt = qt_validate(g, rprime)
 
-print("r' entries:", [(i, j, rat_str(v))
-                      for i, row in enumerate(rprime.entries)
-                      for j, v in enumerate(row) if v])
-print("antisymmetric part r:", [(i, j, rat_str(v))
-                                for i, row in enumerate(qt.r.entries)
-                                for j, v in enumerate(row) if v])
-print("symmetric part t:", [(i, j, rat_str(v))
-                            for i, row in enumerate(qt.t)
-                            for j, v in enumerate(row) if v])
+print("r' entries:", [(i, j, rat_str(v)) for (i, j), v in rprime.entries])
+print("antisymmetric part r:", [(i, j, rat_str(v)) for (i, j), v in qt.r.entries])
+print("symmetric part t:", [(i, j, rat_str(v)) for (i, j), v in qt.t])
 print("t nondegenerate:", qt.nondegenerate)
 
 for s in ("0", "1", "-2"):

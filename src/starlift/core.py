@@ -12,7 +12,7 @@ import itertools
 import json
 from functools import cache, cached_property
 from math import factorial, gcd, lcm, prod
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from . import linsolve
 from ._rat import QQ, ZERO, rat
@@ -82,11 +82,8 @@ class LieAlgebraSpec(_Record):
         """The validated algebra on basis_names whose brackets are the sums
         of the terms (i, j, k, v): each adds v x_k to [x_i, x_j] and -v x_k
         to [x_j, x_i]."""
-        c = {}
-        for i, j, k, v in terms:
-            c[i, j, k] = c.get((i, j, k), ZERO) + v
-            c[j, i, k] = c.get((j, i, k), ZERO) - v
-        brackets = tuple(sorted(item for item in c.items() if item[1]))
+        brackets = _nonzero(pair for i, j, k, v in terms
+                            for pair in (((i, j, k), v), ((j, i, k), -v)))
         return cls(len(basis_names), tuple(basis_names), brackets).validate()
 
     @cached_property
@@ -118,25 +115,21 @@ class LieAlgebraSpec(_Record):
 
     @cached_property
     def _integer_weights(self) -> dict:
-        """{i: (n_0, ...)} for each diagonal index i, ad(x_i) x_j = n_j / Dc x_j."""
+        """{i: ((j, n_j), ...)} over the nonzero n_j, ad(x_i) x_j = n_j / Dc x_j, i diagonal."""
         rows = self.integer_rows[1]
-        weights = {}
-        for i in range(self.dim):
-            row = rows.get(i, {})
-            if all(len(ent) == 1 and ent[0][0] == j for j, ent in row.items()):
-                weights[i] = tuple(row[j][0][1] if j in row else 0 for j in range(self.dim))
-        return weights
+        diagonal = [i for i in range(self.dim)
+                    if all(len(ent) == 1 and ent[0][0] == j for j, ent in rows.get(i, {}).items())]
+        return {i: tuple((j, ent[0][1]) for j, ent in rows.get(i, {}).items()) for i in diagonal}
 
     @cached_property
     def actors(self) -> tuple:
-        """(weights, gens). weights maps each diagonal index i, with
-        ad(x_i) x_j = w_j x_j for every j, to w; gens are the other indices,
-        taken greedily in index order until they and the diagonal ones
-        generate g as a Lie algebra. A diagonal x_i scales x^a by sum a_j w_j,
-        and if x and y act by 0 so does [x, y]: an element is g-invariant iff
-        it has weight zero and every gens element kills it."""
-        Dc, rows = self.integer_rows
-        weights = {i: tuple(QQ(n, Dc) for n in lam) for i, lam in self._integer_weights.items()}
+        """(diagonal, gens): the indices i with ad(x_i) x_j = w_j x_j for every
+        j, weighted by _integer_weights, and the other indices, taken greedily
+        in index order until they and the diagonal ones generate g as a Lie
+        algebra. A diagonal x_i scales x^a by sum a_j w_j, and if x and y act
+        by 0 so does [x, y]: an element is g-invariant iff it has weight zero
+        and every gens element kills it."""
+        rows, weights = self.integer_rows[1], self._integer_weights
         gens = []
         span = [{i: 1} for i in weights]  # the subalgebra the actors generate, times powers of Dc
         for i in range(self.dim):
@@ -154,18 +147,14 @@ class LieAlgebraSpec(_Record):
                     w = {k: v for k, v in w.items() if v}
                     if w and linsolve.rank_of(span + [w]) > len(span):
                         span.append(w)
-        return weights, tuple(gens)
+        return tuple(weights), tuple(gens)
 
     def weight_zero(self, vec) -> bool:
         """Whether every diagonal actor kills x^vec (vec an exponent vector)."""
-        return not any(sum(map(mul, vec, lam)) for lam in self._integer_weights.values())
+        return not any(sum(vec[j] * n for j, n in lam) for lam in self._integer_weights.values())
 
     def validate(self):
-        # c_ijk != -c_jik fails at (i, j, k) and at (j, i, k), one of them
-        # stored: the lex-first failure is the least failing key or swap.
-        c = dict(self.brackets)
-        bad = min((min((i, j, k), (j, i, k)) for (i, j, k), v in c.items()
-                   if v != -c.get((j, i, k), ZERO)), default=None)
+        bad = _asymmetry(self.brackets)
         if bad is not None:
             raise AntisymmetryViolation("c[{0}][{1}][{2}] != -c[{1}][{0}][{2}]".format(*bad),
                                         triple=bad)
@@ -243,9 +232,9 @@ def _as_list(value, what: str) -> list:
 
 
 # The largest dim load_lie_algebra accepts, checked before anything of that
-# size is built. r is a dense dim x dim matrix: `validate` on an all-zero r
-# took 9.9 s and 84 MB at dim 1000 (one Intel Xeon core, Fraction backend), and
-# grows as dim^2.
+# size is built. `validate` then makes dim unit vectors of length dim, in
+# alt_project and in is_invariant's dim g_action calls: 0.13 s and 22 MB at
+# dim 1000, 2.2 s and 137 MB at 4000 (one Intel Xeon core, Fraction backend).
 MAX_DIM = 1000
 
 
@@ -316,7 +305,7 @@ def load_lie_algebra(source) -> "tuple[LieAlgebraSpec, RMatrix | None]":
 
     rmat = None
     if "r" in data:
-        entries = [[ZERO] * dim for _ in range(dim)]
+        pairs = []
         for ent in _as_list(data["r"], "r"):
             try:
                 i, j, coeff = ent
@@ -324,21 +313,22 @@ def load_lie_algebra(source) -> "tuple[LieAlgebraSpec, RMatrix | None]":
                 raise ParseError(f"malformed r entry: {ent!r}") from None
             if not (_is_index(i, dim) and _is_index(j, dim)):
                 raise ParseError(f"r indices out of range: {ent!r}")
-            entries[i][j] += _parse_rat(coeff, f"r[{i},{j}]")
+            pairs.append(((i, j), _parse_rat(coeff, f"r[{i},{j}]")))
+        entries = _nonzero(pairs)
         kind = data.get("kind")
         if kind is None:
-            skew = _asymmetry(entries) is None
-            kind = "antisymmetric-coboundary" if skew else "quasitriangular-candidate"
+            kind = ("antisymmetric-coboundary" if _asymmetry(entries) is None
+                    else "quasitriangular-candidate")
         if kind not in ("antisymmetric-coboundary", "quasitriangular-candidate"):
             raise ParseError(f"unknown kind: {kind!r}")
-        rmat = RMatrix(alg, tuple(tuple(row) for row in entries), kind)
-        rmat.validate()
+        rmat = RMatrix(alg, entries, kind).validate()
 
     return alg, rmat
 
 
 class RMatrix(_Record):
-    """An element of g(x)g: a candidate r (antisymmetric) or r' (no symmetry)."""
+    """An element of g(x)g: a candidate r (antisymmetric) or r' (no symmetry),
+    entries = (((i, j), r_ij), ...) over the nonzero r_ij in index order."""
 
     _fields = ("alg", "entries", "kind")
 
@@ -353,21 +343,28 @@ class RMatrix(_Record):
 
     def to_series(self, N: int = 2) -> "FormalSeriesTensor":
         d = self.alg.dim
-        items = {}
-        for i in range(d):
-            for j in range(d):
-                v = self.entries[i][j]
-                if v:
-                    items[(_unit(d, i), _unit(d, j))] = v
-        return FormalSeriesTensor.make(self.alg, 2, N, items)
+        return FormalSeriesTensor.make(self.alg, 2, N, {
+            (_unit(d, i), _unit(d, j)): v for (i, j), v in self.entries})
 
 
-def _asymmetry(entries):
-    """The first (i, j) in index order with entries[i][j] != -entries[j][i]
-    (entries a square matrix), or None when the matrix is antisymmetric."""
-    d = len(entries)
-    return next(((i, j) for i in range(d) for j in range(d)
-                 if entries[i][j] != -entries[j][i]), None)
+def _nonzero(pairs) -> tuple:
+    """The (key, v) pairs summed per key: ((key, sum), ...) over the nonzero
+    sums, in key order."""
+    acc = {}
+    for key, v in pairs:
+        acc[key] = acc.get(key, ZERO) + v
+    return tuple(sorted(item for item in acc.items() if item[1]))
+
+
+def _asymmetry(items):
+    """The least key, over the stored keys and their swaps (the first two
+    indices exchanged), whose value is not minus its swap's, or None. A
+    failing key's swap fails too and one of them is stored, so this is the
+    first failure of a dense sweep in index order."""
+    c = dict(items)
+    swaps = ((key, (key[1], key[0], *key[2:]), v) for key, v in items)
+    return min((min(key, swap) for key, swap, v in swaps if v != -c.get(swap, ZERO)),
+               default=None)
 
 
 def _unit(dim: int, i: int) -> Vec:

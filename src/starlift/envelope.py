@@ -233,10 +233,11 @@ def dual_bracket(r: RMatrix) -> LieAlgebraSpec:
     """The Lie algebra on the dual basis with
     [a, b] = ad*(R(b))(a) - ad*(R(a))(b), R(xi) = (id (x) xi)(r), where
     each c_km^a adds -r_kb c_km^a xi_m to ad*(R(xi_b)) xi_a."""
-    alg = r.alg
+    rows = {k: [(b, w) for (_, b), w in row]
+            for k, row in itertools.groupby(r.entries, lambda item: item[0][0])}
     return LieAlgebraSpec.from_brackets(
-        [n + "*" for n in alg.basis_names],
-        [(b, a, m, r.entries[k][b] * v) for (k, m, a), v in alg.brackets for b in range(alg.dim)])
+        [n + "*" for n in r.alg.basis_names],
+        [(b, a, m, w * v) for (k, m, a), v in r.alg.brackets for b, w in rows.get(k, ())])
 
 
 class PBWTensorSquare(_SparseVec):

@@ -4,12 +4,13 @@ the central-element morphism into C_1, and the inner-derivation identity
 on U(g)."""
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 
 from . import linsolve
 from ._rat import QQ, ZERO
-from .core import (FormalSeriesTensor, LieAlgebraSpec, RMatrix, _parse_rat, _Record, _unit,
-                   combine, coproduct_insert, cyb, g_action, poisson_bracket)
+from .core import (FormalSeriesTensor, LieAlgebraSpec, RMatrix, _nonzero, _parse_rat, _Record,
+                   _unit, combine, coproduct_insert, cyb, g_action, poisson_bracket)
 from .envelope import (
     TAG_G,
     TAG_GSTAR,
@@ -28,8 +29,8 @@ from .errors import (CYBViolation, Degenerate, NotCentral, ParseError, RankCerti
 
 
 class QTStructure(_Record):
-    """A validated (g, r'): r is its antisymmetric half, t its symmetric
-    invariant part as a dense matrix, Z the 3-slot element (1/4)[t^12, t^23]."""
+    """A validated (g, r'): r is its antisymmetric half, t its symmetric invariant
+    part in the form of RMatrix.entries, Z the 3-slot element (1/4)[t^12, t^23]."""
 
     _fields = ("g", "rprime", "r", "t", "Z", "nondegenerate")
 
@@ -44,9 +45,11 @@ class QTStructure(_Record):
     @cached_property
     def alpha_generators(self) -> tuple:
         """sts_alpha's (L(xi_a), S_0R(xi_a)) = (sum_j r'_aj x_j, sum_i r'_ia x_i) per a."""
-        g, ent = self.g, self.rprime.entries
-        return tuple((PBWElement.make(g, TAG_G, {(j,): ent[a][j] for j in range(g.dim)}),
-                      PBWElement.make(g, TAG_G, {(i,): ent[i][a] for i in range(g.dim)}))
+        g = self.g
+        left, right = [{} for _ in range(g.dim)], [{} for _ in range(g.dim)]
+        for (i, j), v in self.rprime.entries:
+            left[i][(j,)] = right[j][(i,)] = v
+        return tuple((PBWElement.make(g, TAG_G, left[a]), PBWElement.make(g, TAG_G, right[a]))
                      for a in range(g.dim))
 
 
@@ -61,23 +64,21 @@ def _t_bracket_z(alg: LieAlgebraSpec, t) -> FormalSeriesTensor:
 def qt_validate(g: LieAlgebraSpec, rprime) -> QTStructure:
     """Check CYB(r') = 0 and invariance of the symmetric part, then package
     the derived data (antisymmetric half, t, the 3-slot element Z)."""
-    d = g.dim
-    if isinstance(rprime, RMatrix):
-        rp = rprime
-    else:
-        if not (isinstance(rprime, (list, tuple)) and len(rprime) == d
-                and all(isinstance(row, (list, tuple)) and len(row) == d for row in rprime)):
+    d, rp = g.dim, rprime
+    if not isinstance(rp, RMatrix):
+        if not (isinstance(rp, (list, tuple)) and len(rp) == d
+                and all(isinstance(row, (list, tuple)) and len(row) == d for row in rp)):
             raise ParseError(f"r' must be a list of {d} lists of {d} entries")
-        rp = RMatrix(g, tuple(tuple(_parse_rat(v, f"r'[{i},{j}]") for j, v in enumerate(row))
-                              for i, row in enumerate(rprime)), "quasitriangular-candidate")
+        rp = RMatrix(g, _nonzero(((i, j), _parse_rat(v, f"r'[{i},{j}]"))
+                                 for i, row in enumerate(rp) for j, v in enumerate(row)),
+                     "quasitriangular-candidate")
 
     res = cyb(rp, require_antisymmetric=False)
     if not res.is_zero():
         raise CYBViolation("CYB(r') must vanish exactly",
                            residual_terms=len(res.coeffs))
 
-    ent = rp.entries
-    t = tuple(tuple(ent[i][j] + ent[j][i] for j in range(d)) for i in range(d))
+    t = _nonzero(pair for (i, j), v in rp.entries for pair in (((i, j), v), ((j, i), v)))
     t_series = RMatrix(g, t, "quasitriangular-candidate").to_series(2)
     for k in range(d):  # ad-invariance, reported at the first (i, j) in index order
         bad = g_action(k, t_series).coeffs
@@ -85,14 +86,15 @@ def qt_validate(g: LieAlgebraSpec, rprime) -> QTStructure:
             i, j = min((a.index(1), b.index(1)) for a, b in bad)
             raise TNotInvariant(f"symmetric part not ad-invariant at ({k},{i},{j})")
 
-    rmat = RMatrix(g, tuple(tuple((ent[i][j] - ent[j][i]) / 2 for j in range(d))
-                            for i in range(d))).validate()
+    rmat = RMatrix(g, _nonzero(pair for (i, j), v in rp.entries
+                               for pair in (((i, j), v / 2), ((j, i), -v / 2)))).validate()
 
     Z = _t_bracket_z(g, t)
     if cyb(rmat) != Z:
         raise RankCertificate("internal check: CYB of the antisymmetric half")
 
-    nondegenerate = linsolve.rank_of([{j: v for j, v in enumerate(row) if v} for row in t]) == d
+    rows = itertools.groupby(t, lambda item: item[0][0])  # t is symmetric: rows are columns
+    nondegenerate = linsolve.rank_of({j: v for (_, j), v in row} for _, row in rows) == d
     return QTStructure(g=g, rprime=rp, r=rmat, t=t, Z=Z, nondegenerate=nondegenerate)
 
 

@@ -31,6 +31,22 @@ def dense_c(alg):
     return alg.memo[key]
 
 
+def dense_r(entries, d):
+    """The d x d matrix whose nonzero entries are the ((i, j), v) items of
+    entries (an RMatrix's entries or a QTStructure's t): the dense view of
+    the reference loops."""
+    m = [[QQ(0)] * d for _ in range(d)]
+    for (i, j), v in entries:
+        m[i][j] = v
+    return tuple(map(tuple, m))
+
+
+def sparse_r(rows):
+    """The ((i, j), v) items over the nonzero entries of the square matrix
+    rows, in index order: the entries an RMatrix stores."""
+    return tuple(((i, j), v) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
+
+
 def rational_rows(alg):
     """rows[i][j] = ((k, c_ijk), ...) over the nonzero structure constants,
     read from alg.brackets in index order: the rational bracket table of the

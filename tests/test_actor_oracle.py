@@ -192,23 +192,28 @@ def _check_kernels(alg, n):
 
 
 def _check_actors(alg):
-    """Weights are the diagonal eigenvalues, the other indices act
-    non-diagonally, and the actors generate g (rank by sympy)."""
-    weights, gens = alg.actors
+    """The diagonal indices are those whose ad is diagonal, their integer
+    weights are Dc times the eigenvalues, nonzero ones only, in index order,
+    the other indices act non-diagonally, and the actors generate g (rank
+    by sympy)."""
+    diagonal_indices, gens = alg.actors
+    weights = alg._integer_weights
     d = alg.dim
     c = dense_c(alg)
+    Dc = alg.integer_rows[0]
     for i in range(d):
         diagonal = all(not c[i][j][k] for j in range(d) for k in range(d) if k != j)
-        assert (i in weights) == diagonal
+        assert (i in diagonal_indices) == (i in weights) == diagonal
         if diagonal:
-            assert weights[i] == tuple(c[i][j][j] for j in range(d))
+            assert weights[i] == tuple((j, Dc * c[i][j][j]) for j in range(d) if c[i][j][j])
+    assert diagonal_indices == tuple(weights) == tuple(sorted(weights))
     assert set(gens).isdisjoint(weights) and list(gens) == sorted(gens)
 
     def rank(vectors):
         return DomainMatrix([[SQQ(v.numerator, v.denominator) for v in u] for u in vectors],
                             (len(vectors), d), SQQ).rank()
 
-    span = [[QQ(int(i == j)) for j in range(d)] for i in [*weights, *gens]]
+    span = [[QQ(int(i == j)) for j in range(d)] for i in [*diagonal_indices, *gens]]
     while True:  # add every bracket of two span vectors until the rank stops growing
         new = [[sum((u[i] * v[j] * c[i][j][k] for i in range(d) for j in range(d)), QQ(0))
                 for k in range(d)] for u, v in itertools.combinations(span, 2)]
@@ -226,11 +231,14 @@ def test_kernels_match_all_generator_oracle(name):
 
 
 def test_actor_split_of_the_shipped_algebras():
-    assert ALGEBRAS["sl2"].actors == ({1: (QQ(2), QQ(0), QQ(-2))}, (0, 2))  # h; e and f
-    weights, gens = ALGEBRAS["sl3"].actors
-    assert sorted(weights) == [6, 7] and gens == (0, 1, 2, 4)  # H1, H2; E12, E13, E21, E31
-    assert ALGEBRAS["sl2(h,e+f,e-f)"].actors == ({}, (0, 1))
-    assert ALGEBRAS["abelian3"].actors == ({i: (QQ(0),) * 3 for i in range(3)}, ())
+    assert ALGEBRAS["sl2"].actors == ((1,), (0, 2))  # h; e and f
+    assert ALGEBRAS["sl2"]._integer_weights == {1: ((0, 2), (2, -2))}  # Dc = 1
+    diagonal, gens = ALGEBRAS["sl3"].actors
+    assert diagonal == (6, 7) and gens == (0, 1, 2, 4)  # H1, H2; E12, E13, E21, E31
+    assert ALGEBRAS["sl2(h,e+f,e-f)"].actors == ((), (0, 1))
+    assert ALGEBRAS["sl2(h,e+f,e-f)"]._integer_weights == {}
+    assert ALGEBRAS["abelian3"].actors == ((0, 1, 2), ())
+    assert ALGEBRAS["abelian3"]._integer_weights == {i: () for i in range(3)}
     assert ALGEBRAS["nonabelian2"].actors[1] == (1,)
 
 

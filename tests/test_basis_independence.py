@@ -16,7 +16,7 @@ from starlift import RMatrix, load_lie_algebra
 from starlift._rat import rat_str
 from starlift.cli import main
 
-from conftest import data_path, dense_c
+from conftest import data_path, dense_c, dense_r, sparse_r
 from test_actor_oracle import _rebased, unimodular
 
 # per input: (command and options, the report fields that name no basis element)
@@ -52,8 +52,7 @@ def _spec(alg, r) -> dict:
         "basis": list(alg.basis_names),
         "brackets": [[i, j, [[k, rat_str(v)] for k, v in enumerate(c[i][j]) if v]]
                      for i, j in itertools.combinations(range(d), 2) if any(c[i][j])],
-        "r": [[i, j, rat_str(v)]
-              for i, row in enumerate(r.entries) for j, v in enumerate(row) if v],
+        "r": [[i, j, rat_str(v)] for (i, j), v in r.entries],
         "kind": r.kind,
     }
 
@@ -61,8 +60,9 @@ def _spec(alg, r) -> dict:
 def _rebased_r(r, Pinv):
     """r in the basis y_a = sum_i P[a][i] x_i: r'_ab = Pinv_ia r_ij Pinv_jb."""
     d = len(Pinv)
-    return RMatrix(r.alg, tuple(tuple(
-        sum(Pinv[i][a] * r.entries[i][j] * Pinv[j][b] for i in range(d) for j in range(d))
+    ent = dense_r(r.entries, d)
+    return RMatrix(r.alg, sparse_r(tuple(
+        sum(Pinv[i][a] * ent[i][j] * Pinv[j][b] for i in range(d) for j in range(d))
         for b in range(d)) for a in range(d)), r.kind)
 
 

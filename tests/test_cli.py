@@ -437,6 +437,34 @@ def test_report_bytes(capsys, argv):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
 
 
+# Exit code and SHA-256 of validate on inline inputs, taken while r was a
+# dense dim x dim matrix: dim 1,000 with two r entries, a symmetric r whose
+# kind is inferred, and the same r tagged antisymmetric, refused at its
+# first asymmetric pair.
+INLINE_GOLDEN = {
+    '{"dim": 1000, "r": [[0,1,"1"],[1,0,"-1"]]}':
+        (0, "a34f576be2042a9948795e4d811c1851f9e146d542e8b612d56bbaaa571c84d9"),
+    '{"dim": 3, "r": [[0,1,"1"],[1,0,"1"]]}':
+        (0, "589b74bdb191baf781a405e315c7f47e7a0200b2c7b72f0de02eccba265d1061"),
+    '{"dim": 3, "r": [[0,1,"1"],[1,0,"1"]], "kind": "antisymmetric-coboundary"}':
+        (1, "4d66a77f33e7ac1cea8f189f295c922a5103e5e434a52729ee1e8e69bd93f907"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(INLINE_GOLDEN))
+def test_inline_validate_report_bytes(capsys, spec):
+    code, out = run(capsys, "validate", spec)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == INLINE_GOLDEN[spec]
+
+
+def test_antisymmetry_violation_names_the_first_pair():
+    with pytest.raises(errors.AntisymmetryViolation) as info:
+        load_lie_algebra('{"dim": 3, "r": [[1,2,"1"],[0,1,"1"],[1,0,"1"]], '
+                         '"kind": "antisymmetric-coboundary"}')
+    assert str(info.value) == "r[0][1] != -r[1][0]"
+    assert info.value.context["pair"] == (0, 1)
+
+
 # SHA-256 of reports on sl2 with its brackets scaled by 2/3, so that the
 # integer bracket table has Dc = 3 (no shipped input has Dc != 1). Taken
 # before integer_rows was built from the structure constants.

@@ -300,13 +300,13 @@ def test_value_records_compare_and_hash_by_fields(sl2, sl2qt):
 
 def test_rmatrix_reads_its_fields_for_hashing_once(sl2, monkeypatch):
     """Memo keys such as ("sts_alpha", r', mono) hash r' on every lookup;
-    its dim^2 rationals are hashed on the first one only."""
+    its entries are hashed on the first one only."""
     alg, r = sl2
     reads = []
     values = RMatrix._values
     monkeypatch.setattr(RMatrix, "_values", lambda self: reads.append(id(self)) or values(self))
     fresh = RMatrix(alg, r.entries)
-    twin = RMatrix(alg, tuple(tuple(row) for row in r.entries))
+    twin = RMatrix(alg, tuple(item for item in r.entries))
     memo = {("sts_alpha", fresh, (0, 1)): 1}
     for _ in range(5):
         assert hash(fresh) == hash(twin) == hash(r)

@@ -18,7 +18,7 @@ from starlift.envelope import TAG_GSTAR, PBWTensorSquare, _delta_generator, coad
 from starlift.errors import StarliftError
 from starlift.quasitriangular import _bracket_contraction, mu_of_rprime, qt_validate
 
-from conftest import data_path, from_cube, rational_rows
+from conftest import data_path, dense_r, from_cube, rational_rows, sparse_r
 from test_kernel_oracle import COEFFS, _rescaled, vecs
 
 # ---- reference oracles: the rational-table loops, kept verbatim -------------
@@ -50,13 +50,14 @@ def ref_coadjoint_action(alg, i, form):
 def ref_dual_bracket(r):
     alg = r.alg
     dim = alg.dim
+    ent = dense_r(r.entries, dim)
 
     def ad_r(b, a):  # ad*(R(xi_b)) xi_a over the dual basis, R(xi_b) = sum_k r_{kb} x_k
         out = [ZERO] * dim
         for k in range(dim):
-            if r.entries[k][b]:
+            if ent[k][b]:
                 for vec, v in ref_coadjoint_action(alg, k, {_unit(dim, a): ONE}).items():
-                    out[vec.index(1)] += r.entries[k][b] * v
+                    out[vec.index(1)] += ent[k][b] * v
         return out
 
     c = tuple(tuple(tuple(map(sub, ad_r(b, a), ad_r(a, b))) for b in range(dim))
@@ -121,7 +122,7 @@ def antisymmetric(draw, dim):
         for j in range(i + 1, dim):
             v = QQ(draw(st.one_of(st.just(0), COEFFS)))
             ent[i][j], ent[j][i] = v, -v
-    return tuple(map(tuple, ent))
+    return sparse_r(ent)
 
 
 def _unvalidated(fn, r):
@@ -174,9 +175,9 @@ def test_dual_bracket_of_shipped_r_matches_rational_loops(name):
     """The shipped r (for sl2-qt, the antisymmetric half of r')."""
     alg, r = ALGEBRAS[name]
     d = alg.dim
-    ent = tuple(tuple((r.entries[i][j] - r.entries[j][i]) / 2 for j in range(d))
-                for i in range(d))
-    rmat = RMatrix(alg, ent)
+    rows = dense_r(r.entries, d)
+    rmat = RMatrix(alg, sparse_r(tuple((rows[i][j] - rows[j][i]) / 2 for j in range(d))
+                                 for i in range(d)))
     got, outcome = _unvalidated(dual_bracket, rmat)
     want, want_outcome = _unvalidated(ref_dual_bracket, rmat)
     assert got == want and outcome == want_outcome
@@ -229,7 +230,7 @@ def test_bracket_contraction_matches_rational_loops(data):
 @pytest.mark.parametrize("q", SCALES, ids=str)
 def test_mu_of_rprime_matches_rational_loops(q):
     alg, rp = ALGEBRAS[f"sl2-qt*{q}"]
-    qt = qt_validate(alg, rp.entries)
+    qt = qt_validate(alg, dense_r(rp.entries, alg.dim))
     got = mu_of_rprime(qt)
     assert got == ref_bracket_contraction(qt.rprime.to_series(2))
     _exact(got)

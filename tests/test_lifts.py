@@ -248,7 +248,7 @@ def test_gauge_rho_commutes_with_truncation(name, request):
 def test_lift_truncates_to_lower_lift(name, N):
     alg, r = load_lie_algebra(data_path(name.split("*")[0]))
     if name == "sl2*3/4":
-        r = RMatrix(alg, tuple(tuple(v * QQ(3, 4) for v in row) for row in r.entries))
+        r = RMatrix(alg, tuple((ij, v * QQ(3, 4)) for ij, v in r.entries))
     full = lift(r, N)
     for T in range(3, N + 1):
         cut = lift(r, T)

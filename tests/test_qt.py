@@ -6,6 +6,8 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ as SQQ
+from sympy.polys.matrices import DomainMatrix
 
 from starlift import (
     FormalSeriesTensor,
@@ -35,7 +37,7 @@ from starlift.errors import CYBViolation, Degenerate, NotAntisymmetric, NotCentr
 from starlift.quasitriangular import (_d_tensor_id, alpha_matrix_rank, c_s_coderivation,
                                       mu_of_rprime)
 
-from conftest import data_path, dense_c, rational_rows
+from conftest import data_path, dense_c, dense_r, rational_rows, sparse_r
 from test_actor_oracle import _rebased, unimodular
 from test_kernel_oracle import COEFFS, _rescaled
 from test_basis_independence import _rebased_r
@@ -49,9 +51,9 @@ def qt(sl2qt):
 
 def test_qt_validate_splits_rprime(qt):
     # r' = e(x)f + h(x)h/4 splits into r = (e^f)/2 and t = e(x)f + f(x)e + h(x)h/2
-    assert qt.r.entries[0][2] == QQ(1, 2)
-    assert qt.r.entries[2][0] == QQ(-1, 2)
-    t = {(i, j): v for i, row in enumerate(qt.t) for j, v in enumerate(row) if v}
+    assert dense_r(qt.r.entries, 3)[0][2] == QQ(1, 2)
+    assert dense_r(qt.r.entries, 3)[2][0] == QQ(-1, 2)
+    t = {(i, j): v for i, row in enumerate(dense_r(qt.t, 3)) for j, v in enumerate(row) if v}
     assert t == {(0, 2): QQ(1), (2, 0): QQ(1), (1, 1): QQ(1, 2)}
     assert not qt.Z.is_zero()
     assert qt.nondegenerate
@@ -77,12 +79,13 @@ def test_t_bracket_z_matches_hand_sum(name):
     on a dense symmetric t, which need not be invariant."""
     alg, r = load_lie_algebra(data_path(name))
     d = alg.dim
-    sym = tuple(tuple(r.entries[i][j] + r.entries[j][i] for j in range(d)) for i in range(d))
+    ent = dense_r(r.entries, d)
+    sym = tuple(tuple(ent[i][j] + ent[j][i] for j in range(d)) for i in range(d))
     dense = tuple(tuple(QQ(1 + (i * j + i + j) % 5, 1 + (i + j) % 3) for j in range(d))
                   for i in range(d))
     for t in (sym, dense):
-        assert quasitriangular._t_bracket_z(alg, t) == ref_t_bracket_z(alg, t)
-    assert quasitriangular._t_bracket_z(alg, dense).is_zero() == alg.is_abelian
+        assert quasitriangular._t_bracket_z(alg, sparse_r(t)) == ref_t_bracket_z(alg, t)
+    assert quasitriangular._t_bracket_z(alg, sparse_r(dense)).is_zero() == alg.is_abelian
 
 
 def test_qt_validate_rejects_cyb_violation(sl2qt):
@@ -91,7 +94,7 @@ def test_qt_validate_rejects_cyb_violation(sl2qt):
 
     bad = RMatrix(
         g,
-        ((QQ(0), QQ(0), QQ(1)), (QQ(0), QQ(0), QQ(0)), (QQ(0), QQ(0), QQ(0))),
+        sparse_r(((QQ(0), QQ(0), QQ(1)), (QQ(0), QQ(0), QQ(0)), (QQ(0), QQ(0), QQ(0)))),
         "quasitriangular-candidate",
     )
     with pytest.raises(CYBViolation):
@@ -105,7 +108,7 @@ def test_qt_validate_rejects_noninvariant_t(sl2qt):
     # e(x)f + f(x)e alone: t misses the h(x)h/2 completion, not ad-invariant
     bad = RMatrix(
         g,
-        ((QQ(0), QQ(0), QQ(1, 2)), (QQ(0), QQ(0), QQ(0)), (QQ(1, 2), QQ(0), QQ(0))),
+        sparse_r(((QQ(0), QQ(0), QQ(1, 2)), (QQ(0), QQ(0), QQ(0)), (QQ(1, 2), QQ(0), QQ(0)))),
         "quasitriangular-candidate",
     )
     with pytest.raises((TNotInvariant, CYBViolation)):
@@ -167,7 +170,7 @@ def ref_mu_of_rprime(qt) -> tuple:
     g = qt.g
     d = g.dim
     out = [ZERO] * d
-    ent = qt.rprime.entries
+    ent = dense_r(qt.rprime.entries, d)
     for i in range(d):
         for j in range(d):
             if not ent[i][j]:
@@ -181,7 +184,7 @@ def ref_cobracket_g(qt, k: int):
     """delta(x_k) = [x_k (x) 1 + 1 (x) x_k, r] as a dict (i, j) -> coeff."""
     g = qt.g
     d = g.dim
-    r = qt.r.entries
+    r = dense_r(qt.r.entries, d)
     out: dict = {}
 
     def put(i, j, v):
@@ -240,12 +243,65 @@ def _dense_candidate(alg):
     mu(r') and the witnesses are dense. The identity still holds: by Jacobi,
     mu(delta(x)) = [x, mu(r)] for every r, and mu kills the symmetric part."""
     d = alg.dim
-    rp = RMatrix(alg, tuple(tuple(QQ(1 + (2 * i + j) % 5, 1 + (i * j) % 3) for j in range(d))
-                            for i in range(d)), "quasitriangular-candidate")
-    r = RMatrix(alg, tuple(tuple((rp.entries[i][j] - rp.entries[j][i]) / 2 for j in range(d))
-                           for i in range(d)))
-    t = tuple(tuple(rp.entries[i][j] + rp.entries[j][i] for j in range(d)) for i in range(d))
-    return QTStructure(alg, rp, r, t, FormalSeriesTensor.zero(alg, 3, 3), False)
+    rows = tuple(tuple(QQ(1 + (2 * i + j) % 5, 1 + (i * j) % 3) for j in range(d))
+                 for i in range(d))
+    r, t = ref_split(rows)
+    return QTStructure(alg, RMatrix(alg, sparse_r(rows), "quasitriangular-candidate"),
+                       RMatrix(alg, sparse_r(r)), sparse_r(t), FormalSeriesTensor.zero(alg, 3, 3),
+                       False)
+
+
+def ref_split(rows):
+    """The dense split of r' (a square matrix) into its antisymmetric half
+    (r' - r'^T)/2 and t = r' + r'^T: the oracle for qt_validate's."""
+    d = len(rows)
+    return (tuple(tuple((rows[i][j] - rows[j][i]) / 2 for j in range(d)) for i in range(d)),
+            tuple(tuple(rows[i][j] + rows[j][i] for j in range(d)) for i in range(d)))
+
+
+# sl3's r' = r + Omega/2, Omega the Casimir of the trace form: E_ij (x) E_ji
+# over i != j plus (1/3)(2 H1 (x) H1 + H1 (x) H2 + H2 (x) H1 + 2 H2 (x) H2).
+SL3_RPRIME = {(0, 2): QQ(1), (1, 4): QQ(1), (3, 5): QQ(1), (6, 6): QQ(1, 3),
+              (6, 7): QQ(1, 6), (7, 6): QQ(1, 6), (7, 7): QQ(1, 3)}
+
+
+@st.composite
+def accepted_rprimes(draw):
+    """(g, rows): an r' that qt_validate accepts, as a dense matrix. Any r'
+    on abelian3; elsewhere a nonzero multiple of a solution, as CYB is
+    homogeneous and t's invariance linear: nonabelian2's r, sl2-qt's r' in a
+    unimodular basis, or sl3's r + Omega/2."""
+    name = draw(st.sampled_from(["abelian3", "nonabelian2", "sl2-qt", "sl3"]))
+    g, r = load_lie_algebra(data_path(name))
+    d = g.dim
+    if name == "abelian3":  # 0 to 9 nonzero entries, so that t's rank takes every value
+        idx = st.integers(0, d - 1)
+        items = draw(st.dictionaries(st.tuples(idx, idx), COEFFS.map(QQ), max_size=d * d))
+        return g, dense_r(items.items(), d)
+    if name == "sl2-qt":
+        P, Pinv = draw(unimodular(d))
+        g, r = _rebased(g, P, Pinv), _rebased_r(r, Pinv)
+    scale = QQ(draw(COEFFS))
+    entries = SL3_RPRIME.items() if name == "sl3" else r.entries
+    return g, dense_r([(ij, scale * v) for ij, v in entries], d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(accepted_rprimes())
+def test_qt_validate_split_matches_dense_loops(case):
+    """r, t and nondegenerate, read from r''s sparse entries, against the
+    dense split and a dense rank of t by sympy; r' given as a raw matrix
+    and as an RMatrix."""
+    g, rows = case
+    d = g.dim
+    r, t = ref_split(rows)
+    rank = DomainMatrix([[SQQ(v.numerator, v.denominator) for v in row] for row in t],
+                        (d, d), SQQ).rank()
+    for rprime in (rows, RMatrix(g, sparse_r(rows), "quasitriangular-candidate")):
+        qt = qt_validate(g, rprime)
+        assert qt.rprime.entries == sparse_r(rows)
+        assert (qt.r.entries, qt.t) == (sparse_r(r), sparse_r(t))
+        assert qt.nondegenerate == (rank == d)
 
 
 @pytest.mark.parametrize("name", ["sl2-qt", "abelian3", "nonabelian2"])
@@ -334,7 +390,7 @@ def test_alpha_on_generators_contracts_t(qt):
     for a in range(3):
         img = sts_alpha(PBWElement.generator(qt.dual, TAG_GSTAR, a), qt)
         want = {}
-        for j, v in enumerate(qt.t[a]):
+        for j, v in enumerate(dense_r(qt.t, 3)[a]):
             if v:
                 want[(j,)] = v
         assert img.coeffs == want
@@ -416,7 +472,7 @@ def ref_antipode(x):
 
 def ref_lr_image(qt, mono, right):
     d = qt.g.dim
-    ent = qt.rprime.entries
+    ent = dense_r(qt.rprime.entries, d)
     acc = PBWElement.one(qt.g, TAG_G)
     for a in mono:
         if right:
