@@ -16,7 +16,6 @@ from starlift import (
     sts_theta,
 )
 from starlift._rat import QQ, rat_str
-from starlift.envelope import TAG_G
 
 g, rprime = load_lie_algebra(str(files("starlift").joinpath("data", "sl2-qt.json")))
 qt = qt_validate(g, rprime)
@@ -30,7 +29,7 @@ for s in ("0", "1", "-2"):
     dims = c_s_graded_dims(QQ(s), 4, qt)
     print(f"graded dimensions of C_{s}:", dims)
 
-C = next(z for z in center(g, 4, TAG_G) if z.filtration == 2)
+C = next(z for z in center(g, 4) if z.filtration == 2)
 print("\nquadratic Casimir:", {m: rat_str(c) for m, c in sorted(C.coeffs.items())})
 Th = sts_theta(C, qt)
 print("its transport:    ", {m: rat_str(c) for m, c in sorted(Th.coeffs.items())})

@@ -154,7 +154,7 @@ def cmd_cohomology(alg, rmat, args) -> dict:
 
 def cmd_envelope(alg, rmat, args) -> dict:
     maxdeg = args.maxdeg
-    cen = envelope.center(alg, maxdeg, envelope.TAG_G)
+    cen = envelope.center(alg, maxdeg)
     inv = envelope.invariants_s_dual(alg, maxdeg)
     inv_dims = [0] * (maxdeg + 1)
     for l in inv:
@@ -265,7 +265,7 @@ def cmd_qt(alg, rmat, args) -> dict:
     if qt.nondegenerate:
         transported = []
         in_c1 = True
-        for z in envelope.center(qt.g, maxdeg, envelope.TAG_G):
+        for z in envelope.center(qt.g, maxdeg):
             if z.filtration == 0:
                 continue
             y = quasitriangular.sts_theta(z, qt)

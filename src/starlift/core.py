@@ -17,6 +17,7 @@ from operator import itemgetter
 from . import linsolve
 from ._rat import QQ, ZERO, rat
 from .errors import (
+    AlgebraMismatch,
     AntisymmetryViolation,
     BlockOverlap,
     IndexOutOfRange,
@@ -232,9 +233,9 @@ def _as_list(value, what: str) -> list:
 
 
 # The largest dim load_lie_algebra accepts, checked before anything of that
-# size is built. `validate` then makes dim unit vectors of length dim, in
-# alt_project and in is_invariant's dim g_action calls: 0.13 s and 22 MB at
-# dim 1000, 2.2 s and 137 MB at 4000 (one Intel Xeon core, Fraction backend).
+# size is built: input policy, not a cost. `validate` with a two-entry r
+# grows about linearly in dim, 2-5 ms and 0.4 MB traced at dim 1000, 7-15 ms
+# and 1.6 MB at 4000 (in process, one Intel Xeon core, Fraction backend).
 MAX_DIM = 1000
 
 
@@ -403,8 +404,15 @@ class _SparseVec(_Record):
     the one entry from rationals; ``coeffs``, {key: rational} in the same
     key order, is a view built on first read. The other fields,
     ``_frame()``, say which space a vector lives in, and
-    ``_check_pair(other, op)`` raises the type's own error when two spaces
-    differ. +, -, negation and scale are one ``combine``."""
+    ``_check_pair(other, op)`` raises when two spaces differ. The frame
+    here, which forms, PBW elements and tensor squares keep, is the algebra
+    alone; FormalSeriesTensor adds its slot count and truncation. +, -,
+    negation and scale are one ``combine``."""
+
+    _fields = ("alg", "numerators")
+
+    def __init__(self, alg: LieAlgebraSpec, nums: dict, D: int = 1):
+        self.__dict__.update(alg=alg, numerators=_normal(nums, D))
 
     @classmethod
     def zero(cls, *frame):
@@ -438,6 +446,13 @@ class _SparseVec(_Record):
         to self; zero is the image of the zero vector."""
         D, items = self.numerators
         return combine([(n, image(key)) for key, n in items], D) if items else zero
+
+    def _frame(self) -> tuple:
+        return (self.alg,)
+
+    def _check_pair(self, other, op="combine"):
+        if self.alg != other.alg:
+            raise AlgebraMismatch(f"cannot {op} elements over different algebras")
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -632,8 +647,13 @@ def g_action(i: int, f: FormalSeriesTensor) -> FormalSeriesTensor:
 
 
 def is_invariant(f: FormalSeriesTensor) -> bool:
-    weights, gens = f.alg.actors
-    return all(g_action(i, f).is_zero() for i in (*weights, *gens))
+    """Whether g kills f, read through alg.actors as invariant_kernel reads
+    it: a diagonal actor scales x^key by the weight of its multidegree, so
+    every key must have weight zero (a 0-slot key, the constant, has none),
+    and every gens actor must kill f."""
+    alg = f.alg
+    return (all(alg.weight_zero(tuple(map(sum, zip(*key)))) for key, _ in f.numerators[1] if key)
+            and all(g_action(i, f).is_zero() for i in alg.actors[1]))
 
 
 def invariant_kernel(alg: LieAlgebraSpec, keys, multidegree, act) -> list:
@@ -741,15 +761,13 @@ def alt_project(f: FormalSeriesTensor) -> FormalSeriesTensor:
     """Extract the multidegree-(1,...,1) component and apply the idempotent
     antisymmetrization (1/k!) sum_sigma sign(sigma) sigma onto wedge^k(g)."""
     k = f.k
-    units = [_unit(f.alg.dim, i) for i in range(f.alg.dim)]
     D, items = f.numerators
     out = {}  # integer numerators over D * k!
     for key, n in items:
         if slot_degrees(key) != (1,) * k:
             continue
-        idx = tuple(vec.index(1) for vec in key)
         for perm, sign in _permutation_signs(k):
-            nk = tuple(units[idx[p]] for p in perm)
+            nk = tuple(key[p] for p in perm)
             out[nk] = out.get(nk, 0) + sign * n
     return FormalSeriesTensor(f.alg, k, k, out, D * factorial(k))
 

@@ -17,7 +17,7 @@ from . import linsolve
 from ._rat import ZERO
 from .cohochschild import monomials
 from .core import FormalSeriesTensor, LieAlgebraSpec, coproduct_insert, multiply
-from .envelope import TAG_GSTAR, LinearForm, PBWElement, pbw_basis
+from .envelope import LinearForm, PBWElement, pbw_basis
 from .errors import NotATrace, NotInMSquared, SingularPairing, SlotMismatch, TruncationTooLow
 from .star import star_conjugate
 
@@ -176,4 +176,4 @@ def theta(f: LinearForm, rho: FormalSeriesTensor) -> PBWElement:
     sol = linsolve.preimage({mono: form.coeffs for mono, form in forms.items()}, f.coeffs)
     if sol is None:
         raise SingularPairing("convolution pairing matrix failed to solve")
-    return PBWElement.make(convolution_bracket(rho), TAG_GSTAR, sol)
+    return PBWElement.make(convolution_bracket(rho), sol)

@@ -1,7 +1,9 @@
 """PBW enveloping algebras for g and its dual, plus the structures living
 on them: the dual Lie bracket induced by r, centers, invariants of S(g*)
 (as LinearForms, the restricted-dual forms duality pairs and twists),
-the co-Poisson cobracket, and the derivation it generates.
+the co-Poisson cobracket, and the derivation it generates. An element
+names only its algebra: U(g*) is the enveloping algebra of the spec that
+dual_bracket (or duality.convolution_bracket) builds, whose basis is x*.
 
 Monomials are non-decreasing tuples of generator indices; straightening
 rewrites x_j x_i -> x_i x_j + [x_j, x_i] for j > i. Straightened words (as
@@ -14,40 +16,33 @@ from __future__ import annotations
 import itertools
 
 from ._rat import QQ, ZERO
-from .core import (LieAlgebraSpec, RMatrix, _compositions, _integer, _normal, _SparseVec,
+from .core import (LieAlgebraSpec, RMatrix, _compositions, _integer, _SparseVec, _unit,
                    invariant_kernel)
 from .errors import AlgebraMismatch, IndexOutOfRange, UnsortedMonomial
 
-TAG_G = "U(g)"
-TAG_GSTAR = "U(g*)"
-
 
 class PBWElement(_SparseVec):
-    """Element of an enveloping algebra in the sorted-monomial basis: the
+    """Element of U(alg), the enveloping algebra of its algebra (g, or g*
+    as dual_bracket builds it), in the sorted-monomial basis: the
     _SparseVec state over non-decreasing index tuples."""
 
-    _fields = ("alg", "tag", "numerators")
-
-    def __init__(self, alg: LieAlgebraSpec, tag: str, nums: dict, D: int = 1):
-        self.__dict__.update(alg=alg, tag=tag, numerators=_normal(nums, D))
-
     @classmethod
-    def make(cls, alg, tag, items) -> "PBWElement":
+    def make(cls, alg, items) -> "PBWElement":
         items = [(tuple(mono), QQ(c)) for mono, c in dict(items).items()]
         for mono, _ in items:
             if any(mono[i] > mono[i + 1] for i in range(len(mono) - 1)):
                 raise UnsortedMonomial(f"PBW monomial {mono} is not sorted")
             if not all(0 <= i < alg.dim for i in mono):
                 raise IndexOutOfRange(f"PBW monomial {mono} outside 0..{alg.dim - 1}")
-        return cls(alg, tag, *_integer(items))
+        return cls(alg, *_integer(items))
 
     @classmethod
-    def one(cls, alg, tag) -> "PBWElement":
-        return cls(alg, tag, {(): 1})
+    def one(cls, alg) -> "PBWElement":
+        return cls(alg, {(): 1})
 
     @classmethod
-    def generator(cls, alg, tag, i: int) -> "PBWElement":
-        return cls(alg, tag, {(i,): 1})
+    def generator(cls, alg, i: int) -> "PBWElement":
+        return cls(alg, {(i,): 1})
 
     @property
     def filtration(self) -> int:
@@ -65,34 +60,20 @@ class PBWElement(_SparseVec):
                 out[tuple(vec)] = out.get(tuple(vec), ZERO) + c
         return {k: v for k, v in out.items() if v}
 
-    def _frame(self) -> tuple:
-        return self.alg, self.tag
-
-    def _check_pair(self, other, op="combine"):
-        if self.tag != other.tag or self.alg != other.alg:
-            raise AlgebraMismatch(
-                f"cannot {op} {self.tag} element with {other.tag} element"
-            )
-
     def __repr__(self):
         if not self.coeffs:
-            return f"PBWElement<{self.tag}>(0)"
+            return "PBWElement(0)"
         parts = []
         for mono in sorted(self.coeffs, key=lambda m: (len(m), m))[:8]:
             word = "".join(self.alg.basis_names[i] for i in mono) or "1"
             parts.append(f"{self.coeffs[mono]}*{word}")
         more = " + ..." if len(self.coeffs) > 8 else ""
-        return f"PBWElement<{self.tag}>({' + '.join(parts)}{more})"
+        return f"PBWElement({' + '.join(parts)}{more})"
 
 
 class LinearForm(_SparseVec):
     """Form on the formal function algebra, supported in degrees <= order:
     the _SparseVec state over exponent vectors."""
-
-    _fields = ("alg", "numerators")
-
-    def __init__(self, alg: LieAlgebraSpec, nums: dict, D: int = 1):
-        self.__dict__.update(alg=alg, numerators=_normal(nums, D))
 
     @classmethod
     def make(cls, alg, items) -> "LinearForm":
@@ -104,7 +85,7 @@ class LinearForm(_SparseVec):
 
     @classmethod
     def generator(cls, alg, i: int) -> "LinearForm":
-        return cls(alg, {tuple(1 if j == i else 0 for j in range(alg.dim)): 1})
+        return cls(alg, {_unit(alg.dim, i): 1})
 
     @classmethod
     def one(cls, alg) -> "LinearForm":
@@ -113,13 +94,6 @@ class LinearForm(_SparseVec):
     @property
     def order(self) -> int:
         return max((sum(v) for v, _ in self.numerators[1]), default=0)
-
-    def _frame(self) -> tuple:
-        return (self.alg,)
-
-    def _check_pair(self, other, op="combine"):
-        if self.alg != other.alg:
-            raise AlgebraMismatch(f"cannot {op} forms on different algebras")
 
     def homogeneous_part(self, degree: int) -> "LinearForm":
         D, items = self.numerators
@@ -176,7 +150,7 @@ def pbw_product(a: PBWElement, b: PBWElement) -> PBWElement:
             c = na * nb * Dc ** (top - len(ma) - len(mb))
             for m, n in _straighten(alg, ma + mb).items():
                 out[m] = out.get(m, 0) + c * n
-    return PBWElement(alg, a.tag, out, Da * Db * Dc ** top)
+    return PBWElement(alg, out, Da * Db * Dc ** top)
 
 
 def pbw_commutator(a: PBWElement, b: PBWElement) -> PBWElement:
@@ -189,14 +163,13 @@ def pbw_basis(dim: int, maxdeg: int):
             for mono in itertools.combinations_with_replacement(range(dim), ln)]
 
 
-def center(alg: LieAlgebraSpec, maxdeg: int, tag: str = TAG_G) -> list:
+def center(alg: LieAlgebraSpec, maxdeg: int) -> list:
     """Basis of {z : filtration <= maxdeg, [z, x_i] = 0 for all i}: the
     invariant kernel of the commutators with alg.actors' gens."""
     def act(i, mono):
-        return pbw_commutator(PBWElement(alg, tag, {mono: 1}),
-                              PBWElement.generator(alg, tag, i)).coeffs
+        return pbw_commutator(PBWElement(alg, {mono: 1}), PBWElement.generator(alg, i)).coeffs
 
-    return [PBWElement.make(alg, tag, vec) for vec in invariant_kernel(
+    return [PBWElement.make(alg, vec) for vec in invariant_kernel(
         alg, pbw_basis(alg.dim, maxdeg), lambda mono: tuple(map(mono.count, range(alg.dim))),
         act)]
 
@@ -241,16 +214,11 @@ def dual_bracket(r: RMatrix) -> LieAlgebraSpec:
 
 
 class PBWTensorSquare(_SparseVec):
-    """Element of U(a)^{(x)2} with keys = pairs of sorted monomials."""
-
-    _fields = PBWElement._fields
-    __init__ = PBWElement.__init__
-    _frame = PBWElement._frame
-    _check_pair = PBWElement._check_pair
+    """Element of U(alg)^{(x)2} with keys = pairs of sorted monomials."""
 
     @classmethod
-    def make(cls, alg, tag, items) -> "PBWTensorSquare":
-        return cls(alg, tag, *_integer((key, QQ(c)) for key, c in dict(items).items()))
+    def make(cls, alg, items) -> "PBWTensorSquare":
+        return cls(alg, *_integer((key, QQ(c)) for key, c in dict(items).items()))
 
     @property
     def filtration(self) -> int:
@@ -270,7 +238,7 @@ def _mult_square(t: PBWTensorSquare, u: PBWTensorSquare) -> PBWTensorSquare:
             for m1, w1 in _straighten(alg, a1 + b1).items():
                 for m2, w2 in right:
                     out[m1, m2] = out.get((m1, m2), 0) + cd * w1 * w2
-    return PBWTensorSquare(alg, t.tag, out, Dt * Du * Dc ** top)
+    return PBWTensorSquare(alg, out, Dt * Du * Dc ** top)
 
 
 def coproduct_square(x: PBWElement) -> PBWTensorSquare:
@@ -284,27 +252,26 @@ def coproduct_square(x: PBWElement) -> PBWTensorSquare:
             key = (tuple(mono[i] for i in range(n) if mask >> i & 1),
                    tuple(mono[i] for i in range(n) if not mask >> i & 1))
             out[key] = out.get(key, 0) + c
-    return PBWTensorSquare(x.alg, x.tag, out, D)
+    return PBWTensorSquare(x.alg, out, D)
 
 
-def _delta_generator(g: LieAlgebraSpec, dual: LieAlgebraSpec, tag: str,
-                     a: int) -> PBWTensorSquare:
+def _delta_generator(g: LieAlgebraSpec, dual: LieAlgebraSpec, a: int) -> PBWTensorSquare:
     """Cobracket of the dual generator a: the transpose of g's bracket."""
     Dc, rows = g.integer_rows
-    return PBWTensorSquare(dual, tag, {((i,), (j,)): n for i, targets in rows.items()
-                                       for j, pairs in targets.items()
-                                       for tgt, n in pairs if tgt == a}, Dc)
+    return PBWTensorSquare(dual, {((i,), (j,)): n for i, targets in rows.items()
+                                  for j, pairs in targets.items()
+                                  for tgt, n in pairs if tgt == a}, Dc)
 
 
 def _product_rule(x: PBWElement, owner: str, g: LieAlgebraSpec, generator_image,
                   product, e, zero):
     """The linear F with F(1) = 0, F(x_a) = generator_image(a) and, on sorted
     monomials, F(x_a m) = product(F(x_a), e(m)) + product(e(x_a), F(m)),
-    memoized per monomial on x's algebra under (owner, g, tag, mono)."""
+    memoized per monomial on x's algebra under (owner, g, mono)."""
     memo = x.alg.memo
 
     def of_monomial(mono):
-        key = (owner, g, x.tag, mono)
+        key = (owner, g, mono)
         hit = memo.get(key)
         if hit is None:
             hit = memo[key] = (zero if not mono else
@@ -318,41 +285,40 @@ def _product_rule(x: PBWElement, owner: str, g: LieAlgebraSpec, generator_image,
 
 def _co_leibniz(x: PBWElement, owner: str, g: LieAlgebraSpec,
                 generator_image) -> PBWTensorSquare:
-    """_product_rule with e = Delta_0, built once per monomial, algebra and
-    tag: the co-Leibniz rule F(yz) = F(y)Delta_0(z) + Delta_0(y)F(z)."""
-    alg, tag, memo = x.alg, x.tag, x.alg.memo
+    """_product_rule with e = Delta_0, built once per monomial and algebra:
+    the co-Leibniz rule F(yz) = F(y)Delta_0(z) + Delta_0(y)F(z)."""
+    alg, memo = x.alg, x.alg.memo
 
     def delta0(mono):
-        key = ("Delta_0", tag, mono)
+        key = ("Delta_0", mono)
         if key not in memo:
-            memo[key] = coproduct_square(PBWElement(alg, tag, {mono: 1}))
+            memo[key] = coproduct_square(PBWElement(alg, {mono: 1}))
         return memo[key]
 
     return _product_rule(x, owner, g, generator_image, _mult_square, delta0,
-                         PBWTensorSquare.zero(alg, tag))
+                         PBWTensorSquare.zero(alg))
 
 
 def copoisson_delta(x: PBWElement, g: LieAlgebraSpec) -> PBWTensorSquare:
     """The co-Poisson cobracket on U(g*): transpose structure constants on
     generators, co-Leibniz rule delta(xy) = delta(x)Delta0(y) + Delta0(x)delta(y)."""
     return _co_leibniz(x, "copoisson_delta", g,
-                       lambda a: _delta_generator(g, x.alg, x.tag, a))
+                       lambda a: _delta_generator(g, x.alg, a))
 
 
 def derivation_D(x: PBWElement, g: LieAlgebraSpec) -> PBWElement:
     """bracket-after-cobracket of the dual algebra on generators, extended
     as a derivation by _product_rule: D(x_a m) = D(x_a) m + x_a D(m)."""
-    dual, tag = x.alg, x.tag
+    dual = x.alg
 
     def generator_image(a):  # the dual bracket of each cobracket term of x_a
         Dd, rows = dual.integer_rows
-        Dg, delta = _delta_generator(g, dual, tag, a).numerators
+        Dg, delta = _delta_generator(g, dual, a).numerators
         out = {}
         for ((i,), (j,)), c in delta:
             for tgt, w in rows.get(i, {}).get(j, ()):
                 out[(tgt,)] = out.get((tgt,), 0) + c * w
-        return PBWElement(dual, tag, out, Dg * Dd)
+        return PBWElement(dual, out, Dg * Dd)
 
     return _product_rule(x, "derivation_D", g, generator_image, pbw_product,
-                         lambda mono: PBWElement(dual, tag, {mono: 1}),
-                         PBWElement.zero(dual, tag))
+                         lambda mono: PBWElement(dual, {mono: 1}), PBWElement.zero(dual))

@@ -10,20 +10,10 @@ from functools import cached_property
 from . import linsolve
 from ._rat import QQ, ZERO
 from .core import (FormalSeriesTensor, LieAlgebraSpec, RMatrix, _nonzero, _parse_rat, _Record,
-                   _unit, combine, coproduct_insert, cyb, g_action, poisson_bracket)
-from .envelope import (
-    TAG_G,
-    TAG_GSTAR,
-    PBWElement,
-    PBWTensorSquare,
-    _co_leibniz,
-    copoisson_delta,
-    derivation_D,
-    dual_bracket,
-    pbw_basis,
-    pbw_commutator,
-    pbw_product,
-)
+                   _unit, combine, coproduct_insert, cyb, g_action, is_invariant,
+                   poisson_bracket)
+from .envelope import (PBWElement, PBWTensorSquare, _co_leibniz, copoisson_delta, derivation_D,
+                       dual_bracket, pbw_basis, pbw_commutator, pbw_product)
 from .errors import (CYBViolation, Degenerate, NotCentral, ParseError, RankCertificate,
                      SingularPairing, TNotInvariant)
 
@@ -49,7 +39,7 @@ class QTStructure(_Record):
         left, right = [{} for _ in range(g.dim)], [{} for _ in range(g.dim)]
         for (i, j), v in self.rprime.entries:
             left[i][(j,)] = right[j][(i,)] = v
-        return tuple((PBWElement.make(g, TAG_G, left[a]), PBWElement.make(g, TAG_G, right[a]))
+        return tuple((PBWElement.make(g, left[a]), PBWElement.make(g, right[a]))
                      for a in range(g.dim))
 
 
@@ -80,11 +70,12 @@ def qt_validate(g: LieAlgebraSpec, rprime) -> QTStructure:
 
     t = _nonzero(pair for (i, j), v in rp.entries for pair in (((i, j), v), ((j, i), v)))
     t_series = RMatrix(g, t, "quasitriangular-candidate").to_series(2)
-    for k in range(d):  # ad-invariance, reported at the first (i, j) in index order
-        bad = g_action(k, t_series).coeffs
-        if bad:
-            i, j = min((a.index(1), b.index(1)) for a, b in bad)
-            raise TNotInvariant(f"symmetric part not ad-invariant at ({k},{i},{j})")
+    if not is_invariant(t_series):
+        for k in range(d):  # reported at the first (k, i, j) in index order
+            bad = g_action(k, t_series).coeffs
+            if bad:
+                i, j = min((a.index(1), b.index(1)) for a, b in bad)
+                raise TNotInvariant(f"symmetric part not ad-invariant at ({k},{i},{j})")
 
     rmat = RMatrix(g, _nonzero(pair for (i, j), v in rp.entries
                                for pair in (((i, j), v / 2), ((j, i), -v / 2)))).validate()
@@ -114,8 +105,8 @@ def _d_tensor_id(x: PBWElement, g: LieAlgebraSpec) -> PBWTensorSquare:
     an algebra map, so it follows copoisson_delta's co-Leibniz rule from
     D(x_a) (x) 1, and C_s at every s shares its memoized images."""
     def generator_image(a):
-        D, items = c_s_coderivation(PBWElement.generator(x.alg, x.tag, a), g).numerators
-        return PBWTensorSquare(x.alg, x.tag, {(m, ()): n for m, n in items}, D)
+        D, items = c_s_coderivation(PBWElement.generator(x.alg, a), g).numerators
+        return PBWTensorSquare(x.alg, {(m, ()): n for m, n in items}, D)
 
     return _co_leibniz(x, "_d_tensor_id", g, generator_image)
 
@@ -132,10 +123,9 @@ def c_s_basis(s, maxdeg: int, qt: QTStructure) -> list:
     dual = qt.dual
     key = ("c_s_basis", QQ(s), maxdeg)
     if key not in dual.memo:
-        images = {mono: c_s_map(PBWElement(dual, TAG_GSTAR, {mono: 1}), qt.g, s).coeffs
+        images = {mono: c_s_map(PBWElement(dual, {mono: 1}), qt.g, s).coeffs
                   for mono in pbw_basis(qt.g.dim, maxdeg)}
-        dual.memo[key] = [PBWElement.make(dual, TAG_GSTAR, vec)
-                          for vec in linsolve.kernel_of(images)]
+        dual.memo[key] = [PBWElement.make(dual, vec) for vec in linsolve.kernel_of(images)]
     return list(dual.memo[key])
 
 
@@ -161,12 +151,12 @@ def sts_alpha(x: PBWElement, qt: QTStructure) -> PBWElement:
 
     def of_monomial(mono):
         if not mono:
-            return PBWElement.one(g, TAG_G)
+            return PBWElement.one(g)
         rest = qt.dual.memo.get(("sts_alpha", qt.rprime, mono[1:])) or of_monomial(mono[1:])
         left, right = gens[mono[0]]
         return pbw_product(left, rest) + pbw_product(rest, right)
 
-    return x.extend_linearly(of_monomial, PBWElement.zero(g, TAG_G))
+    return x.extend_linearly(of_monomial, PBWElement.zero(g))
 
 
 def _alpha_images(qt: QTStructure, maxdeg: int) -> dict:
@@ -179,7 +169,7 @@ def _alpha_images(qt: QTStructure, maxdeg: int) -> dict:
         key = ("sts_alpha", qt.rprime, mono)
         img = qt.dual.memo.get(key)
         if img is None:
-            img = qt.dual.memo[key] = sts_alpha(PBWElement(qt.dual, TAG_GSTAR, {mono: 1}), qt)
+            img = qt.dual.memo[key] = sts_alpha(PBWElement(qt.dual, {mono: 1}), qt)
         images[mono] = img.coeffs
     return images
 
@@ -194,7 +184,7 @@ def sts_theta(z: PBWElement, qt: QTStructure) -> PBWElement:
     """Inverse-transport a central element of U(g) through alpha."""
     g = qt.g
     for i in range(g.dim):
-        gen = PBWElement.generator(g, TAG_G, i)
+        gen = PBWElement.generator(g, i)
         if not pbw_commutator(z, gen).is_zero():
             raise NotCentral(f"input does not commute with generator {i}")
     if not qt.nondegenerate:
@@ -203,7 +193,7 @@ def sts_theta(z: PBWElement, qt: QTStructure) -> PBWElement:
     sol = linsolve.preimage(_alpha_images(qt, z.filtration), z.coeffs)
     if sol is None:
         raise SingularPairing("alpha did not reach the requested element")
-    return PBWElement.make(qt.dual, TAG_GSTAR, sol)
+    return PBWElement.make(qt.dual, sol)
 
 
 def _bracket_contraction(f: FormalSeriesTensor) -> tuple:

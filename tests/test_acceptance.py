@@ -50,7 +50,7 @@ from starlift import (
 from starlift._rat import QQ
 from starlift.cli import main as cli_main
 from starlift.cohochschild import invariant_basis, monomials
-from starlift.envelope import TAG_G, TAG_GSTAR, PBWElement, pbw_basis
+from starlift.envelope import PBWElement, pbw_basis
 from starlift.quasitriangular import alpha_matrix_rank
 
 from conftest import data_path, multidegree_part
@@ -221,7 +221,7 @@ def test_criterion_6_quasitriangular_suite():
     for l in invariants_s_dual(g, 4):
         inv_dims[l.order] += 1
     report(lines, "gr C_1 dims == dims of invariant functions", tuple(inv_dims) == dims)
-    central = [z for z in center(g, 4, TAG_G) if z.filtration == 2]
+    central = [z for z in center(g, 4) if z.filtration == 2]
     C = central[0]
     Th = sts_theta(C, qt)
     report(lines, "Theta(C) lands in C_1", c_s_map(Th, g, QQ(1)).is_zero())
@@ -264,7 +264,7 @@ def test_criterion_8_trivial_regression():
         identity = identity and th.coeffs == want
     report(lines, "theta is the identity on monomials", identity)
     d_zero = all(
-        derivation_D(PBWElement.make(dual, TAG_GSTAR, {m: QQ(1)}), alg).is_zero()
+        derivation_D(PBWElement.make(dual, {m: QQ(1)}), alg).is_zero()
         for m in pbw_basis(3, 3)
     )
     report(lines, "D == 0", d_zero)

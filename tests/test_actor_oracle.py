@@ -6,7 +6,7 @@ elements and on unimodular basis changes of sl2."""
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ as SQQ
 from sympy.polys.matrices import DomainMatrix
@@ -24,19 +24,19 @@ from starlift import linsolve
 from starlift._rat import QQ
 from starlift.cohochschild import invariant_basis, monomials
 from starlift.duality import LinearForm
-from starlift.envelope import TAG_G, PBWElement, coadjoint_action, pbw_basis, pbw_commutator
+from starlift.envelope import PBWElement, coadjoint_action, pbw_basis, pbw_commutator
 
 from conftest import data_path, dense_c, from_cube, rational_rows, slot_positive_keys
 
 # ---- reference oracles: the all-generator kernels, kept verbatim ------------
 
 
-def ref_center(alg, maxdeg, tag=TAG_G):
+def ref_center(alg, maxdeg):
     basis = pbw_basis(alg.dim, maxdeg)
-    gens = [PBWElement.generator(alg, tag, i) for i in range(alg.dim)]
+    gens = [PBWElement.generator(alg, i) for i in range(alg.dim)]
     images = []
     for mono in basis:
-        z = PBWElement.make(alg, tag, {mono: QQ(1)})
+        z = PBWElement.make(alg, {mono: QQ(1)})
         col = {}
         for i, xi in enumerate(gens):
             for m, c in pbw_commutator(z, xi).coeffs.items():
@@ -44,8 +44,7 @@ def ref_center(alg, maxdeg, tag=TAG_G):
         images.append(col)
     out = []
     for vec in linsolve.kernel_of(dict(enumerate(images))):
-        out.append(PBWElement.make(alg, tag,
-                                   {basis[j]: c for j, c in vec.items()}))
+        out.append(PBWElement.make(alg, {basis[j]: c for j, c in vec.items()}))
     return out
 
 
@@ -257,16 +256,26 @@ def test_unimodular_rebasings_of_sl2(pair):
     _check_kernels(alg, 3)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_is_invariant_matches_oracle(data):
-    alg = ALGEBRAS[data.draw(st.sampled_from(sorted(ALGEBRAS)))]
+@st.composite
+def near_invariants(draw):
+    """A 2-slot series of degree <= 3: up to three slot-positive monomials
+    plus a combination of the invariant basis."""
+    alg = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
     inv = invariant_basis(alg, 2, 3)
     keys = slot_positive_keys(alg.dim, 2, 3)
     coef = st.integers(-2, 2)
-    picked = data.draw(st.lists(st.sampled_from(keys), max_size=3))
-    items = {key: QQ(data.draw(coef)) for key in picked}
+    picked = draw(st.lists(st.sampled_from(keys), max_size=3))
+    items = {key: QQ(draw(coef)) for key in picked}
     f = FormalSeriesTensor.make(alg, 2, 3, items)
     for v in inv:
-        f = f + v.scale(data.draw(coef))
+        f = f + v.scale(draw(coef))
+    return f
+
+
+# On nonabelian2 ([h, e] = e), e (x) e^2 is killed by e, its one gens actor,
+# and h scales it by 3: only the weight test finds it not invariant.
+@settings(max_examples=60, deadline=None)
+@given(near_invariants())
+@example(FormalSeriesTensor.make(ALGEBRAS["nonabelian2"], 2, 3, {((0, 1), (0, 2)): 1}))
+def test_is_invariant_matches_oracle(f):
     assert is_invariant(f) == ref_is_invariant(f)

@@ -440,10 +440,14 @@ def test_report_bytes(capsys, argv):
 # Exit code and SHA-256 of validate on inline inputs, taken while r was a
 # dense dim x dim matrix: dim 1,000 with two r entries, a symmetric r whose
 # kind is inferred, and the same r tagged antisymmetric, refused at its
-# first asymmetric pair.
+# first asymmetric pair. The dim-1,000 symmetric r (a quasitriangular
+# candidate, t checked for invariance) was pinned while is_invariant acted
+# by every actor and qt_validate by every basis element.
 INLINE_GOLDEN = {
     '{"dim": 1000, "r": [[0,1,"1"],[1,0,"-1"]]}':
         (0, "a34f576be2042a9948795e4d811c1851f9e146d542e8b612d56bbaaa571c84d9"),
+    '{"dim": 1000, "r": [[0,1,"1"],[1,0,"1"]]}':
+        (0, "ce94523211e60e7fd31b87a84b1cbe232505dd8ec2f37c7b3a5bd6b7e27c6925"),
     '{"dim": 3, "r": [[0,1,"1"],[1,0,"1"]]}':
         (0, "589b74bdb191baf781a405e315c7f47e7a0200b2c7b72f0de02eccba265d1061"),
     '{"dim": 3, "r": [[0,1,"1"],[1,0,"1"]], "kind": "antisymmetric-coboundary"}':
@@ -620,15 +624,23 @@ def test_cli_error_report_type_is_the_raised_code(capsys, monkeypatch):
         assert json.loads(out)["error"] == {"type": cls.code, "message": "raised on load"}
 
 
-# The demos call the lift, defect, gauge, theta and C_s entry points.
-@pytest.mark.parametrize("demo", ["lift_tour.py", "quasitriangular_walk.py"])
+# The demos call the lift, defect, gauge, theta and C_s entry points. SHA-256
+# of each demo's stdout, the same under PYTHONHASHSEED 0, 1 and 7, taken
+# while PBW elements carried a "U(g)"/"U(g*)" tag beside their algebra.
+DEMO_SHA = {
+    "lift_tour.py": "4d488beeb6a70e27fabab20688f7a5f6d1a397d1fb250d4f144c412d8c9fcf05",
+    "quasitriangular_walk.py": "68be9257f11cc7a878a245e2c170cd5887633a5b854013a61c393cc246d179f5",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_SHA))
 def test_demo_runs_clean(demo):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(Path(starlift.__file__).parent.parent))
     proc = subprocess.run([sys.executable, str(root / "demos" / demo)],
                           cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_SHA[demo], proc.stdout
 
 
 # SHA-256 of the reports on the zero-dimensional algebra, where every

@@ -22,7 +22,6 @@ from starlift import (
 )
 from starlift._rat import QQ
 from starlift.cohochschild import Cochain
-from starlift.envelope import TAG_G
 from starlift.errors import (
     AntisymmetryViolation,
     JacobiViolation,
@@ -191,6 +190,7 @@ def test_g_action_and_invariance(sl2):
     xe = FormalSeriesTensor.generator(alg, 0, 4)
     assert not is_invariant(xe)
     assert any(not g_action(i, xe).is_zero() for i in range(3))
+    assert is_invariant(FormalSeriesTensor.make(alg, 0, 4, {(): QQ(3)}))  # a 0-slot constant
 
 
 def test_coproduct_insert_primitive(sl2):
@@ -248,8 +248,8 @@ RECORD_FIELDS = {
     FormalSeriesTensor: ("alg", "k", "N", "numerators"),
     Cochain: ("k", "degree", "value"),
     QTStructure: ("g", "rprime", "r", "t", "Z", "nondegenerate"),
-    PBWElement: ("alg", "tag", "numerators"),
-    PBWTensorSquare: ("alg", "tag", "numerators"),
+    PBWElement: ("alg", "numerators"),
+    PBWTensorSquare: ("alg", "numerators"),
     LinearForm: ("alg", "numerators"),
 }
 
@@ -262,8 +262,8 @@ def _record(cls, sl2, sl2qt):
         FormalSeriesTensor: r.to_series(3),
         Cochain: Cochain.make(2, 2, r.to_series(2)),
         QTStructure: qt_validate(*sl2qt),
-        PBWElement: PBWElement.one(alg, TAG_G),
-        PBWTensorSquare: PBWTensorSquare.make(alg, TAG_G, {((0,), (1,)): QQ(1)}),
+        PBWElement: PBWElement.one(alg),
+        PBWTensorSquare: PBWTensorSquare.make(alg, {((0,), (1,)): QQ(1)}),
         LinearForm: LinearForm.one(alg),
     }[cls]
 

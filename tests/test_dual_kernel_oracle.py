@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from starlift import FormalSeriesTensor, LieAlgebraSpec, RMatrix, dual_bracket, load_lie_algebra
 from starlift._rat import ONE, QQ, ZERO
 from starlift.core import _unit
-from starlift.envelope import TAG_GSTAR, PBWTensorSquare, _delta_generator, coadjoint_action
+from starlift.envelope import PBWTensorSquare, _delta_generator, coadjoint_action
 from starlift.errors import StarliftError
 from starlift.quasitriangular import _bracket_contraction, mu_of_rprime, qt_validate
 
@@ -65,7 +65,7 @@ def ref_dual_bracket(r):
     return from_cube(dim, (n + "*" for n in alg.basis_names), c).validate()
 
 
-def ref_delta_generator(g, dual, tag, a):
+def ref_delta_generator(g, dual, a):
     Dc, rows = g.integer_rows
     out = {}
     for i, targets in rows.items():
@@ -76,7 +76,7 @@ def ref_delta_generator(g, dual, tag, a):
                 if tgt == a:
                     out[(i,), (j,)] = c
                     out[(j,), (i,)] = -c
-    return PBWTensorSquare(dual, tag, out, Dc)
+    return PBWTensorSquare(dual, out, Dc)
 
 
 def ref_bracket_contraction(f):
@@ -204,8 +204,8 @@ def test_dual_bracket_of_random_r_matches_rational_loops(data):
 def test_delta_generator_matches_rational_loops(name):
     alg, _ = ALGEBRAS[name]
     for a in range(alg.dim):  # the dual algebra only names the space: alg stands in
-        got = _delta_generator(alg, alg, TAG_GSTAR, a)
-        want = ref_delta_generator(alg, alg, TAG_GSTAR, a)
+        got = _delta_generator(alg, alg, a)
+        want = ref_delta_generator(alg, alg, a)
         assert got == want
         assert got.coeffs == want.coeffs
         _exact(got.coeffs.values())

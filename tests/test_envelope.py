@@ -18,8 +18,6 @@ from starlift import (
 )
 from starlift._rat import QQ
 from starlift.envelope import (
-    TAG_G,
-    TAG_GSTAR,
     PBWElement,
     PBWTensorSquare,
     _mult_square,
@@ -32,26 +30,26 @@ from conftest import dense_c
 from test_qt import QT_STRUCTURES
 
 
-def gen(alg, i, tag=TAG_G):
-    return PBWElement.generator(alg, tag, i)
+def gen(alg, i):
+    return PBWElement.generator(alg, i)
 
 
-def rand_elt(alg, tag, maxdeg, rng):
+def rand_elt(alg, maxdeg, rng):
     coeffs = {}
     for mono in pbw_basis(alg.dim, maxdeg):
         if rng.random() < 0.3:
             coeffs[mono] = QQ(rng.randint(-5, 5), rng.randint(1, 4))
-    return PBWElement.make(alg, tag, coeffs)
+    return PBWElement.make(alg, coeffs)
 
 
 def test_make_rejects_bad_monomials(sl2):
     alg, _ = sl2
     with pytest.raises(UnsortedMonomial):
-        PBWElement.make(alg, TAG_G, {(2, 0): QQ(1)})
+        PBWElement.make(alg, {(2, 0): QQ(1)})
     with pytest.raises(IndexOutOfRange):
-        PBWElement.make(alg, TAG_G, {(0, 3): QQ(1)})
+        PBWElement.make(alg, {(0, 3): QQ(1)})
     with pytest.raises(IndexOutOfRange):
-        PBWElement.make(alg, TAG_G, {(-1,): QQ(1)})
+        PBWElement.make(alg, {(-1,): QQ(1)})
 
 
 def test_straightening_ef(sl2):
@@ -66,7 +64,7 @@ def test_product_associative(sl2):
     alg, _ = sl2
     rng = random.Random(7)
     for _ in range(5):
-        a, b, c = (rand_elt(alg, TAG_G, 2, rng) for _ in range(3))
+        a, b, c = (rand_elt(alg, 2, rng) for _ in range(3))
         assert pbw_product(pbw_product(a, b), c) == pbw_product(a, pbw_product(b, c))
 
 
@@ -76,8 +74,8 @@ def test_filtration_behavior(sl2):
     p = pbw_product(e, f)
     assert p.filtration == 2
     assert pbw_commutator(e, f).filtration == 1
-    assert PBWElement.one(alg, TAG_G).filtration == 0
-    assert PBWElement.zero(alg, TAG_G).filtration == 0
+    assert PBWElement.one(alg).filtration == 0
+    assert PBWElement.zero(alg).filtration == 0
 
 
 def test_top_symbol_multiplicative(sl2):
@@ -96,7 +94,7 @@ def test_mismatched_algebras_rejected(sl2, nonabelian2):
 
 def test_center_sl2_frozen(sl2):
     alg, _ = sl2
-    cen = center(alg, 4, TAG_G)
+    cen = center(alg, 4)
     assert sorted(z.filtration for z in cen) == [0, 2, 4]
     c2 = next(z for z in cen if z.filtration == 2)
     assert c2.coeffs == {(0, 2): QQ(4), (1,): QQ(-2), (1, 1): QQ(1)}
@@ -107,7 +105,7 @@ def test_center_sl2_frozen(sl2):
 
 def test_center_square_is_central(sl2):
     alg, _ = sl2
-    c2 = next(z for z in center(alg, 4, TAG_G) if z.filtration == 2)
+    c2 = next(z for z in center(alg, 4) if z.filtration == 2)
     sq = pbw_product(c2, c2)
     for i in range(alg.dim):
         assert pbw_commutator(sq, gen(alg, i)).is_zero()
@@ -115,7 +113,7 @@ def test_center_square_is_central(sl2):
 
 def test_center_abelian_is_everything(abelian3):
     alg, _ = abelian3
-    assert len(center(alg, 2, TAG_G)) == 10  # 1 + 3 + 6
+    assert len(center(alg, 2)) == 10  # 1 + 3 + 6
 
 
 def test_invariants_s_dual_frozen(sl2):
@@ -181,7 +179,7 @@ def test_copoisson_generators_frozen(sl2):
         2: {((1,), (2,)): QQ(-2), ((2,), (1,)): QQ(2)},
     }
     for a, want in pins.items():
-        d = copoisson_delta(gen(dual, a, TAG_GSTAR), alg)
+        d = copoisson_delta(gen(dual, a), alg)
         assert {k: v for k, v in d.coeffs.items() if v} == want
 
 
@@ -190,8 +188,8 @@ def test_copoisson_coleibniz_through_straightening(sl2):
     dual = dual_bracket(r)
     rng = random.Random(23)
     for _ in range(4):
-        a = rand_elt(dual, TAG_GSTAR, 2, rng)
-        b = rand_elt(dual, TAG_GSTAR, 2, rng)
+        a = rand_elt(dual, 2, rng)
+        b = rand_elt(dual, 2, rng)
         lhs = copoisson_delta(pbw_product(a, b), alg)
         rhs = _mult_square(copoisson_delta(a, alg), coproduct_square(b)) + \
             _mult_square(coproduct_square(a), copoisson_delta(b, alg))
@@ -207,7 +205,7 @@ def test_derivation_d_generators_frozen(sl2):
         2: {(2,): QQ(2)},
     }
     for a, want in imgs.items():
-        D = derivation_D(gen(dual, a, TAG_GSTAR), alg)
+        D = derivation_D(gen(dual, a), alg)
         assert D.coeffs == want
 
 
@@ -218,8 +216,8 @@ def test_derivation_d_leibniz(name, sl2):
     dual = dual_bracket(r)
     rng = random.Random(29)
     for _ in range(4):
-        a = rand_elt(dual, TAG_GSTAR, 2, rng)
-        b = rand_elt(dual, TAG_GSTAR, 2, rng)
+        a = rand_elt(dual, 2, rng)
+        b = rand_elt(dual, 2, rng)
         lhs = derivation_D(pbw_product(a, b), alg)
         rhs = pbw_product(derivation_D(a, alg), b) + pbw_product(a, derivation_D(b, alg))
         assert lhs == rhs
@@ -227,13 +225,13 @@ def test_derivation_d_leibniz(name, sl2):
 
 def _tensor_apply_d(t: PBWTensorSquare, alg) -> PBWTensorSquare:
     """(D (x) id + id (x) D) applied to a tensor square."""
-    out = PBWTensorSquare.zero(t.alg, t.tag)
+    out = PBWTensorSquare.zero(t.alg)
     for (m1, m2), c in t.coeffs.items():
-        dl = derivation_D(PBWElement.make(t.alg, t.tag, {m1: QQ(1)}), alg)
-        out = out + PBWTensorSquare.make(t.alg, t.tag,
+        dl = derivation_D(PBWElement.make(t.alg, {m1: QQ(1)}), alg)
+        out = out + PBWTensorSquare.make(t.alg,
                                          {(mono, m2): c * v for mono, v in dl.coeffs.items()})
-        dr = derivation_D(PBWElement.make(t.alg, t.tag, {m2: QQ(1)}), alg)
-        out = out + PBWTensorSquare.make(t.alg, t.tag,
+        dr = derivation_D(PBWElement.make(t.alg, {m2: QQ(1)}), alg)
+        out = out + PBWTensorSquare.make(t.alg,
                                          {(m1, mono): c * v for mono, v in dr.coeffs.items()})
     return out
 
@@ -243,7 +241,7 @@ def test_derivation_d_is_coderivation(sl2):
     dual = dual_bracket(r)
     rng = random.Random(31)
     for _ in range(3):
-        x = rand_elt(dual, TAG_GSTAR, 3, rng)
+        x = rand_elt(dual, 3, rng)
         lhs = coproduct_square(derivation_D(x, alg))
         rhs = _tensor_apply_d(coproduct_square(x), alg)
         assert lhs == rhs
@@ -253,7 +251,7 @@ def test_derivation_d_vanishes_on_abelian(abelian3):
     alg, r = abelian3
     dual = dual_bracket(r)
     for mono in pbw_basis(3, 3):
-        x = PBWElement.make(dual, TAG_GSTAR, {mono: QQ(1)})
+        x = PBWElement.make(dual, {mono: QQ(1)})
         assert derivation_D(x, alg).is_zero()
 
 

@@ -31,7 +31,7 @@ from starlift import (
 from starlift import envelope, linsolve, quasitriangular
 from starlift._rat import QQ, ZERO
 from starlift.cli import main
-from starlift.envelope import (TAG_G, TAG_GSTAR, PBWElement, PBWTensorSquare, _mult_square,
+from starlift.envelope import (PBWElement, PBWTensorSquare, _mult_square,
                                copoisson_delta, coproduct_square, pbw_basis)
 from starlift.errors import CYBViolation, Degenerate, NotAntisymmetric, NotCentral, TNotInvariant
 from starlift.quasitriangular import (_d_tensor_id, alpha_matrix_rank, c_s_coderivation,
@@ -350,7 +350,7 @@ def test_c_s_everything_on_abelian(abelian3):
 
 
 def test_theta_transport_lands_in_c1(qt):
-    for z in center(qt.g, 4, TAG_G):
+    for z in center(qt.g, 4):
         if z.filtration == 0:
             continue
         y = sts_theta(z, qt)
@@ -358,7 +358,7 @@ def test_theta_transport_lands_in_c1(qt):
 
 
 def test_theta_transport_frozen_and_multiplicative(qt):
-    C = next(z for z in center(qt.g, 4, TAG_G) if z.filtration == 2)
+    C = next(z for z in center(qt.g, 4) if z.filtration == 2)
     assert C.coeffs == {(0, 2): QQ(4), (1,): QQ(-2), (1, 1): QQ(1)}
     Th = sts_theta(C, qt)
     assert Th.coeffs == {(0, 2): QQ(4), (1,): QQ(4), (1, 1): QQ(4)}
@@ -367,7 +367,7 @@ def test_theta_transport_frozen_and_multiplicative(qt):
 
 
 def test_theta_transport_rejects_noncentral(qt):
-    x = PBWElement.generator(qt.g, TAG_G, 0)
+    x = PBWElement.generator(qt.g, 0)
     with pytest.raises(NotCentral):
         sts_theta(x, qt)
 
@@ -375,7 +375,7 @@ def test_theta_transport_rejects_noncentral(qt):
 def test_theta_transport_needs_nondegenerate_t(abelian3):
     g, r = abelian3
     q = qt_validate(g, r)
-    one = PBWElement.one(g, TAG_G)
+    one = PBWElement.one(g)
     with pytest.raises(Degenerate):
         sts_theta(one, q)
 
@@ -388,7 +388,7 @@ def test_alpha_full_rank(qt):
 def test_alpha_on_generators_contracts_t(qt):
     # alpha(xi_a) = (xi_a (x) id)(t)
     for a in range(3):
-        img = sts_alpha(PBWElement.generator(qt.dual, TAG_GSTAR, a), qt)
+        img = sts_alpha(PBWElement.generator(qt.dual, a), qt)
         want = {}
         for j, v in enumerate(dense_r(qt.t, 3)[a]):
             if v:
@@ -406,10 +406,10 @@ def test_compare_images_c0_differs_from_c1(qt):
 
 def ref_d_tensor_id(x, g):
     dual = x.alg
-    out = PBWTensorSquare.zero(dual, x.tag)
+    out = PBWTensorSquare.zero(dual)
     for (m1, m2), c in coproduct_square(x).coeffs.items():
-        dm1 = c_s_coderivation(PBWElement.make(dual, x.tag, {m1: QQ(1)}), g)
-        out = out + PBWTensorSquare.make(dual, x.tag,
+        dm1 = c_s_coderivation(PBWElement.make(dual, {m1: QQ(1)}), g)
+        out = out + PBWTensorSquare.make(dual,
                                          {(mono, m2): c * v for mono, v in dm1.coeffs.items()})
     return out
 
@@ -418,9 +418,9 @@ def ref_c_s_basis(s, maxdeg, qt):
     basis = pbw_basis(qt.g.dim, maxdeg)
     images = []
     for mono in basis:
-        x = PBWElement.make(qt.dual, TAG_GSTAR, {mono: QQ(1)})
+        x = PBWElement.make(qt.dual, {mono: QQ(1)})
         images.append((copoisson_delta(x, qt.g) - ref_d_tensor_id(x, qt.g).scale(QQ(s))).coeffs)
-    return [PBWElement.make(qt.dual, TAG_GSTAR, {basis[j]: c for j, c in vec.items()})
+    return [PBWElement.make(qt.dual, {basis[j]: c for j, c in vec.items()})
             for vec in linsolve.kernel_of(dict(enumerate(images)))]
 
 
@@ -441,7 +441,7 @@ def test_c_s_basis_matches_unmemoized_kernel(name, maxdeg):
 def ref_derivation_D(x, g):
     """sum over each letter x_t of a monomial of pre * D(x_t) * post, with
     D(xi_a) = sum_{i != j} c_ij^a [xi_i, xi_j] read off g's brackets."""
-    dual, tag = x.alg, x.tag
+    dual = x.alg
     cube = dense_c(g)
     gen_img = []
     for a in range(dual.dim):
@@ -449,23 +449,23 @@ def ref_derivation_D(x, g):
         for i, j in itertools.permutations(range(g.dim), 2):
             for tgt, w in rational_rows(dual).get(i, {}).get(j, ()):
                 items[(tgt,)] = items.get((tgt,), QQ(0)) + cube[i][j][a] * w
-        gen_img.append(PBWElement.make(dual, tag, items))
-    out = PBWElement.zero(dual, tag)
+        gen_img.append(PBWElement.make(dual, items))
+    out = PBWElement.zero(dual)
     for mono, c in x.coeffs.items():
         for t in range(len(mono)):
-            pre = PBWElement.make(dual, tag, {mono[:t]: QQ(1)})
-            post = PBWElement.make(dual, tag, {mono[t + 1:]: QQ(1)})
+            pre = PBWElement.make(dual, {mono[:t]: QQ(1)})
+            post = PBWElement.make(dual, {mono[t + 1:]: QQ(1)})
             out = out + pbw_product(pbw_product(pre, gen_img[mono[t]]), post).scale(c)
     return out
 
 
 def ref_antipode(x):
     """S_0: generators to their negatives, extended as antihomomorphism."""
-    out = PBWElement.zero(x.alg, x.tag)
+    out = PBWElement.zero(x.alg)
     for mono, c in x.coeffs.items():
-        term = PBWElement.make(x.alg, x.tag, {(): c * QQ((-1) ** len(mono))})
+        term = PBWElement.make(x.alg, {(): c * QQ((-1) ** len(mono))})
         for i in reversed(mono):
-            term = pbw_product(term, PBWElement.generator(x.alg, x.tag, i))
+            term = pbw_product(term, PBWElement.generator(x.alg, i))
         out = out + term
     return out
 
@@ -473,19 +473,19 @@ def ref_antipode(x):
 def ref_lr_image(qt, mono, right):
     d = qt.g.dim
     ent = dense_r(qt.rprime.entries, d)
-    acc = PBWElement.one(qt.g, TAG_G)
+    acc = PBWElement.one(qt.g)
     for a in mono:
         if right:
             img = {(i,): -ent[i][a] for i in range(d) if ent[i][a]}
         else:
             img = {(j,): ent[a][j] for j in range(d) if ent[a][j]}
-        acc = pbw_product(acc, PBWElement.make(qt.g, TAG_G, img))
+        acc = pbw_product(acc, PBWElement.make(qt.g, img))
     return acc
 
 
 def ref_sts_alpha(x, qt):
     """m_0 . (L (x) (S_0 . R)) . Delta_0, with S_0 applied to R's product."""
-    out = PBWElement.zero(qt.g, TAG_G)
+    out = PBWElement.zero(qt.g)
     for (m1, m2), c in coproduct_square(x).coeffs.items():
         left = ref_lr_image(qt, m1, right=False)
         rightimg = ref_antipode(ref_lr_image(qt, m2, right=True))
@@ -501,8 +501,8 @@ def test_per_monomial_recurrences_match_direct_formulas(name, maxdeg):
     g, rp = load_lie_algebra(data_path(name))
     qt = qt_validate(g, rp)
     basis = pbw_basis(g.dim, maxdeg)
-    units = [PBWElement.make(qt.dual, TAG_GSTAR, {mono: QQ(1)}) for mono in basis]
-    mixed = PBWElement.make(qt.dual, TAG_GSTAR,
+    units = [PBWElement.make(qt.dual, {mono: QQ(1)}) for mono in basis]
+    mixed = PBWElement.make(qt.dual,
                             {mono: QQ(j % 5 - 2, 1 + j % 3) for j, mono in enumerate(basis)})
     for x in units + [mixed]:
         assert derivation_D(x, g) == ref_derivation_D(x, g)
@@ -537,7 +537,7 @@ def test_fold_and_co_leibniz_match_direct_formulas(name):
     PBW monomial to filtration 5."""
     qt = QT_STRUCTURES[name]
     for mono in pbw_basis(qt.g.dim, 5):
-        x = PBWElement.make(qt.dual, TAG_GSTAR, {mono: QQ(1)})
+        x = PBWElement.make(qt.dual, {mono: QQ(1)})
         assert sts_alpha(x, qt) == ref_sts_alpha(x, qt)
         assert _d_tensor_id(x, qt.g) == ref_d_tensor_id(x, qt.g)
 
@@ -547,7 +547,7 @@ def _dual_elements(draw, qt, maxdeg):
     """A dual element with at least two terms, of filtration <= maxdeg."""
     monos = draw(st.lists(st.sampled_from(pbw_basis(qt.g.dim, maxdeg)), min_size=2,
                           max_size=6, unique=True))
-    return PBWElement.make(qt.dual, TAG_GSTAR, {m: draw(COEFFS) for m in monos})
+    return PBWElement.make(qt.dual, {m: draw(COEFFS) for m in monos})
 
 
 @settings(max_examples=25, deadline=None)
@@ -620,8 +620,8 @@ def test_sts_alpha_builds_generator_images_once(sl2qt, monkeypatch):
     prop = QTStructure.__dict__["alpha_generators"]
     built, build = [], prop.func
     monkeypatch.setattr(prop, "func", lambda q: built.append(q) or build(q))
-    x = PBWElement.make(qt.dual, TAG_GSTAR, {(0, 1, 2): 1, (2, 2): QQ(1, 2)})
-    assert sts_alpha(x, qt) == sts_alpha(x, qt) != PBWElement.zero(qt.g, TAG_G)
+    x = PBWElement.make(qt.dual, {(0, 1, 2): 1, (2, 2): QQ(1, 2)})
+    assert sts_alpha(x, qt) == sts_alpha(x, qt) != PBWElement.zero(qt.g)
     assert built == [qt]
 
 
@@ -630,7 +630,7 @@ def test_one_qt_run_builds_each_delta0_once(monkeypatch, capsys):
     built = []
     square = envelope.coproduct_square
     monkeypatch.setattr(envelope, "coproduct_square",
-                        lambda x: built.append((x.tag, tuple(x.coeffs))) or square(x))
+                        lambda x: built.append((x.alg, tuple(x.coeffs))) or square(x))
     assert main(["qt", data_path("sl2-qt"), "--maxdeg", "4"]) == 0
     capsys.readouterr()
     assert built and len(built) == len(set(built))

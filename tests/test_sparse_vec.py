@@ -10,15 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starlift import (FormalSeriesTensor, LinearForm, alt_project, copoisson_delta,
-                      coproduct_insert, dual_bracket, g_action, lift, load_lie_algebra, multiply,
-                      pbw_product, poisson_bracket, rho_product)
+from starlift import (FormalSeriesTensor, LinearForm, alt_project, coproduct_insert, dual_bracket,
+                      g_action, lift, load_lie_algebra, multiply, pbw_product, poisson_bracket,
+                      rho_product)
 from starlift._rat import QQ
 from starlift.cohochschild import _d_faces, _d_raw
 from starlift.core import combine, key_degree
 from starlift.duality import _coproduct_images, _vec_factorial
-from starlift.envelope import (TAG_G, TAG_GSTAR, PBWElement, PBWTensorSquare, _mult_square,
-                               coproduct_square)
+from starlift.envelope import PBWElement, PBWTensorSquare, _mult_square, coproduct_square
 from starlift.errors import AlgebraMismatch
 from starlift.star import bch_terms, star
 
@@ -33,9 +32,8 @@ def _samples(alg):
         "series": FormalSeriesTensor.make(
             alg, 2, 4, {((1, 0, 0), (0, 1, 0)): QQ(2, 3), ((0, 0, 1), (1, 1, 0)): QQ(-5)}),
         "form": LinearForm.make(alg, {(1, 0, 0): QQ(1, 2), (0, 2, 1): QQ(-7, 3)}),
-        "pbw": PBWElement.make(alg, TAG_G, {(0, 2): QQ(3), (1,): QQ(-1, 4)}),
-        "square": PBWTensorSquare.make(alg, TAG_GSTAR,
-                                       {((0,), (1, 2)): QQ(5, 6), ((), (2,)): QQ(1)}),
+        "pbw": PBWElement.make(alg, {(0, 2): QQ(3), (1,): QQ(-1, 4)}),
+        "square": PBWTensorSquare.make(alg, {((0,), (1, 2)): QQ(5, 6), ((), (2,)): QQ(1)}),
     }
 
 
@@ -51,26 +49,36 @@ def test_linear_identities(sl2, kind):
 
 
 def test_tensor_squares_over_different_algebras_do_not_add(sl2, nonabelian2):
-    a = PBWTensorSquare.make(sl2[0], TAG_G, {((0,), (1,)): QQ(1)})
-    b = PBWTensorSquare.make(nonabelian2[0], TAG_G, {((0,), (1,)): QQ(1)})
+    a = PBWTensorSquare.make(sl2[0], {((0,), (1,)): QQ(1)})
+    b = PBWTensorSquare.make(nonabelian2[0], {((0,), (1,)): QQ(1)})
     with pytest.raises(AlgebraMismatch):
         a + b
-    with pytest.raises(AlgebraMismatch):
-        a - PBWTensorSquare.make(sl2[0], TAG_GSTAR, a.coeffs)
 
 
-@pytest.mark.parametrize("order", [(TAG_G, TAG_GSTAR), (TAG_GSTAR, TAG_G)])
-def test_copoisson_delta_memo_keeps_tags_apart(sl2, order):
-    """The monomial memo is shared by both tags of one dual algebra; each
-    call still returns its input's tag and the same coefficients."""
+@pytest.mark.parametrize("kind", ["form", "pbw", "square"])
+def test_elements_of_g_and_its_dual_do_not_mix(sl2, kind):
+    """An element over g and one with the same coefficients over g* (the
+    spec dual_bracket builds, of the same dimension) are told apart by
+    their algebra alone: they are unequal and do not add or multiply."""
     alg, r = sl2
-    dual = dual_bracket(r)
-    mono = (0, 1, 2)
-    out = {tag: copoisson_delta(PBWElement.make(dual, tag, {mono: QQ(1)}), alg)
-           for tag in order}
-    assert out[TAG_G].coeffs == out[TAG_GSTAR].coeffs
-    assert not out[TAG_G].is_zero()
-    assert [out[tag].tag for tag in order] == list(order)
+    a, b = _samples(alg)[kind], _samples(dual_bracket(r))[kind]
+    assert a.coeffs == b.coeffs and a != b
+    for op in (type(a).__add__, type(a).__sub__):
+        with pytest.raises(AlgebraMismatch):
+            op(a, b)
+    if kind == "pbw":
+        with pytest.raises(AlgebraMismatch):
+            pbw_product(a, b)
+
+
+def test_algebra_framed_types_keep_the_base_frame():
+    """Forms, PBW elements and tensor squares take their fields, constructor,
+    frame and operand check from _SparseVec; only the series adds its own."""
+    own = ("_fields", "__init__", "_frame", "_check_pair")
+    for cls in (LinearForm, PBWElement, PBWTensorSquare):
+        assert [name for name in own if name in vars(cls)] == [], cls.__name__
+        assert cls._fields == ("alg", "numerators")
+    assert all(name in vars(FormalSeriesTensor) for name in own)
 
 
 # ---- the integer state of FormalSeriesTensor ------------------------------
@@ -264,9 +272,9 @@ def ref_rho_product(l1, l2, rho):
 def pbw_elements(draw, alg, square=False):
     mono = st.lists(st.integers(0, alg.dim - 1), max_size=3 - square).map(sorted).map(tuple)
     if square:
-        return PBWTensorSquare.make(alg, TAG_GSTAR, draw(st.dictionaries(
+        return PBWTensorSquare.make(alg, draw(st.dictionaries(
             st.tuples(mono, mono), COEFFS, max_size=4)))
-    return PBWElement.make(alg, TAG_G, draw(st.dictionaries(mono, COEFFS, max_size=4)))
+    return PBWElement.make(alg, draw(st.dictionaries(mono, COEFFS, max_size=4)))
 
 
 def _check_linear(a, b, q):
