@@ -1,10 +1,10 @@
 """Exact rational scalars.
 
 gmpy2.mpq when available, fractions.Fraction otherwise. No speed-up of
-gmpy2 over Fraction has been measured for this package, and the tensor
-kernels run their inner loops on Python ints with either backend. Both
-parse "p/q" strings and print the same canonical form (reduced,
-denominator positive, "p" when integral).
+gmpy2 over Fraction has been measured for this package; the tensor
+kernels and linsolve's elimination loop on Python ints with either
+backend. Both parse "p/q" strings and print the same canonical form
+(reduced, denominator positive, "p" when integral).
 """
 from __future__ import annotations
 

@@ -168,7 +168,8 @@ def _dim_rank(alg, k: int, N: int, invariant_only: bool) -> tuple:
     if key not in alg.memo:
         if invariant_only:
             basis = invariant_basis(alg, k, N)
-            alg.memo[key] = (len(basis), linsolve.rank_of(_d_raw(v).coeffs for v in basis))
+            ranked = (dict(_d_raw(v).numerators[1]) for v in basis)  # columns times D: same rank
+            alg.memo[key] = (len(basis), linsolve.rank_of(ranked))
         else:
             blocks = [(count, _multidegree_keys(shape, k))
                       for shape, count in _exponent_shapes(alg.dim, N)]

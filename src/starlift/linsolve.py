@@ -4,8 +4,8 @@ Rows are dicts {column index: coefficient} with no zero coefficient
 stored. echelonize is Gauss-Jordan elimination in the order of sympy's
 sdm_irref: it takes the rows by descending leading column and keeps every
 pivot row fully reduced. The reduced echelon form is unique once the
-column order is fixed, so no result depends on the row order. No floating
-point anywhere.
+column order is fixed, so no result depends on the row order. It runs on
+primitive integer rows and forms rationals only for its answer; no floats.
 
 Callers describe a map by its column images: a dict {basis key: image},
 whose insertion order is the column order, each image a dict {key:
@@ -16,45 +16,64 @@ the image keys changes nothing either.
 """
 from __future__ import annotations
 
-from ._rat import QQ, ZERO
+from math import gcd, lcm
+
+from ._rat import QQ
 
 
-def _subtract(row: dict, coef, piv: dict, skip) -> None:
-    """row -= coef * piv in place, over every column of piv except skip."""
+def _eliminate(row: dict, a: int, piv: dict, p) -> None:
+    """In place: row -= (a // P) * piv if P = piv[p] divides a, else row = P*row - a*piv."""
+    P = piv[p]
+    if a % P:
+        for cc in row:
+            row[cc] *= P
+    else:
+        a //= P
     for cc, vv in piv.items():
-        if cc != skip:
-            nv = row.get(cc, ZERO) - coef * vv
+        if cc != p:
+            nv = row.get(cc, 0) - a * vv
             if nv:
                 row[cc] = nv
             else:
                 del row[cc]
 
 
+def _primitive(row: dict, p) -> dict:
+    """row divided by the gcd of its entries, with a positive entry at p."""
+    g = 1 if row[p] == 1 else gcd(*row.values()) if row[p] > 0 else -gcd(*row.values())
+    return row if g == 1 else {cc: v // g for cc, v in row.items()}
+
+
 def echelonize(rows) -> dict:
     """Reduced row echelon form: map pivot column -> row, with 1 at its
     pivot (the row's smallest column) and no entry in any other pivot column."""
-    echelon = {}
+    echelon = {}  # pivot column -> primitive integer row
     holders = {}  # column -> pivots whose rows held an entry there (may be stale)
-    for row in sorted((dict(r) for r in rows if r), key=min, reverse=True):
+    cleared = []  # each row times the lcm of its denominators, as ints
+    for r in filter(None, rows):
+        m = lcm(*[v.denominator for v in r.values()])
+        cleared.append({c: v.numerator * (m // v.denominator) for c, v in r.items()})
+    for row in sorted(cleared, key=min, reverse=True):
         for c in [c for c in row if c in echelon]:  # reduced pivot rows: one pass
-            _subtract(row, row.pop(c), echelon[c], c)
+            _eliminate(row, row.pop(c), echelon[c], c)
         if not row:
             continue
         p = min(row)
-        inv = QQ(1) / row[p]
-        row = {cc: vv * inv for cc, vv in row.items()}
+        row = _primitive(row, p)
         others = [cc for cc in row if cc != p]
         for q in holders.pop(p, ()):
             prow = echelon[q]
-            coef = prow.pop(p, None)
-            if coef is not None:
-                _subtract(prow, coef, row, p)
+            a = prow.pop(p, None)
+            if a is not None:
+                _eliminate(prow, a, row, p)
+                echelon[q] = _primitive(prow, q)
                 for cc in others:
                     holders.setdefault(cc, set()).add(q)
         for cc in others:
             holders.setdefault(cc, set()).add(p)
         echelon[p] = row
-    return echelon
+    return {c: {cc: QQ(n) for cc, n in row.items()} if row[c] == 1
+            else {cc: QQ(n, row[c]) for cc, n in row.items()} for c, row in echelon.items()}
 
 
 def _rows_of(images) -> dict:

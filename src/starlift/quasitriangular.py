@@ -228,8 +228,8 @@ def check_inner_derivation(qt: QTStructure) -> dict:
     witnesses = []
     for k in range(g.dim):
         lhs = _bracket_contraction(g_action(k, r))
-        ad_mu = g_action(k, mu).coeffs
-        rhs = tuple(ad_mu.get((_unit(g.dim, m),), ZERO) for m in range(g.dim))
+        ad_mu = {vec.index(1): v for (vec,), v in g_action(k, mu).coeffs.items()}
+        rhs = tuple(ad_mu.get(m, ZERO) for m in range(g.dim))
         witnesses.append({
             "generator": g.basis_names[k],
             "mu_delta": lhs,

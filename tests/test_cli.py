@@ -310,6 +310,9 @@ SL3_GOLDEN = {
         "eda885daa63ce70bf8b3106639c2ca45b61209ec04904806cd74e321dc1f6dcf",
     ("cohomology", "--degree", "4"):
         "e117deb2117ac8b7702310a760d2db8027972690c200739cc32d65786ee0aa7a",
+    # taken before the elimination moved to integer rows
+    ("cohomology", "--degree", "6"):
+        "927d5e86672271a64327b089abd46a59aef10241a0730aa4252b91fd2a486672",
     # taken before the kernels moved to weight-zero columns and a generating set
     ("envelope", "--maxdeg", "4"):
         "ce9cd5162995fd48c2fa2a8d2137952cac5c4e652d460663cfdb0c879f6757b4",
@@ -461,6 +464,20 @@ def test_inline_validate_report_bytes(capsys, spec):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == INLINE_GOLDEN[spec]
 
 
+# Exit code and SHA-256 of qt on inline inputs, taken while the
+# inner-derivation check built a unit vector per pair of basis indices.
+INLINE_QT_GOLDEN = {
+    ('{"dim": 40, "r": [[0,1,"1"],[1,0,"1"]]}', "--maxdeg", "1"):
+        (0, "f9cb3c952cf24f958acfc4548840b6a9ed55870492f18a7a4e0a918f34d45592"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(INLINE_QT_GOLDEN), ids=" ".join)
+def test_inline_qt_report_bytes(capsys, argv):
+    code, out = run(capsys, "qt", *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == INLINE_QT_GOLDEN[argv]
+
+
 def test_antisymmetry_violation_names_the_first_pair():
     with pytest.raises(errors.AntisymmetryViolation) as info:
         load_lie_algebra('{"dim": 3, "r": [[1,2,"1"],[0,1,"1"],[1,0,"1"]], '
@@ -552,7 +569,8 @@ def test_backends_print_the_same_bytes(argv):
 # The co-Hochschild, lift, envelope, qt, duality, sparse-vector, core and star
 # unit tests themselves (the record checks among them), the all-generator kernel
 # oracles, the dense ad-invariance oracle, the Fraction oracles of the tensor
-# and dual-side bracket kernels and the differential oracle, with assert
+# and dual-side bracket kernels, the differential oracle and the linsolve
+# tests with their sympy and Fraction-elimination oracles, with assert
 # statements stripped from the package.
 def test_unit_tests_under_python_O():
     root = Path(__file__).resolve().parent.parent
@@ -564,7 +582,8 @@ def test_unit_tests_under_python_O():
                            "tests/test_star.py", "tests/test_actor_oracle.py",
                            "tests/test_validation.py", "tests/test_kernel_oracle.py",
                            "tests/test_dual_kernel_oracle.py",
-                           "tests/test_differential_oracle.py"],
+                           "tests/test_differential_oracle.py", "tests/test_linsolve.py",
+                           "tests/test_linsolve_oracle.py"],
                           cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:]
 

@@ -1,7 +1,11 @@
 """The column-image entry points of linsolve against sympy's DomainMatrix
 over QQ, their independence of key order, answers over the basis keys as
-the positional answers relabelled, and c_s_graded_dims against the
+the positional answers relabelled, the integer elimination against the
+Fraction elimination it replaced, and c_s_graded_dims against the
 successive-difference computation it replaced."""
+import math
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,8 +13,9 @@ from sympy import QQ as SQQ
 from sympy.polys.matrices import DomainMatrix
 
 from starlift import c_s_basis, c_s_graded_dims, qt_validate
-from starlift._rat import QQ
-from starlift.linsolve import kernel_of, preimage, rank_of
+from starlift import linsolve
+from starlift._rat import QQ, ZERO
+from starlift.linsolve import echelonize, kernel_of, preimage, rank_of
 
 # Keys are arbitrary hashables, as the callers use them: ints, strings,
 # monomial tuples and (generator, monomial) pairs.
@@ -149,6 +154,136 @@ def test_keyed_answers_are_positional_answers_relabelled(system):
     assert x == _canonical_solution(_oracle(keys, images, target), len(images))
     relabelled = None if x is None else {labels[j]: c for j, c in x.items()}
     assert preimage(keyed, target) == relabelled
+
+
+# ---- the Fraction elimination, kept verbatim as the oracle of the integer one ---
+
+def _subtract(row: dict, coef, piv: dict, skip) -> None:
+    """row -= coef * piv in place, over every column of piv except skip."""
+    for cc, vv in piv.items():
+        if cc != skip:
+            nv = row.get(cc, ZERO) - coef * vv
+            if nv:
+                row[cc] = nv
+            else:
+                del row[cc]
+
+
+def ref_echelonize(rows) -> dict:
+    """Reduced row echelon form: map pivot column -> row, with 1 at its
+    pivot (the row's smallest column) and no entry in any other pivot column."""
+    echelon = {}
+    holders = {}  # column -> pivots whose rows held an entry there (may be stale)
+    for row in sorted((dict(r) for r in rows if r), key=min, reverse=True):
+        for c in [c for c in row if c in echelon]:  # reduced pivot rows: one pass
+            _subtract(row, row.pop(c), echelon[c], c)
+        if not row:
+            continue
+        p = min(row)
+        inv = QQ(1) / row[p]
+        row = {cc: vv * inv for cc, vv in row.items()}
+        others = [cc for cc in row if cc != p]
+        for q in holders.pop(p, ()):
+            prow = echelon[q]
+            coef = prow.pop(p, None)
+            if coef is not None:
+                _subtract(prow, coef, row, p)
+                for cc in others:
+                    holders.setdefault(cc, set()).add(q)
+        for cc in others:
+            holders.setdefault(cc, set()).add(p)
+        echelon[p] = row
+    return echelon
+
+
+SMALL = st.integers(1, 6) | st.integers(-6, -1)
+ENTRIES = {
+    "int": SMALL,
+    "rational": st.builds(QQ, SMALL, st.integers(1, 4)),
+    "mixed": SMALL | st.builds(QQ, SMALL, st.integers(1, 4)),
+}
+
+
+def _combination(rows, coeffs):
+    out = {}
+    for a, row in zip(coeffs, rows):
+        for c, v in row.items():
+            out[c] = out.get(c, 0) + a * v
+    return {c: v for c, v in out.items() if v}
+
+
+@st.composite
+def integer_and_rational_rows(draw):
+    """Rows over columns 0..5 with int, rational or mixed entries, among them
+    negated and repeated copies and combinations of the others, so that
+    systems are rank-deficient and rows cancel to zero; in any order."""
+    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    cols = st.integers(0, 5)
+    rows = draw(st.lists(st.dictionaries(cols, entry, min_size=1, max_size=6),
+                         min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["copy", "negated", "combination"]))
+        if kind == "combination":
+            coeffs = draw(st.lists(entry | st.just(0), min_size=len(rows), max_size=len(rows)))
+            rows.append(_combination(rows, coeffs))
+        else:
+            row = draw(st.sampled_from(rows))
+            rows.append(dict(row) if kind == "copy" else {c: -v for c, v in row.items()})
+    return draw(st.permutations(rows))
+
+
+def _cols_of(rows):
+    cols = {}
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            cols.setdefault(c, {})[i] = v
+    return dict(sorted(cols.items()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_and_rational_rows(), st.data())
+def test_integer_elimination_answers_as_the_fraction_elimination(rows, data):
+    """The same pivots in the same order, every row with the same entries in
+    the same key order, and the same kernels, ranks and preimages, on targets
+    inside the image and outside it."""
+    echelon, ref = echelonize(rows), ref_echelonize(rows)
+    assert echelon == ref
+    assert list(echelon) == list(ref)
+    for c in ref:
+        assert list(echelon[c].items()) == list(ref[c].items())
+
+    images = _cols_of(rows)
+    coeffs = data.draw(st.lists(SMALL | st.just(0), min_size=len(images), max_size=len(images)))
+    inside = _combination(list(images.values()), coeffs)
+    outside = data.draw(st.dictionaries(st.integers(0, len(rows) - 1), ENTRIES["mixed"]))
+    answers = [kernel_of(images), rank_of(images.values()),
+               preimage(images, inside), preimage(images, outside)]
+    assert answers[2] is not None
+    with mock.patch.object(linsolve, "echelonize", ref_echelonize):
+        assert answers == [kernel_of(images), rank_of(images.values()),
+                           preimage(images, inside), preimage(images, outside)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_and_rational_rows())
+def test_every_pivot_row_is_primitive_with_a_positive_pivot(rows):
+    """Each new or updated pivot row the elimination keeps is an integer row
+    whose entries have gcd 1 and whose pivot (smallest column) is positive."""
+    kept = []
+    primitive = linsolve._primitive
+
+    def recorded(row, p):
+        out = primitive(row, p)
+        kept.append((dict(out), p))  # a snapshot: pivot rows change in place later
+        return out
+
+    with mock.patch.object(linsolve, "_primitive", recorded):
+        echelonize(rows)
+    assert kept
+    for row, p in kept:
+        assert p == min(row) and row[p] > 0
+        assert all(type(v) is int for v in row.values())
+        assert math.gcd(*row.values()) == 1
 
 
 def successive_difference_dims(s, maxdeg, qt):

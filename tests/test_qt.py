@@ -161,6 +161,23 @@ def test_inner_derivation_trivial_inputs(abelian3, nonabelian2):
         assert check_inner_derivation(qt_validate(g, r))["passed"]
 
 
+def test_inner_derivation_builds_at_most_dim_unit_vectors(monkeypatch):
+    """ad(x_k) mu(r') is read back by each key's own index, so the unit
+    vectors built are mu's, at most dim of them, not one per pair (k, m)."""
+    g, rp = load_lie_algebra({"dim": 60, "r": [[0, 1, "1"], [1, 0, "1"]]})
+    qt = qt_validate(g, rp)
+    calls = []
+    unit = quasitriangular._unit
+
+    def counted(dim, i):
+        calls.append(i)
+        return unit(dim, i)
+
+    monkeypatch.setattr(quasitriangular, "_unit", counted)
+    assert check_inner_derivation(qt)["passed"]
+    assert 0 < len(calls) <= g.dim
+
+
 
 # ---- the hand-written inner-derivation loops, kept verbatim as the oracle ---
 
