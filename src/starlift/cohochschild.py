@@ -87,23 +87,23 @@ def _d_raw(f: FormalSeriesTensor) -> FormalSeriesTensor:
                     for sign, blocks in _d_faces(f.k)])
 
 
-def _d_integer(vec: dict) -> dict:
-    """d of sum_key vec[key] x^key, slot-positive keys over the integers, as
-    {key: integer}; no algebra enters: the sum over 0-based slots s of
-    (-1)^(s+1) times the splits of slot s into two nonconstant parts."""
+def _d_integer(vec: tuple) -> tuple:
+    """d of sum n / D x^key over vec = (D, [(key, n), ...]), slot-positive
+    keys, in the same form; no algebra enters: the sum over 0-based slots s
+    of (-1)^(s+1) times the splits of slot s into two nonconstant parts."""
     out = {}
-    for key, n in vec.items():
+    for key, n in vec[1]:
         for s, vec_s in enumerate(key):
             for (a, b), w in _splits(vec_s, 2):
                 if any(a) and any(b):
                     nk = key[:s] + (a, b) + key[s + 1:]
                     out[nk] = out.get(nk, 0) + (n if s % 2 else -n) * w
-    return {nk: m for nk, m in out.items() if m}
+    return vec[0], [(nk, m) for nk, m in out.items() if m]
 
 
-def _d_monomial(key) -> dict:
-    """d of the monomial x^key as {key: integer}."""
-    return _d_integer({key: 1})
+def _d_monomial(key) -> tuple:
+    """d of the monomial x^key as (1, [(key, integer), ...])."""
+    return _d_integer((1, [(key, 1)]))
 
 
 def _monomial_fst(alg, key, N):
@@ -116,16 +116,11 @@ def invariant_basis(alg: LieAlgebraSpec, k: int, N: int):
     g keeps each slot's degree, so each slot-degree composition is its own
     kernel; merged by free column, the largest key of a reduced kernel
     vector, they list what the one kernel over all keys would."""
-    Dc = alg.integer_rows[0]
-
-    def act(i, key):  # the image scaled by Dc, which leaves the kernel as it is
-        D, items = g_action(i, _monomial_fst(alg, key, N)).numerators
-        return {rkey: n * (Dc // D) for rkey, n in items}
-
     vecs = []
     for degs in _compositions_positive(N, k):
         keys = itertools.product(*(monomials(alg.dim, d) for d in degs))
-        vecs += invariant_kernel(alg, keys, lambda key: tuple(map(sum, zip(*key))), act)
+        vecs += invariant_kernel(alg, keys, lambda key: tuple(map(sum, zip(*key))),
+                                 lambda i, key: g_action(i, _monomial_fst(alg, key, N)).numerators)
     return [FormalSeriesTensor.make(alg, k, N, items) for items in sorted(vecs, key=max)]
 
 
@@ -168,8 +163,7 @@ def _dim_rank(alg, k: int, N: int, invariant_only: bool) -> tuple:
     if key not in alg.memo:
         if invariant_only:
             basis = invariant_basis(alg, k, N)
-            ranked = (dict(_d_raw(v).numerators[1]) for v in basis)  # columns times D: same rank
-            alg.memo[key] = (len(basis), linsolve.rank_of(ranked))
+            alg.memo[key] = (len(basis), linsolve.rank_of(_d_raw(v).numerators for v in basis))
         else:
             blocks = [(count, _multidegree_keys(shape, k))
                       for shape, count in _exponent_shapes(alg.dim, N)]
@@ -206,26 +200,24 @@ def solve_coboundary(c: Cochain, invariant_only: bool = False) -> Cochain:
     if invariant_only and not is_invariant(c.value):
         raise NotInvariant("cochain is not g-invariant")
 
-    coeffs = c.value.coeffs
-    items = {}
+    target = c.value.numerators
     if invariant_only:
-        # column j is D_j times basis vector j, whose numerators are integers
-        # over D_j: x_j / D_j solves, so the sum is the same beta
-        basis = [dict(v.numerators[1]) for v in invariant_basis(alg, k - 1, N)]
-        sol = _preimage(c, dict(enumerate(map(_d_integer, basis))), coeffs)
-        for j, x in sol.items():
-            for key, v in basis[j].items():
-                items[key] = items.get(key, 0) + x * v
+        basis = invariant_basis(alg, k - 1, N)
+        sol = _preimage(c, dict(enumerate(_d_integer(v.numerators) for v in basis)), target)
+        beta = (combine([(x, basis[j]) for j, x in sol.items()]) if sol
+                else FormalSeriesTensor.zero(alg, k - 1, N))
     else:
         # a multidegree block's columns are the monomials, so its solution
         # holds the coefficients
-        for tot, rhs_keys in sorted(_multidegree_blocks(coeffs, alg.dim).items()):
+        D, nums, items = target[0], dict(target[1]), {}
+        for tot, rhs_keys in sorted(_multidegree_blocks(nums, alg.dim).items()):
             images = {key: _d_monomial(key) for key in _multidegree_keys(tot, k - 1)}
-            items.update(_preimage(c, images, {key: coeffs[key] for key in rhs_keys}))
-    return Cochain.make(k - 1, N, FormalSeriesTensor.make(alg, k - 1, N, items))
+            items.update(_preimage(c, images, (D, [(key, nums[key]) for key in rhs_keys])))
+        beta = FormalSeriesTensor.make(alg, k - 1, N, items)
+    return Cochain.make(k - 1, N, beta)
 
 
-def _preimage(c: Cochain, images: dict, target: dict) -> dict:
+def _preimage(c: Cochain, images: dict, target: tuple) -> dict:
     """linsolve.preimage(images, target), raising as solve_coboundary
     documents when there is none."""
     sol = linsolve.preimage(images, target)

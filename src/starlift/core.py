@@ -132,21 +132,21 @@ class LieAlgebraSpec(_Record):
         and every gens element kills it."""
         rows, weights = self.integer_rows[1], self._integer_weights
         gens = []
-        span = [{i: 1} for i in weights]  # the subalgebra the actors generate, times powers of Dc
+        span = [(1, [(i, 1)]) for i in weights]  # the actors' subalgebra, times powers of Dc
         for i in range(self.dim):
-            if i in weights or linsolve.rank_of(span + [{i: 1}]) == len(span):
+            if i in weights or linsolve.rank_of(span + [(1, [(i, 1)])]) == len(span):
                 continue
             gens.append(i)
             closed = len(span)  # span[:closed] is closed under ad of the earlier actors
-            span.append({i: 1})
-            for n, u in enumerate(span):  # grows until closed under ad of every actor
+            span.append((1, [(i, 1)]))
+            for n, (_, u) in enumerate(span):  # grows until closed under ad of every actor
                 for a in ([i] if n < closed else [*weights, *gens]):
                     w = {}
-                    for b, cb in u.items():
+                    for b, cb in u:
                         for k, v in rows.get(a, {}).get(b, ()):
                             w[k] = w.get(k, 0) + cb * v
-                    w = {k: v for k, v in w.items() if v}
-                    if w and linsolve.rank_of(span + [w]) > len(span):
+                    w = (1, [(k, v) for k, v in w.items() if v])
+                    if w[1] and linsolve.rank_of(span + [w]) > len(span):
                         span.append(w)
         return tuple(weights), tuple(gens)
 
@@ -393,6 +393,12 @@ def _integer(items) -> tuple:
     kept = [(key, v) for key, v in items if v]
     D = lcm(*(v.denominator for _, v in kept))
     return {key: v.numerator * (D // v.denominator) for key, v in kept}, D
+
+
+def _cleared(col: dict) -> tuple:
+    """{key: rational or int} as linsolve's (D, items) column, zeros dropped."""
+    nums, D = _integer(col.items())
+    return D, nums.items()
 
 
 class _SparseVec(_Record):
@@ -659,8 +665,8 @@ def is_invariant(f: FormalSeriesTensor) -> bool:
 def invariant_kernel(alg: LieAlgebraSpec, keys, multidegree, act) -> list:
     """The g-invariants spanned by keys, as {key: c} dicts in kernel_of
     order: the kernel, over the keys whose multidegree(key) has weight zero,
-    of the column images act(i, key) ({image key: c}, all with one common
-    nonzero scale) stacked over alg.actors' gens i (see LieAlgebraSpec.actors)."""
+    of the column images act(i, key) (linsolve's (D, items) pairs) stacked
+    over alg.actors' gens i (see LieAlgebraSpec.actors) and their lcm."""
     weight_zero = {}
     images = {}
     for key in keys:
@@ -668,7 +674,9 @@ def invariant_kernel(alg: LieAlgebraSpec, keys, multidegree, act) -> list:
         if tot not in weight_zero:
             weight_zero[tot] = alg.weight_zero(tot)
         if weight_zero[tot]:
-            images[key] = {(i, m): c for i in alg.actors[1] for m, c in act(i, key).items()}
+            acts = [(i, act(i, key)) for i in alg.actors[1]]
+            D = lcm(*(Di for _, (Di, _) in acts))
+            images[key] = D, [((i, m), n * (D // Di)) for i, (Di, items) in acts for m, n in items]
     return linsolve.kernel_of(images)
 
 

@@ -119,12 +119,11 @@ def poisson_traces(alg: LieAlgebraSpec, maxdeg: int) -> list:
     degree by degree (degree d forms against brackets of degree d)."""
     out = [LinearForm.one(alg)]
     for d in range(1, maxdeg + 1):
-        # the pairings times Dc, which keeps the kernel
-        images = {vec: {} for vec in monomials(alg.dim, d)}
+        images = {vec: (alg.integer_rows[0], []) for vec in monomials(alg.dim, d)}
         for va, vb, terms in _monomial_brackets(alg, d):
             for vec, n in terms:
                 if n:
-                    images[vec][va, vb] = n * _vec_factorial(vec)
+                    images[vec][1].append(((va, vb), n * _vec_factorial(vec)))
         out += [LinearForm.make(alg, ker) for ker in linsolve.kernel_of(images)]
     return out
 
@@ -173,7 +172,7 @@ def theta(f: LinearForm, rho: FormalSeriesTensor) -> PBWElement:
     for mono in pbw_basis(alg.dim, n)[1:]:
         forms[mono] = rho_product(forms[mono[:-1]], LinearForm.generator(alg, mono[-1]), rho)
 
-    sol = linsolve.preimage({mono: form.coeffs for mono, form in forms.items()}, f.coeffs)
+    sol = linsolve.preimage({mono: form.numerators for mono, form in forms.items()}, f.numerators)
     if sol is None:
         raise SingularPairing("convolution pairing matrix failed to solve")
     return PBWElement.make(convolution_bracket(rho), sol)

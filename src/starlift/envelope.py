@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 
 from ._rat import QQ, ZERO
-from .core import (LieAlgebraSpec, RMatrix, _compositions, _integer, _SparseVec, _unit,
-                   invariant_kernel)
+from .core import (LieAlgebraSpec, RMatrix, _cleared, _compositions, _integer, _SparseVec,
+                   _unit, invariant_kernel)
 from .errors import AlgebraMismatch, IndexOutOfRange, UnsortedMonomial
 
 
@@ -167,7 +167,7 @@ def center(alg: LieAlgebraSpec, maxdeg: int) -> list:
     """Basis of {z : filtration <= maxdeg, [z, x_i] = 0 for all i}: the
     invariant kernel of the commutators with alg.actors' gens."""
     def act(i, mono):
-        return pbw_commutator(PBWElement(alg, {mono: 1}), PBWElement.generator(alg, i)).coeffs
+        return pbw_commutator(PBWElement(alg, {mono: 1}), PBWElement.generator(alg, i)).numerators
 
     return [PBWElement.make(alg, vec) for vec in invariant_kernel(
         alg, pbw_basis(alg.dim, maxdeg), lambda mono: tuple(map(mono.count, range(alg.dim))),
@@ -198,8 +198,9 @@ def invariants_s_dual(alg: LieAlgebraSpec, maxdeg: int) -> list:
     """Graded basis of S(g*)^g up to degree maxdeg (the invariant kernel of
     the coadjoint action, one degree at a time), returned as LinearForms."""
     return [LinearForm.make(alg, vec) for d in range(maxdeg + 1)
-            for vec in invariant_kernel(alg, _compositions(d, alg.dim), lambda mono: mono,
-                                        lambda i, mono: coadjoint_action(alg, i, {mono: 1}))]
+            for vec in invariant_kernel(
+                    alg, _compositions(d, alg.dim), lambda mono: mono,
+                    lambda i, mono: _cleared(coadjoint_action(alg, i, {mono: 1})))]
 
 
 def dual_bracket(r: RMatrix) -> LieAlgebraSpec:

@@ -1,22 +1,22 @@
 """Sparse exact linear algebra over Q.
 
-Rows are dicts {column index: coefficient} with no zero coefficient
-stored. echelonize is Gauss-Jordan elimination in the order of sympy's
-sdm_irref: it takes the rows by descending leading column and keeps every
-pivot row fully reduced. The reduced echelon form is unique once the
-column order is fixed, so no result depends on the row order. It runs on
-primitive integer rows and forms rationals only for its answer; no floats.
+A map is given by its column images, a dict {basis key: image} whose
+insertion order is the column order. Each image, and each target, is a
+pair (D, items) as in a sparse vector's ``numerators``: n / D at each
+(key, n), D > 0, n a nonzero int, keys any hashables. kernel_of and
+preimage answer in rationals over the basis keys; rank_of takes any
+iterable of images. A column's D rescales the answers only, kernel vectors
+by D_c / D_f and solutions by D_c / D_target at pivot column c.
 
-Callers describe a map by its column images: a dict {basis key: image},
-whose insertion order is the column order, each image a dict {key:
-coefficient} over any hashable keys with no zero coefficient stored.
-kernel_of and preimage answer over the basis keys; rank_of takes any
-iterable of images. They transpose the images into rows, so the order of
-the image keys changes nothing either.
+echelonize is Gauss-Jordan elimination on integer rows {column: int} in
+sympy's sdm_irref order (rows by descending leading column, every pivot
+row primitive and fully reduced), forming rationals only for its answer.
+The reduced echelon form is unique once the column order is fixed, so no
+answer depends on the order of the rows or of the image keys.
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 from ._rat import QQ
 
@@ -49,11 +49,7 @@ def echelonize(rows) -> dict:
     pivot (the row's smallest column) and no entry in any other pivot column."""
     echelon = {}  # pivot column -> primitive integer row
     holders = {}  # column -> pivots whose rows held an entry there (may be stale)
-    cleared = []  # each row times the lcm of its denominators, as ints
-    for r in filter(None, rows):
-        m = lcm(*[v.denominator for v in r.values()])
-        cleared.append({c: v.numerator * (m // v.denominator) for c, v in r.items()})
-    for row in sorted(cleared, key=min, reverse=True):
+    for row in sorted((dict(r) for r in rows if r), key=min, reverse=True):
         for c in [c for c in row if c in echelon]:  # reduced pivot rows: one pass
             _eliminate(row, row.pop(c), echelon[c], c)
         if not row:
@@ -77,24 +73,24 @@ def echelonize(rows) -> dict:
 
 
 def _rows_of(images) -> dict:
-    """Transpose column images into {key: row}."""
+    """Transpose the numerators of column images into {key: integer row}."""
     rows = {}
-    for j, col in enumerate(images):
-        for key, v in col.items():
-            rows.setdefault(key, {})[j] = v
+    for j, (_, items) in enumerate(images):
+        for key, n in items:
+            rows.setdefault(key, {})[j] = n
     return rows
 
 
 def kernel_of(images: dict) -> list:
     """Basis of the kernel of the map sending each basis key b to images[b],
     as sparse dicts over the basis keys, one per free column, in column order."""
-    cols = list(images)
+    cols, dens = list(images), [D for D, _ in images.values()]
     echelon = echelonize(_rows_of(images.values()).values())
     out = {j: {b: QQ(1)} for j, b in enumerate(cols) if j not in echelon}
     for c, row in echelon.items():
         for j, coef in row.items():
             if j != c:
-                out[j][cols[c]] = -coef
+                out[j][cols[c]] = -coef * dens[c] / dens[j]
     return list(out.values())
 
 
@@ -103,17 +99,17 @@ def rank_of(images) -> int:
     return len(echelonize(_rows_of(images).values()))
 
 
-def preimage(images: dict, target: dict):
+def preimage(images: dict, target: tuple):
     """One exact x = {basis key: coefficient} with sum_b x[b] * images[b] =
     target, or None when there is none. Free variables are set to zero, so
     the answer is the canonical pivot-order particular solution."""
-    cols = list(images)
+    cols, dens = list(images), [D for D, _ in images.values()]
     aug = len(cols)  # the augmented column
     rows = _rows_of(images.values())
-    for key, b in target.items():
-        if b:
-            rows.setdefault(key, {})[aug] = -b
+    Dt, items = target
+    for key, n in items:
+        rows.setdefault(key, {})[aug] = -n
     echelon = echelonize(rows.values())
     if aug in echelon:
         return None
-    return {cols[c]: -row[aug] for c, row in echelon.items() if row.get(aug)}
+    return {cols[c]: -row[aug] * dens[c] / Dt for c, row in echelon.items() if row.get(aug)}

@@ -9,8 +9,8 @@ from functools import cached_property
 
 from . import linsolve
 from ._rat import QQ, ZERO
-from .core import (FormalSeriesTensor, LieAlgebraSpec, RMatrix, _nonzero, _parse_rat, _Record,
-                   _unit, combine, coproduct_insert, cyb, g_action, is_invariant,
+from .core import (FormalSeriesTensor, LieAlgebraSpec, RMatrix, _cleared, _nonzero, _parse_rat,
+                   _Record, _unit, combine, coproduct_insert, cyb, g_action, is_invariant,
                    poisson_bracket)
 from .envelope import (PBWElement, PBWTensorSquare, _co_leibniz, copoisson_delta, derivation_D,
                        dual_bracket, pbw_basis, pbw_commutator, pbw_product)
@@ -85,7 +85,7 @@ def qt_validate(g: LieAlgebraSpec, rprime) -> QTStructure:
         raise RankCertificate("internal check: CYB of the antisymmetric half")
 
     rows = itertools.groupby(t, lambda item: item[0][0])  # t is symmetric: rows are columns
-    nondegenerate = linsolve.rank_of({j: v for (_, j), v in row} for _, row in rows) == d
+    nondegenerate = linsolve.rank_of(_cleared({j: v for (_, j), v in row}) for _, row in rows) == d
     return QTStructure(g=g, rprime=rp, r=rmat, t=t, Z=Z, nondegenerate=nondegenerate)
 
 
@@ -123,7 +123,7 @@ def c_s_basis(s, maxdeg: int, qt: QTStructure) -> list:
     dual = qt.dual
     key = ("c_s_basis", QQ(s), maxdeg)
     if key not in dual.memo:
-        images = {mono: c_s_map(PBWElement(dual, {mono: 1}), qt.g, s).coeffs
+        images = {mono: c_s_map(PBWElement(dual, {mono: 1}), qt.g, s).numerators
                   for mono in pbw_basis(qt.g.dim, maxdeg)}
         dual.memo[key] = [PBWElement.make(dual, vec) for vec in linsolve.kernel_of(images)]
     return list(dual.memo[key])
@@ -160,7 +160,7 @@ def sts_alpha(x: PBWElement, qt: QTStructure) -> PBWElement:
 
 
 def _alpha_images(qt: QTStructure, maxdeg: int) -> dict:
-    """{mono: alpha(mono) coefficients} over the PBW basis of the dual
+    """{mono: alpha(mono) numerators} over the PBW basis of the dual
     enveloping algebra up to filtration maxdeg, each image memoized per
     monomial and r' (with it g) on the dual. The basis is graded, so each
     sts_alpha call finds alpha(mono[1:]) in the memo."""
@@ -170,7 +170,7 @@ def _alpha_images(qt: QTStructure, maxdeg: int) -> dict:
         img = qt.dual.memo.get(key)
         if img is None:
             img = qt.dual.memo[key] = sts_alpha(PBWElement(qt.dual, {mono: 1}), qt)
-        images[mono] = img.coeffs
+        images[mono] = img.numerators
     return images
 
 
@@ -190,7 +190,7 @@ def sts_theta(z: PBWElement, qt: QTStructure) -> PBWElement:
     if not qt.nondegenerate:
         raise Degenerate("t is singular; alpha is not invertible")
 
-    sol = linsolve.preimage(_alpha_images(qt, z.filtration), z.coeffs)
+    sol = linsolve.preimage(_alpha_images(qt, z.filtration), z.numerators)
     if sol is None:
         raise SingularPairing("alpha did not reach the requested element")
     return PBWElement.make(qt.dual, sol)
@@ -248,7 +248,7 @@ def compare_images(qt: QTStructure, maxdeg: int) -> dict:
     b0 = c_s_basis(QQ(0), maxdeg, qt)
     b1 = c_s_basis(QQ(1), maxdeg, qt)
     r0, r1 = len(b0), len(b1)  # kernel_of vectors: independent, 1 at distinct free columns
-    rj = linsolve.rank_of([e.coeffs for e in b0 + b1])
+    rj = linsolve.rank_of([e.numerators for e in b0 + b1])
     return {
         "dim_C0": r0,
         "dim_C1": r1,

@@ -16,7 +16,7 @@ from itertools import product
 from math import factorial
 
 from ._rat import QQ
-from .core import FormalSeriesTensor, combine, poisson_bracket
+from .core import FormalSeriesTensor, _cleared, combine, poisson_bracket
 from .errors import NotInMSquared, RankCertificate, SlotMismatch
 from .linsolve import preimage
 
@@ -82,8 +82,8 @@ def bch_terms(max_len: int) -> tuple:
     """
     if max_len < 2:
         return ()
-    words = {w: _expand(w) for w in product((0, 1), repeat=max_len) if w[-1] != w[-2]}
-    target = {w: c for w, c in assoc_log_exp_exp(max_len).items() if len(w) == max_len}
+    words = {w: (1, _expand(w).items()) for w in product((0, 1), repeat=max_len) if w[-1] != w[-2]}
+    target = _cleared({w: c for w, c in assoc_log_exp_exp(max_len).items() if len(w) == max_len})
     x = preimage(words, target)
     if x is None:
         raise RankCertificate(f"BCH terms of length {max_len} are not a Lie element")

@@ -26,7 +26,7 @@ from starlift.cohochschild import invariant_basis, monomials
 from starlift.duality import LinearForm
 from starlift.envelope import PBWElement, coadjoint_action, pbw_basis, pbw_commutator
 
-from conftest import data_path, dense_c, from_cube, rational_rows, slot_positive_keys
+from conftest import as_pair, data_path, dense_c, from_cube, rational_rows, slot_positive_keys
 
 # ---- reference oracles: the all-generator kernels, kept verbatim ------------
 
@@ -43,7 +43,7 @@ def ref_center(alg, maxdeg):
                 col[(i, m)] = c
         images.append(col)
     out = []
-    for vec in linsolve.kernel_of(dict(enumerate(images))):
+    for vec in linsolve.kernel_of(dict(enumerate(map(as_pair, images)))):
         out.append(PBWElement.make(alg, {basis[j]: c for j, c in vec.items()}))
     return out
 
@@ -59,7 +59,7 @@ def ref_invariants_s_dual(alg, maxdeg):
                 for m, c in coadjoint_action(alg, i, {mono: QQ(1)}).items():
                     col[(i, m)] = c
             images.append(col)
-        for vec in linsolve.kernel_of(dict(enumerate(images))):
+        for vec in linsolve.kernel_of(dict(enumerate(map(as_pair, images)))):
             out.append(LinearForm.make(alg, {monos[j]: c for j, c in vec.items()}))
     return out
 
@@ -113,7 +113,7 @@ def ref_invariant_basis(alg, k, N):
         images.append(col)
 
     out = []
-    for vec in linsolve.kernel_of(dict(enumerate(images))):
+    for vec in linsolve.kernel_of(dict(enumerate(map(as_pair, images)))):
         items = {kept[j]: v for j, v in vec.items()}
         out.append(FormalSeriesTensor.make(alg, k, N, items))
     return out

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -566,26 +567,20 @@ def test_backends_print_the_same_bytes(argv):
     assert (default.returncode, default.stdout) == (fraction.returncode, fraction.stdout)
 
 
-# The co-Hochschild, lift, envelope, qt, duality, sparse-vector, core and star
-# unit tests themselves (the record checks among them), the all-generator kernel
-# oracles, the dense ad-invariance oracle, the Fraction oracles of the tensor
-# and dual-side bracket kernels, the differential oracle and the linsolve
-# tests with their sympy and Fraction-elimination oracles, with assert
-# statements stripped from the package.
-def test_unit_tests_under_python_O():
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(Path(starlift.__file__).parent.parent))
-    proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "tests/test_cohochschild.py", "tests/test_lifts.py",
-                           "tests/test_envelope.py", "tests/test_qt.py", "tests/test_duality.py",
-                           "tests/test_sparse_vec.py", "tests/test_core.py",
-                           "tests/test_star.py", "tests/test_actor_oracle.py",
-                           "tests/test_validation.py", "tests/test_kernel_oracle.py",
-                           "tests/test_dual_kernel_oracle.py",
-                           "tests/test_differential_oracle.py", "tests/test_linsolve.py",
-                           "tests/test_linsolve_oracle.py"],
-                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout[-2000:]
+# The unit test files of conftest.PYTHON_O_ARGV under python -O. The run
+# starts when this test is collected (see conftest.pytest_collection_modifyitems)
+# and goes on beside the rest of the session; this test, moved to the end,
+# waits for it.
+def test_unit_tests_under_python_O(python_O_run):
+    proc, stdout = python_O_run["proc"], python_O_run["stdout"]
+    try:
+        proc.wait(timeout=max(0.0, python_O_run["start"] + 300 - time.monotonic()))
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+        raise
+    stdout.seek(0)
+    assert proc.returncode == 0, stdout.read()[-2000:]
 
 
 def test_package_has_no_assert_or_debug():

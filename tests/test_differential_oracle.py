@@ -22,7 +22,7 @@ from starlift.cohochschild import (Cochain, _compositions_positive, _d_integer, 
                                    _multidegree_blocks, _multidegree_keys,
                                    invariant_basis, monomials, solve_coboundary)
 
-from conftest import data_path, slot_positive_keys
+from conftest import as_pair, data_path, slot_positive_keys
 from test_kernel_oracle import ALGEBRAS, COEFFS, tensors
 
 # ---- reference oracles: the Fraction differential and solve, kept verbatim --
@@ -64,7 +64,8 @@ def ref_solve_coboundary(c, invariant_only):
 
     value = FormalSeriesTensor.zero(alg, k - 1, N)
     for basis, target in pieces:
-        sol = linsolve.preimage(dict(enumerate(ref_d_raw(v).coeffs for v in basis)), target)
+        sol = linsolve.preimage(dict(enumerate(ref_d_raw(v).numerators for v in basis)),
+                                as_pair(target))
         assert sol is not None
         for j, x in sol.items():
             value = value + basis[j].scale(x)
@@ -126,9 +127,9 @@ def test_d_monomial_is_d_of_the_unit_monomial(data):
     k = data.draw(st.integers(1, 3))
     N = data.draw(st.integers(k, 5))
     key = data.draw(st.sampled_from(_keys(alg.dim, k, N)))
-    image = _d_monomial(key)
-    assert all(type(n) is int and n for n in image.values())
-    assert image == ref_d_raw(_monomial_fst(alg, key, N)).coeffs
+    D, image = _d_monomial(key)
+    assert D == 1 and all(type(n) is int and n for _, n in image)
+    assert dict(image) == ref_d_raw(_monomial_fst(alg, key, N)).coeffs
 
 
 @settings(max_examples=200, deadline=None)
@@ -153,15 +154,17 @@ def integer_cochains(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(integer_cochains())
-def test_d_integer_is_d_raw_by_reduced_coproducts(case):
+@given(integer_cochains(), st.integers(1, 6))
+def test_d_integer_is_d_raw_by_reduced_coproducts(case, D):
     """The signed proper splits of each slot give d_raw's k + 2 faces, in
-    integers, with every slot of every image key nonconstant."""
+    integer numerators over the same D, with every slot of every image key
+    nonconstant."""
     dim, k, N, vec = case
-    got = _d_integer(vec)
-    assert all(type(n) is int and n for n in got.values())
-    assert all(all(map(any, key)) for key in got)
-    assert got == _d_raw(FormalSeriesTensor(_abelian(dim), k, N, vec)).coeffs
+    Dout, got = _d_integer((D, list(vec.items())))
+    assert Dout == D and all(type(n) is int and n for _, n in got)
+    assert all(all(map(any, key)) for key, _ in got)
+    assert ({key: QQ(n, D) for key, n in got}
+            == _d_raw(FormalSeriesTensor(_abelian(dim), k, N, vec, D)).coeffs)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,8 +1,14 @@
+import ast
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import starlift
 from starlift._rat import QQ
 from starlift.linsolve import echelonize, kernel_of, preimage, rank_of
+
+from conftest import as_pair, cleared
 
 rationals = st.builds(QQ, st.integers(-9, 9), st.integers(1, 9))
 matrices = st.lists(
@@ -22,17 +28,19 @@ def _cols(rows, ncols):
     return cols
 
 
-# The row-form systems below, posed through the column-image entry points.
+# The row-form systems below, posed through the column-image entry points
+# as (D, items) pairs.
 def solve(rows, rhs, ncols):
-    return preimage(dict(enumerate(_cols(rows, ncols))), {i: b for i, b in enumerate(rhs) if b})
+    return preimage(dict(enumerate(map(as_pair, _cols(rows, ncols)))),
+                    as_pair({i: b for i, b in enumerate(rhs) if b}))
 
 
 def rank(rows, ncols=5):
-    return rank_of(_cols(rows, ncols))
+    return rank_of(map(as_pair, _cols(rows, ncols)))
 
 
 def kernel_basis(rows, ncols):
-    return kernel_of(dict(enumerate(_cols(rows, ncols))))
+    return kernel_of(dict(enumerate(map(as_pair, _cols(rows, ncols)))))
 
 
 def test_solve_unique():
@@ -95,8 +103,8 @@ def test_echelon_and_rref_consistency():
         {0: QQ(1), 2: QQ(1)},
         {1: QQ(-1), 2: QQ(1)},
     ]
-    ech = echelonize(rows)
-    red = echelonize(rows)
+    ech = echelonize(list(map(cleared, rows)))
+    red = echelonize(list(map(cleared, rows)))
     assert len(ech) == len(red) == 2
     for pivot, row in red.items():
         assert row[pivot] == QQ(1)
@@ -154,3 +162,21 @@ def test_exactness_with_awkward_fractions():
     sol = solve(rows, rhs, 2)
     assert QQ(1, 3) * sol[0] + QQ(1, 7) * sol[1] == QQ(1)
     assert QQ(1, 11) * sol[0] - QQ(1, 13) * sol[1] == QQ(0)
+
+
+def test_no_caller_builds_a_rational_view_to_solve():
+    """Every column and target reaches kernel_of, rank_of and preimage as a
+    (D, items) pair: no call to them in the package reads a sparse vector's
+    rational ``coeffs`` view among its arguments."""
+    calls, found = 0, []
+    for path in sorted(Path(starlift.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            func = getattr(node, "func", None)
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if isinstance(node, ast.Call) and name in ("kernel_of", "rank_of", "preimage"):
+                calls += 1
+                found += [f"{path.name}:{sub.lineno}" for arg in node.args + node.keywords
+                          for sub in ast.walk(arg)
+                          if isinstance(sub, ast.Attribute) and sub.attr == "coeffs"]
+    assert calls >= 10
+    assert found == []

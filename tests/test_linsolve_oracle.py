@@ -1,8 +1,11 @@
 """The column-image entry points of linsolve against sympy's DomainMatrix
-over QQ, their independence of key order, answers over the basis keys as
-the positional answers relabelled, the integer elimination against the
-Fraction elimination it replaced, and c_s_graded_dims against the
-successive-difference computation it replaced."""
+over QQ, on columns with their own denominators too, their independence of
+key order, answers over the basis keys as the positional answers
+relabelled, the integer elimination against the Fraction elimination it
+replaced, and c_s_graded_dims against the successive-difference
+computation it replaced. The rational columns drawn here reach linsolve as
+(D, items) pairs (conftest.as_pair); echelonize gets integer rows
+(conftest.cleared), and its Fraction oracle the rational rows."""
 import math
 from unittest import mock
 
@@ -16,6 +19,8 @@ from starlift import c_s_basis, c_s_graded_dims, qt_validate
 from starlift import linsolve
 from starlift._rat import QQ, ZERO
 from starlift.linsolve import echelonize, kernel_of, preimage, rank_of
+
+from conftest import as_pair, cleared
 
 # Keys are arbitrary hashables, as the callers use them: ints, strings,
 # monomial tuples and (generator, monomial) pairs.
@@ -79,14 +84,19 @@ def _canonical_solution(M, ncols):
     return {c: _q(R[i][ncols]) for i, c in enumerate(pivots) if R[i][ncols]}
 
 
+def _columns(images):
+    """The rational images as positional (D, items) columns."""
+    return dict(enumerate(map(as_pair, images)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(systems())
 def test_entry_points_match_sympy(system):
     keys, images, target = system
     M = _oracle(keys, images)
-    assert rank_of(images) == M.rank()
-    assert kernel_of(dict(enumerate(images))) == _rref_nullspace(M, len(images))
-    x = preimage(dict(enumerate(images)), target)
+    assert rank_of(map(as_pair, images)) == M.rank()
+    assert kernel_of(_columns(images)) == _rref_nullspace(M, len(images))
+    x = preimage(_columns(images), as_pair(target))
     assert x == _canonical_solution(_oracle(keys, images, target), len(images))
     if x is not None:
         image = {}
@@ -107,10 +117,10 @@ def test_key_order_changes_nothing(system, rnd):
         return {key: col[key] for key in order if key in col}
 
     shuffled = [reordered(col) for col in images]
-    assert kernel_of(dict(enumerate(shuffled))) == kernel_of(dict(enumerate(images)))
-    assert rank_of(shuffled) == rank_of(images)
-    assert (preimage(dict(enumerate(shuffled)), reordered(target))
-            == preimage(dict(enumerate(images)), target))
+    assert kernel_of(_columns(shuffled)) == kernel_of(_columns(images))
+    assert rank_of(map(as_pair, shuffled)) == rank_of(map(as_pair, images))
+    assert (preimage(_columns(shuffled), as_pair(reordered(target)))
+            == preimage(_columns(images), as_pair(target)))
 
 
 @st.composite
@@ -142,18 +152,18 @@ def test_keyed_answers_are_positional_answers_relabelled(system):
     answers (which sympy's RREF confirms) with position j renamed to the j-th
     key inserted: the insertion order, not the key order, fixes the answer."""
     keys, labels, images, target = system
-    keyed = dict(zip(labels, images))
-    positional = dict(enumerate(images))
+    keyed = dict(zip(labels, map(as_pair, images)))
+    positional = _columns(images)
 
     kernel = kernel_of(positional)
     assert kernel == _rref_nullspace(_oracle(keys, images), len(images))
     assert kernel  # rank-deficient
     assert kernel_of(keyed) == [{labels[j]: c for j, c in vec.items()} for vec in kernel]
 
-    x = preimage(positional, target)
+    x = preimage(positional, as_pair(target))
     assert x == _canonical_solution(_oracle(keys, images, target), len(images))
     relabelled = None if x is None else {labels[j]: c for j, c in x.items()}
-    assert preimage(keyed, target) == relabelled
+    assert preimage(keyed, as_pair(target)) == relabelled
 
 
 # ---- the Fraction elimination, kept verbatim as the oracle of the integer one ---
@@ -246,16 +256,17 @@ def test_integer_elimination_answers_as_the_fraction_elimination(rows, data):
     """The same pivots in the same order, every row with the same entries in
     the same key order, and the same kernels, ranks and preimages, on targets
     inside the image and outside it."""
-    echelon, ref = echelonize(rows), ref_echelonize(rows)
+    echelon, ref = echelonize(list(map(cleared, rows))), ref_echelonize(rows)
     assert echelon == ref
     assert list(echelon) == list(ref)
     for c in ref:
         assert list(echelon[c].items()) == list(ref[c].items())
 
-    images = _cols_of(rows)
+    cols = _cols_of(rows)
+    images = {c: as_pair(col) for c, col in cols.items()}
     coeffs = data.draw(st.lists(SMALL | st.just(0), min_size=len(images), max_size=len(images)))
-    inside = _combination(list(images.values()), coeffs)
-    outside = data.draw(st.dictionaries(st.integers(0, len(rows) - 1), ENTRIES["mixed"]))
+    inside = as_pair(_combination(list(cols.values()), coeffs))
+    outside = as_pair(data.draw(st.dictionaries(st.integers(0, len(rows) - 1), ENTRIES["mixed"])))
     answers = [kernel_of(images), rank_of(images.values()),
                preimage(images, inside), preimage(images, outside)]
     assert answers[2] is not None
@@ -278,12 +289,58 @@ def test_every_pivot_row_is_primitive_with_a_positive_pivot(rows):
         return out
 
     with mock.patch.object(linsolve, "_primitive", recorded):
-        echelonize(rows)
+        echelonize(list(map(cleared, rows)))
     assert kept
     for row, p in kept:
         assert p == min(row) and row[p] > 0
         assert all(type(v) is int for v in row.values())
         assert math.gcd(*row.values()) == 1
+
+
+@st.composite
+def pair_systems(draw):
+    """(keys, columns, rational, target, rational target): columns drawn as
+    (D, items) pairs, each with its own D in 1..12 over nonzero integer
+    numerators, so that a pair need not be in lowest terms; the rational
+    columns they stand for; a column that combines the others, when drawn,
+    so that the system is rank-deficient; and a target pair, in the image
+    or drawn freely, with its rational values."""
+    keys = draw(st.lists(KEYS, unique=True, min_size=1, max_size=6))
+    numerators = st.dictionaries(st.sampled_from(keys), SMALL)
+    columns = [(D, list(nums.items())) for D, nums in
+               draw(st.lists(st.tuples(st.integers(1, 12), numerators), max_size=6))]
+
+    def pair(col):  # col as a pair over a multiple of its lcm denominator
+        D, items = as_pair(col)
+        m = draw(st.integers(1, 4))
+        return D * m, [(key, n * m) for key, n in items]
+
+    rational = [{key: QQ(n, D) for key, n in items} for D, items in columns]
+    combo = _combination(rational, draw(st.lists(NONZERO, min_size=len(columns),
+                                                 max_size=len(columns))))
+    if columns and draw(st.booleans()):
+        at = draw(st.integers(0, len(columns)))
+        columns.insert(at, pair(combo))
+        rational.insert(at, combo)
+    if draw(st.booleans()):
+        target = combo
+    else:
+        target = draw(st.dictionaries(st.sampled_from(keys), NONZERO))
+    return keys, columns, rational, pair(target), target
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair_systems())
+def test_pair_columns_match_sympy_on_their_rational_matrix(system):
+    """Each column with its own denominator: kernel_of's vectors rescaled by
+    D_c / D_f and preimage's solution by D_c / D_target are the answers of
+    sympy's RREF on the rational matrix the pairs stand for."""
+    keys, columns, rational, target, rational_target = system
+    M = _oracle(keys, rational)
+    assert rank_of(columns) == M.rank()
+    assert kernel_of(dict(enumerate(columns))) == _rref_nullspace(M, len(columns))
+    assert (preimage(dict(enumerate(columns)), target)
+            == _canonical_solution(_oracle(keys, rational, rational_target), len(columns)))
 
 
 def successive_difference_dims(s, maxdeg, qt):
