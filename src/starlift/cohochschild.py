@@ -19,6 +19,7 @@ import itertools
 from collections import Counter
 from functools import cache
 from math import factorial, perm, prod
+from operator import itemgetter
 
 from . import linsolve
 from .core import (
@@ -110,18 +111,46 @@ def _monomial_fst(alg, key, N):
     return FormalSeriesTensor(alg, len(key), N, {key: 1})
 
 
+def _weight_zero_keys(alg: LieAlgebraSpec, degs) -> list:
+    """The keys of slot degrees degs whose multidegree has weight zero, in
+    itertools.product order: slot weights add, so each prefix meets the last
+    slot's monomials of the weight that cancels its own."""
+    slots = [[(vec, alg.weight(vec)) for vec in monomials(alg.dim, d)] for d in degs]
+    last, zero = {}, alg.weight((0,) * alg.dim)
+    for vec, w in slots.pop():
+        last.setdefault(tuple(-x for x in w), []).append(vec)
+    return [(*(vec for vec, _ in prefix), vec) for prefix in itertools.product(*slots)
+            for vec in last.get(tuple(map(sum, zip(zero, *(w for _, w in prefix)))), ())]
+
+
 def invariant_basis(alg: LieAlgebraSpec, k: int, N: int):
     """Basis of ((S^{>0}(g))^{(x)k})^g_N as a list of FormalSeriesTensor,
     deterministic: the kernel over the weight-zero keys of alg.actors' gens.
-    g keeps each slot's degree, so each slot-degree composition is its own
-    kernel; merged by free column, the largest key of a reduced kernel
-    vector, they list what the one kernel over all keys would."""
-    vecs = []
+    g keeps slot degrees and acts slot by slot, so one kernel is solved per
+    orbit of slot-degree compositions under slot permutations, at its sorted
+    composition, first in the orbit; the others move its vectors' slots and
+    re-reduce them with pivots at their largest keys, as kernel_of's are (with
+    no gens, moved unit vectors already are). Merged by that key, they list
+    what the one kernel over all keys would."""
+    vecs, kernels = [], {}
     for degs in _compositions_positive(N, k):
-        keys = itertools.product(*(monomials(alg.dim, d) for d in degs))
-        vecs += invariant_kernel(alg, keys, lambda key: tuple(map(sum, zip(*key))),
-                                 lambda i, key: g_action(i, _monomial_fst(alg, key, N)).numerators)
-    return [FormalSeriesTensor.make(alg, k, N, items) for items in sorted(vecs, key=max)]
+        rep = tuple(sorted(degs))
+        if rep == degs:
+            kernels[rep] = [FormalSeriesTensor.make(alg, k, N, v) for v in invariant_kernel(
+                alg, _weight_zero_keys(alg, degs), lambda key: tuple(map(sum, zip(*key))),
+                lambda i, key: g_action(i, _monomial_fst(alg, key, N)).numerators)]
+            vecs += kernels[rep]
+            continue
+        order = sorted(range(k), key=degs.__getitem__)  # rep's slot i moves to slot order[i]
+        move = itemgetter(*sorted(range(k), key=order.__getitem__))  # j reads i, order[i] = j
+        moved = [{move(key): n for key, n in v.numerators[1]} for v in kernels[rep]]
+        if alg.actors[1]:
+            cols = sorted({key for v in moved for key in v}, reverse=True)
+            at = {key: j for j, key in enumerate(cols)}
+            echelon = linsolve.echelonize({at[key]: n for key, n in v.items()} for v in moved)
+            moved = [{cols[j]: c for j, c in row.items()} for row in echelon.values()]
+        vecs += (FormalSeriesTensor.make(alg, k, N, v) for v in moved)
+    return sorted(vecs, key=lambda v: max(v.numerators[1])[0])
 
 
 def _multidegree_blocks(keys, dim: int) -> dict:

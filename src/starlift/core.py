@@ -150,9 +150,13 @@ class LieAlgebraSpec(_Record):
                         span.append(w)
         return tuple(weights), tuple(gens)
 
+    def weight(self, vec) -> tuple:
+        """Dc times each diagonal actor's eigenvalue on x^vec, additive in vec."""
+        return tuple(sum(vec[j] * n for j, n in lam) for lam in self._integer_weights.values())
+
     def weight_zero(self, vec) -> bool:
         """Whether every diagonal actor kills x^vec (vec an exponent vector)."""
-        return not any(sum(vec[j] * n for j, n in lam) for lam in self._integer_weights.values())
+        return not any(self.weight(vec))
 
     def validate(self):
         bad = _asymmetry(self.brackets)
@@ -368,6 +372,7 @@ def _asymmetry(items):
                default=None)
 
 
+@cache
 def _unit(dim: int, i: int) -> Vec:
     return tuple(1 if t == i else 0 for t in range(dim))
 
@@ -710,12 +715,34 @@ def _compositions(total: int, parts: int):
 def coproduct_insert(f: FormalSeriesTensor, blocks, n: int) -> FormalSeriesTensor:
     """f^{I_1,...,I_m}: distribute each slot of f over its block of target
     slots with the cocommutative coproduct (x primitive), unit-filling
-    uncovered slots. Blocks use the target slots 0..n-1."""
-    blocks = [tuple(b) for b in blocks]
+    uncovered slots. Blocks use the target slots 0..n-1. Every target key
+    is read off one flat tuple, the unit, f's key, then each split block's
+    pieces, by an index template fixed per block layout; keys come in
+    first-hit order over f's keys and the product of the splits."""
+    blocks = tuple(map(tuple, blocks))
     if len(blocks) != f.k:
         raise SlotMismatch(
             f"{f.k}-slot tensor needs {f.k} blocks, got {len(blocks)}"
         )
+    split, get = _insert_template(blocks, n)
+    unit = (tuple([0] * f.alg.dim),)
+    D, items = f.numerators
+    out = {}
+    for key, weight0 in items:  # each key's insertion in first-hit key order
+        pieces = [(unit + key, weight0)]
+        for j, parts in split:  # each split of slot j after every earlier choice
+            pieces = [(p + vecs, c * w) for p, c in pieces for vecs, w in _splits(key[j], parts)]
+        for p, c in pieces:
+            nk = get(p)
+            out[nk] = out.get(nk, 0) + c
+    return FormalSeriesTensor(f.alg, n, f.N, out, D)
+
+
+@cache
+def _insert_template(blocks: tuple, n: int) -> tuple:
+    """((index, size) of each split block, the getter of a target key from
+    the flat tuple) of a valid block layout; itemgetter of one index returns
+    the item, not a 1-tuple."""
     seen = set()
     for b in blocks:
         if not b:
@@ -727,29 +754,12 @@ def coproduct_insert(f: FormalSeriesTensor, blocks, n: int) -> FormalSeriesTenso
     for t in seen:
         if not 0 <= t < n:
             raise IndexOutOfRange(f"target slot {t} outside 0..{n - 1}")
-
-    unit_fill = [tuple([0] * f.alg.dim)] * n
-    D, items = f.numerators
-    out = {}
-    for key, weight0 in items:  # each key's insertion in first-hit key order
-        base = unit_fill.copy()
-        split, per_slot = [], []
-        for vec, block in zip(key, blocks):
-            if len(block) == 1:  # a singleton block takes the slot as it is, with weight 1
-                base[block[0]] = vec
-            else:
-                split.append(block)
-                per_slot.append(_splits(vec, len(block)))
-        for combo in itertools.product(*per_slot):
-            weight = weight0
-            new_key = base.copy()
-            for block, (vecs, w) in zip(split, combo):
-                weight *= w
-                for t, v in zip(block, vecs):
-                    new_key[t] = v
-            nk = tuple(new_key)
-            out[nk] = out.get(nk, 0) + weight
-    return FormalSeriesTensor(f.alg, n, f.N, out, D)
+    split = tuple((j, len(b)) for j, b in enumerate(blocks) if len(b) > 1)
+    at = {b[0]: j for j, b in enumerate(blocks, 1) if len(b) == 1}  # 0 holds the unit
+    at.update(zip((t for j, _ in split for t in blocks[j]), itertools.count(len(blocks) + 1)))
+    template = [at.get(t, 0) for t in range(n)]
+    return split, (itemgetter(*template) if n > 1
+                   else lambda flat: tuple(flat[p] for p in template))
 
 
 @cache

@@ -154,8 +154,10 @@ ALGEBRAS = {
     "sl2*2/3": _rescaled(_SL2, QQ(2, 3)),
     "sl2(h,e+f,e-f)": _rebased(_SL2, _HEF, _HEF_INV),
 }
-# sl3's kernels grow fast, so its rung is lower
-SIZES = {name: (3 if name == "sl3" else 4) for name in ALGEBRAS}
+# sl3's kernels grow fast, so its rung is lower; at the dim-3 rung, N = 6,
+# invariant_basis moves the kernel of the slot-degree composition (1, 2, 3)
+# to its five other orders
+SIZES = {name: 3 if name == "sl3" else 6 if alg.dim == 3 else 4 for name, alg in ALGEBRAS.items()}
 
 
 @st.composite

@@ -514,10 +514,14 @@ def test_scaled_sl2_report_bytes(capsys, tmp_path, argv):
 
 
 # The BCH derivation, its RankCertificate guard and the typed operand checks
-# of the four sparse types must hold when python -O strips assert statements.
+# of the four sparse types must hold when python -O strips assert statements,
+# and so must the moved orbit kernels of invariant_basis (the lift to degree 7
+# solves over the six orders of the slot degrees (1, 2, 4)).
 @pytest.mark.parametrize("argv", [("lift", "sl2", "--degree", "5"),
                                   ("lift", "nonabelian2", "--degree", "9", "--allow-large"),
                                   ("cohomology", "sl2", "--degree", "4"),
+                                  ("cohomology", "nonabelian2", "--degree", "6"),
+                                  ("lift", "sl2", "--degree", "7"),
                                   ("theta", "sl2", "--degree", "3", "--maxdeg", "3"),
                                   ("theta", "sl2", "--maxdeg", "4"),
                                   ("theta", "sl2", "--degree", "6", "--maxdeg", "3"),
