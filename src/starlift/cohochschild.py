@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial, perm, prod
 from operator import itemgetter
 
@@ -133,12 +133,13 @@ def invariant_basis(alg: LieAlgebraSpec, k: int, N: int):
     no gens, moved unit vectors already are). Merged by that key, they list
     what the one kernel over all keys would."""
     vecs, kernels = [], {}
+    monomial = lru_cache(1)(lambda key: _monomial_fst(alg, key, N))  # gens act in turn
     for degs in _compositions_positive(N, k):
         rep = tuple(sorted(degs))
         if rep == degs:
             kernels[rep] = [FormalSeriesTensor.make(alg, k, N, v) for v in invariant_kernel(
                 alg, _weight_zero_keys(alg, degs), lambda key: tuple(map(sum, zip(*key))),
-                lambda i, key: g_action(i, _monomial_fst(alg, key, N)).numerators)]
+                lambda i, key: g_action(i, monomial(key)).numerators)]
             vecs += kernels[rep]
             continue
         order = sorted(range(k), key=degs.__getitem__)  # rep's slot i moves to slot order[i]

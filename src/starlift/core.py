@@ -701,15 +701,13 @@ def _splits(vec: Vec, parts: int) -> tuple:
     return tuple(out)
 
 
-def _compositions(total: int, parts: int):
+@cache
+def _compositions(total: int, parts: int) -> tuple:
     """The ways to write total as `parts` nonnegative integers, in lex order."""
     if parts < 2:
-        if total == 0 or (parts == 1 and total > 0):
-            yield (total,) * parts
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        return ((total,) * parts,) if total == 0 or (parts == 1 and total > 0) else ()
+    return tuple((first,) + rest for first in range(total + 1)
+                 for rest in _compositions(total - first, parts - 1))
 
 
 def coproduct_insert(f: FormalSeriesTensor, blocks, n: int) -> FormalSeriesTensor:

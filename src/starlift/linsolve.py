@@ -90,7 +90,7 @@ def kernel_of(images: dict) -> list:
     for c, row in echelon.items():
         for j, coef in row.items():
             if j != c:
-                out[j][cols[c]] = -coef * dens[c] / dens[j]
+                out[j][cols[c]] = QQ(-coef.numerator * dens[c], coef.denominator * dens[j])
     return list(out.values())
 
 
@@ -112,4 +112,5 @@ def preimage(images: dict, target: tuple):
     echelon = echelonize(rows.values())
     if aug in echelon:
         return None
-    return {cols[c]: -row[aug] * dens[c] / Dt for c, row in echelon.items() if row.get(aug)}
+    return {cols[c]: QQ(-row[aug].numerator * dens[c], row[aug].denominator * Dt)
+            for c, row in echelon.items() if row.get(aug)}
