@@ -128,30 +128,31 @@ def invariant_basis(alg: LieAlgebraSpec, k: int, N: int):
     deterministic: the kernel over the weight-zero keys of alg.actors' gens.
     g keeps slot degrees and acts slot by slot, so one kernel is solved per
     orbit of slot-degree compositions under slot permutations, at its sorted
-    composition, first in the orbit; the others move its vectors' slots and
-    re-reduce them with pivots at their largest keys, as kernel_of's are (with
-    no gens, moved unit vectors already are). Merged by that key, they list
-    what the one kernel over all keys would."""
+    composition, first in the orbit; the others move the slots of its (D,
+    {key: n}) vectors and re-reduce them, each echelon row over its pivot
+    entry, with pivots at their largest keys as kernel_of's (no gens: moved
+    unit vectors are). Sorted by that key, the pairs become the series that
+    one kernel over all keys gives."""
     vecs, kernels = [], {}
     monomial = lru_cache(1)(lambda key: _monomial_fst(alg, key, N))  # gens act in turn
     for degs in _compositions_positive(N, k):
         rep = tuple(sorted(degs))
         if rep == degs:
-            kernels[rep] = [FormalSeriesTensor.make(alg, k, N, v) for v in invariant_kernel(
+            kernels[rep] = invariant_kernel(
                 alg, _weight_zero_keys(alg, degs), lambda key: tuple(map(sum, zip(*key))),
-                lambda i, key: g_action(i, monomial(key)).numerators)]
+                lambda i, key: g_action(i, monomial(key)).numerators)
             vecs += kernels[rep]
             continue
         order = sorted(range(k), key=degs.__getitem__)  # rep's slot i moves to slot order[i]
         move = itemgetter(*sorted(range(k), key=order.__getitem__))  # j reads i, order[i] = j
-        moved = [{move(key): n for key, n in v.numerators[1]} for v in kernels[rep]]
+        moved = [(D, {move(key): n for key, n in v.items()}) for D, v in kernels[rep]]
         if alg.actors[1]:
-            cols = sorted({key for v in moved for key in v}, reverse=True)
+            cols = sorted({key for _, v in moved for key in v}, reverse=True)
             at = {key: j for j, key in enumerate(cols)}
-            echelon = linsolve.echelonize({at[key]: n for key, n in v.items()} for v in moved)
-            moved = [{cols[j]: c for j, c in row.items()} for row in echelon.values()]
-        vecs += (FormalSeriesTensor.make(alg, k, N, v) for v in moved)
-    return sorted(vecs, key=lambda v: max(v.numerators[1])[0])
+            echelon = linsolve.echelonize({at[key]: n for key, n in v.items()} for _, v in moved)
+            moved = [(row[c], {cols[j]: n for j, n in row.items()}) for c, row in echelon.items()]
+        vecs += moved
+    return [FormalSeriesTensor(alg, k, N, v, D) for D, v in sorted(vecs, key=lambda p: max(p[1]))]
 
 
 def _multidegree_blocks(keys, dim: int) -> dict:
@@ -230,24 +231,23 @@ def solve_coboundary(c: Cochain, invariant_only: bool = False) -> Cochain:
     if invariant_only and not is_invariant(c.value):
         raise NotInvariant("cochain is not g-invariant")
 
-    target = c.value.numerators
+    target, terms, D0 = c.value.numerators, [(1, FormalSeriesTensor.zero(alg, k - 1, N))], 1
     if invariant_only:
         basis = invariant_basis(alg, k - 1, N)
-        sol = _preimage(c, dict(enumerate(_d_integer(v.numerators) for v in basis)), target)
-        beta = (combine([(x, basis[j]) for j, x in sol.items()]) if sol
-                else FormalSeriesTensor.zero(alg, k - 1, N))
+        D0, sol = _preimage(c, dict(enumerate(_d_integer(v.numerators) for v in basis)), target)
+        terms += [(n, basis[j]) for j, n in sol.items()]
     else:
         # a multidegree block's columns are the monomials, so its solution
         # holds the coefficients
-        D, nums, items = target[0], dict(target[1]), {}
+        D, nums = target[0], dict(target[1])
         for tot, rhs_keys in sorted(_multidegree_blocks(nums, alg.dim).items()):
             images = {key: _d_monomial(key) for key in _multidegree_keys(tot, k - 1)}
-            items.update(_preimage(c, images, (D, [(key, nums[key]) for key in rhs_keys])))
-        beta = FormalSeriesTensor.make(alg, k - 1, N, items)
-    return Cochain.make(k - 1, N, beta)
+            Db, sol = _preimage(c, images, (D, [(key, nums[key]) for key in rhs_keys]))
+            terms.append((1, FormalSeriesTensor(alg, k - 1, N, sol, Db)))
+    return Cochain.make(k - 1, N, combine(terms, D0))
 
 
-def _preimage(c: Cochain, images: dict, target: tuple) -> dict:
+def _preimage(c: Cochain, images: dict, target: tuple) -> tuple:
     """linsolve.preimage(images, target), raising as solve_coboundary
     documents when there is none."""
     sol = linsolve.preimage(images, target)

@@ -400,12 +400,6 @@ def _integer(items) -> tuple:
     return {key: v.numerator * (D // v.denominator) for key, v in kept}, D
 
 
-def _cleared(col: dict) -> tuple:
-    """{key: rational or int} as linsolve's (D, items) column, zeros dropped."""
-    nums, D = _integer(col.items())
-    return D, nums.items()
-
-
 class _SparseVec(_Record):
     """The state shared by the four sparse types (FormalSeriesTensor,
     LinearForm, PBWElement, PBWTensorSquare): the last field, ``numerators``,
@@ -668,10 +662,10 @@ def is_invariant(f: FormalSeriesTensor) -> bool:
 
 
 def invariant_kernel(alg: LieAlgebraSpec, keys, multidegree, act) -> list:
-    """The g-invariants spanned by keys, as {key: c} dicts in kernel_of
-    order: the kernel, over the keys whose multidegree(key) has weight zero,
-    of the column images act(i, key) (linsolve's (D, items) pairs) stacked
-    over alg.actors' gens i (see LieAlgebraSpec.actors) and their lcm."""
+    """The g-invariants spanned by keys, as kernel_of's (D, {key: n}) pairs:
+    the kernel, over the keys whose multidegree(key) has weight zero, of the
+    column images act(i, key) (linsolve's (D, items) pairs) stacked over
+    alg.actors' gens i (see LieAlgebraSpec.actors) and their lcm."""
     weight_zero = {}
     images = {}
     for key in keys:

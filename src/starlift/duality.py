@@ -124,7 +124,7 @@ def poisson_traces(alg: LieAlgebraSpec, maxdeg: int) -> list:
             for vec, n in terms:
                 if n:
                     images[vec][1].append(((va, vb), n * _vec_factorial(vec)))
-        out += [LinearForm.make(alg, ker) for ker in linsolve.kernel_of(images)]
+        out += [LinearForm(alg, nums, D) for D, nums in linsolve.kernel_of(images)]
     return out
 
 
@@ -175,4 +175,4 @@ def theta(f: LinearForm, rho: FormalSeriesTensor) -> PBWElement:
     sol = linsolve.preimage({mono: form.numerators for mono, form in forms.items()}, f.numerators)
     if sol is None:
         raise SingularPairing("convolution pairing matrix failed to solve")
-    return PBWElement.make(convolution_bracket(rho), sol)
+    return PBWElement(convolution_bracket(rho), sol[1], sol[0])

@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 
 from ._rat import QQ, ZERO
-from .core import (LieAlgebraSpec, RMatrix, _cleared, _compositions, _integer, _SparseVec,
-                   _unit, invariant_kernel)
+from .core import (LieAlgebraSpec, RMatrix, _compositions, _integer, _SparseVec, _unit,
+                   invariant_kernel)
 from .errors import AlgebraMismatch, IndexOutOfRange, UnsortedMonomial
 
 
@@ -169,17 +169,16 @@ def center(alg: LieAlgebraSpec, maxdeg: int) -> list:
     def act(i, mono):
         return pbw_commutator(PBWElement(alg, {mono: 1}), PBWElement.generator(alg, i)).numerators
 
-    return [PBWElement.make(alg, vec) for vec in invariant_kernel(
+    return [PBWElement(alg, nums, D) for D, nums in invariant_kernel(
         alg, pbw_basis(alg.dim, maxdeg), lambda mono: tuple(map(mono.count, range(alg.dim))),
         act)]
 
 
-def coadjoint_action(alg: LieAlgebraSpec, i: int, form: dict) -> dict:
-    """ad*(x_i) on a polynomial in the dual variables, by Leibniz.
-
-    form maps exponent vectors over the dual basis to rationals;
-    ad*(x_i) xi_a = -sum_m c_{im}^a xi_m.
-    """
+def coadjoint_action(alg: LieAlgebraSpec, i: int, form: dict) -> tuple:
+    """ad*(x_i) on a polynomial in the dual variables, by Leibniz, as
+    (Dc, [(vec, n), ...]), n / Dc at vec: form maps exponent vectors over
+    the dual basis to ints (then every n is one) or rationals;
+    ad*(x_i) xi_a = -sum_m c_{im}^a xi_m."""
     Dc, rows = alg.integer_rows
     out: dict = {}  # the coefficients times Dc
     for m, targets in rows.get(i, {}).items():
@@ -191,16 +190,15 @@ def coadjoint_action(alg: LieAlgebraSpec, i: int, form: dict) -> dict:
                     nv[m] += 1
                     k = tuple(nv)
                     out[k] = out.get(k, 0) - coef * vec[a] * n
-    return {vec: QQ(c) / Dc for vec, c in out.items() if c}
+    return Dc, [(vec, c) for vec, c in out.items() if c]
 
 
 def invariants_s_dual(alg: LieAlgebraSpec, maxdeg: int) -> list:
     """Graded basis of S(g*)^g up to degree maxdeg (the invariant kernel of
     the coadjoint action, one degree at a time), returned as LinearForms."""
-    return [LinearForm.make(alg, vec) for d in range(maxdeg + 1)
-            for vec in invariant_kernel(
-                    alg, _compositions(d, alg.dim), lambda mono: mono,
-                    lambda i, mono: _cleared(coadjoint_action(alg, i, {mono: 1})))]
+    return [LinearForm(alg, nums, D) for d in range(maxdeg + 1)
+            for D, nums in invariant_kernel(alg, _compositions(d, alg.dim), lambda mono: mono,
+                                            lambda i, mono: coadjoint_action(alg, i, {mono: 1}))]
 
 
 def dual_bracket(r: RMatrix) -> LieAlgebraSpec:

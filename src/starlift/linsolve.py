@@ -1,24 +1,22 @@
-"""Sparse exact linear algebra over Q.
+"""Sparse exact linear algebra over Q, on integer numerators.
 
 A map is given by its column images, a dict {basis key: image} whose
-insertion order is the column order. Each image, and each target, is a
-pair (D, items) as in a sparse vector's ``numerators``: n / D at each
-(key, n), D > 0, n a nonzero int, keys any hashables. kernel_of and
-preimage answer in rationals over the basis keys; rank_of takes any
-iterable of images. A column's D rescales the answers only, kernel vectors
-by D_c / D_f and solutions by D_c / D_target at pivot column c.
+insertion order is the column order. Each image, each target and each
+answer is a pair (D, items) as in a sparse vector's ``numerators``: n / D
+at each (key, n), D > 0, n an int, keys any hashables. kernel_of and
+preimage answer (D, {basis key: n}), which a sparse type's constructor
+takes as it is; rank_of takes any iterable of images. Only numerators
+are eliminated: a column's D rescales the answers (see _answer).
 
 echelonize is Gauss-Jordan elimination on integer rows {column: int} in
 sympy's sdm_irref order (rows by descending leading column, every pivot
-row primitive and fully reduced), forming rationals only for its answer.
-The reduced echelon form is unique once the column order is fixed, so no
+row primitive and fully reduced) and returns those integer rows. The
+reduced echelon form is unique once the column order is fixed, so no
 answer depends on the order of the rows or of the image keys.
 """
 from __future__ import annotations
 
-from math import gcd
-
-from ._rat import QQ
+from math import gcd, lcm
 
 
 def _eliminate(row: dict, a: int, piv: dict, p) -> None:
@@ -45,8 +43,9 @@ def _primitive(row: dict, p) -> dict:
 
 
 def echelonize(rows) -> dict:
-    """Reduced row echelon form: map pivot column -> row, with 1 at its
-    pivot (the row's smallest column) and no entry in any other pivot column."""
+    """Reduced row echelon form: map pivot column -> primitive integer row,
+    with a positive entry at its pivot (the row's smallest column) and no
+    entry in any other pivot column."""
     echelon = {}  # pivot column -> primitive integer row
     holders = {}  # column -> pivots whose rows held an entry there (may be stale)
     for row in sorted((dict(r) for r in rows if r), key=min, reverse=True):
@@ -68,8 +67,7 @@ def echelonize(rows) -> dict:
         for cc in others:
             holders.setdefault(cc, set()).add(p)
         echelon[p] = row
-    return {c: {cc: QQ(n) for cc, n in row.items()} if row[c] == 1
-            else {cc: QQ(n, row[c]) for cc, n in row.items()} for c, row in echelon.items()}
+    return echelon
 
 
 def _rows_of(images) -> dict:
@@ -81,17 +79,28 @@ def _rows_of(images) -> dict:
     return rows
 
 
+def _answer(cols, dens, held, f, Df, free=None) -> tuple:
+    """(L * Df, {basis key: n}) with value 1 at the basis key free, when one
+    is given, then -row[f] * D_c / (P_c * Df) at the pivot column c of each
+    (c, row) pair of held, in its order, P_c = row[c] > 0; L is the lcm of
+    those P_c, and the answer need not be in lowest terms."""
+    L = lcm(*(row[c] for c, row in held))
+    nums = {} if free is None else {free: L * Df}
+    nums.update((cols[c], -row[f] * dens[c] * (L // row[c])) for c, row in held)
+    return L * Df, nums
+
+
 def kernel_of(images: dict) -> list:
     """Basis of the kernel of the map sending each basis key b to images[b],
-    as sparse dicts over the basis keys, one per free column, in column order."""
+    one (D, {basis key: n}) per free column, in column order: 1 at the free
+    column, then the values at the pivot columns, in echelon order."""
     cols, dens = list(images), [D for D, _ in images.values()]
     echelon = echelonize(_rows_of(images.values()).values())
-    out = {j: {b: QQ(1)} for j, b in enumerate(cols) if j not in echelon}
+    held = {j: [] for j in range(len(cols)) if j not in echelon}  # free column -> pivot rows
     for c, row in echelon.items():
-        for j, coef in row.items():
-            if j != c:
-                out[j][cols[c]] = QQ(-coef.numerator * dens[c], coef.denominator * dens[j])
-    return list(out.values())
+        for j in row.keys() - {c}:  # each list fills in echelon order
+            held[j].append((c, row))
+    return [_answer(cols, dens, rows, f, dens[f], cols[f]) for f, rows in held.items()]
 
 
 def rank_of(images) -> int:
@@ -100,9 +109,9 @@ def rank_of(images) -> int:
 
 
 def preimage(images: dict, target: tuple):
-    """One exact x = {basis key: coefficient} with sum_b x[b] * images[b] =
-    target, or None when there is none. Free variables are set to zero, so
-    the answer is the canonical pivot-order particular solution."""
+    """One exact x with sum_b x[b] * images[b] = target, as (D, {basis key:
+    n}), or None when there is none. Free variables are set to zero, so the
+    answer is the canonical pivot-order particular solution."""
     cols, dens = list(images), [D for D, _ in images.values()]
     aug = len(cols)  # the augmented column
     rows = _rows_of(images.values())
@@ -112,5 +121,4 @@ def preimage(images: dict, target: tuple):
     echelon = echelonize(rows.values())
     if aug in echelon:
         return None
-    return {cols[c]: QQ(-row[aug].numerator * dens[c], row[aug].denominator * Dt)
-            for c, row in echelon.items() if row.get(aug)}
+    return _answer(cols, dens, [item for item in echelon.items() if aug in item[1]], aug, Dt)

@@ -9,7 +9,7 @@ from functools import cached_property
 
 from . import linsolve
 from ._rat import QQ, ZERO
-from .core import (FormalSeriesTensor, LieAlgebraSpec, RMatrix, _cleared, _nonzero, _parse_rat,
+from .core import (FormalSeriesTensor, LieAlgebraSpec, RMatrix, _nonzero, _parse_rat,
                    _Record, _unit, combine, coproduct_insert, cyb, g_action, is_invariant,
                    poisson_bracket)
 from .envelope import (PBWElement, PBWTensorSquare, _co_leibniz, copoisson_delta, derivation_D,
@@ -84,8 +84,8 @@ def qt_validate(g: LieAlgebraSpec, rprime) -> QTStructure:
     if cyb(rmat) != Z:
         raise RankCertificate("internal check: CYB of the antisymmetric half")
 
-    rows = itertools.groupby(t, lambda item: item[0][0])  # t is symmetric: rows are columns
-    nondegenerate = linsolve.rank_of(_cleared({j: v for (_, j), v in row}) for _, row in rows) == d
+    rows = itertools.groupby(t_series.numerators[1], lambda item: item[0][0])  # t = t^T
+    nondegenerate = linsolve.rank_of((1, [(b, n) for (_, b), n in row]) for _, row in rows) == d
     return QTStructure(g=g, rprime=rp, r=rmat, t=t, Z=Z, nondegenerate=nondegenerate)
 
 
@@ -125,7 +125,7 @@ def c_s_basis(s, maxdeg: int, qt: QTStructure) -> list:
     if key not in dual.memo:
         images = {mono: c_s_map(PBWElement(dual, {mono: 1}), qt.g, s).numerators
                   for mono in pbw_basis(qt.g.dim, maxdeg)}
-        dual.memo[key] = [PBWElement.make(dual, vec) for vec in linsolve.kernel_of(images)]
+        dual.memo[key] = [PBWElement(dual, nums, D) for D, nums in linsolve.kernel_of(images)]
     return list(dual.memo[key])
 
 
@@ -193,7 +193,7 @@ def sts_theta(z: PBWElement, qt: QTStructure) -> PBWElement:
     sol = linsolve.preimage(_alpha_images(qt, z.filtration), z.numerators)
     if sol is None:
         raise SingularPairing("alpha did not reach the requested element")
-    return PBWElement.make(qt.dual, sol)
+    return PBWElement(qt.dual, sol[1], sol[0])
 
 
 def _bracket_contraction(f: FormalSeriesTensor) -> tuple:

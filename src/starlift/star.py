@@ -16,7 +16,7 @@ from itertools import product
 from math import factorial
 
 from ._rat import QQ
-from .core import FormalSeriesTensor, _cleared, combine, poisson_bracket
+from .core import FormalSeriesTensor, _integer, combine, poisson_bracket
 from .errors import NotInMSquared, RankCertificate, SlotMismatch
 from .linsolve import preimage
 
@@ -83,11 +83,11 @@ def bch_terms(max_len: int) -> tuple:
     if max_len < 2:
         return ()
     words = {w: (1, _expand(w).items()) for w in product((0, 1), repeat=max_len) if w[-1] != w[-2]}
-    target = _cleared({w: c for w, c in assoc_log_exp_exp(max_len).items() if len(w) == max_len})
-    x = preimage(words, target)
+    nums, D = _integer((w, c) for w, c in assoc_log_exp_exp(max_len).items() if len(w) == max_len)
+    x = preimage(words, (D, nums.items()))
     if x is None:
         raise RankCertificate(f"BCH terms of length {max_len} are not a Lie element")
-    return bch_terms(max_len - 1) + tuple((x[w], w) for w in sorted(x))
+    return bch_terms(max_len - 1) + tuple((QQ(x[1][w], x[0]), w) for w in sorted(x[1]))
 
 
 def _check_star_pair(f, g):

@@ -129,6 +129,16 @@ def as_pair(col):
     return D, [(key, v.numerator * (D // v.denominator)) for key, v in col.items() if v]
 
 
+def from_pair(answer):
+    """A (D, nums) answer of kernel_of, preimage, invariant_kernel or
+    coadjoint_action, nums a dict or (key, n) pairs, as {key: QQ(n, D)}:
+    the rational view its tests compare; None (no preimage) stays None."""
+    if answer is None:
+        return None
+    D, nums = answer
+    return {key: QQ(n, D) for key, n in dict(nums).items()}
+
+
 def cleared(row):
     """The row {column: rational or int} times the lcm of its denominators,
     as ints: the integer row echelonize takes."""

@@ -22,7 +22,7 @@ from starlift.cohochschild import (Cochain, _compositions_positive, _d_integer, 
                                    _multidegree_blocks, _multidegree_keys,
                                    invariant_basis, monomials, solve_coboundary)
 
-from conftest import as_pair, data_path, slot_positive_keys
+from conftest import as_pair, data_path, from_pair, slot_positive_keys
 from test_kernel_oracle import ALGEBRAS, COEFFS, tensors
 
 # ---- reference oracles: the Fraction differential and solve, kept verbatim --
@@ -64,8 +64,8 @@ def ref_solve_coboundary(c, invariant_only):
 
     value = FormalSeriesTensor.zero(alg, k - 1, N)
     for basis, target in pieces:
-        sol = linsolve.preimage(dict(enumerate(ref_d_raw(v).numerators for v in basis)),
-                                as_pair(target))
+        sol = from_pair(linsolve.preimage(dict(enumerate(ref_d_raw(v).numerators for v in basis)),
+                                          as_pair(target)))
         assert sol is not None
         for j, x in sol.items():
             value = value + basis[j].scale(x)

@@ -18,7 +18,7 @@ from starlift.envelope import PBWTensorSquare, _delta_generator, coadjoint_actio
 from starlift.errors import StarliftError
 from starlift.quasitriangular import _bracket_contraction, mu_of_rprime, qt_validate
 
-from conftest import data_path, dense_r, from_cube, rational_rows, sparse_r
+from conftest import data_path, dense_r, from_cube, from_pair, rational_rows, sparse_r
 from test_kernel_oracle import COEFFS, _rescaled, vecs
 
 # ---- reference oracles: the rational-table loops, kept verbatim -------------
@@ -148,21 +148,25 @@ def test_coadjoint_action_matches_rational_loops(data):
     alg, _ = data.draw(algebras())
     i = data.draw(st.integers(0, alg.dim - 1))
     form = data.draw(st.dictionaries(vecs(alg.dim, 3), COEFFS, min_size=1, max_size=5))
-    got = coadjoint_action(alg, i, form)
+    got = from_pair(coadjoint_action(alg, i, form))
     assert got == ref_coadjoint_action(alg, i, form)
     _exact(got.values())
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_coadjoint_action_of_int_monomials_is_rational(name):
-    """invariants_s_dual and dual_bracket pass one-term forms; an int
-    coefficient must still give rationals, never floats."""
+    """invariants_s_dual passes one-term int forms: the answer is over g's
+    integer denominator Dc, with int numerators for an int coefficient and
+    rational ones for a rational, so its values are rationals, never floats."""
     alg, _ = ALGEBRAS[name]
     for i in range(alg.dim):
         for a in range(alg.dim):
             for form in ({_unit(alg.dim, a): 1}, {_unit(alg.dim, a): ONE},
                          {tuple(2 if t in (a, i) else 0 for t in range(alg.dim)): -3}):
-                got = coadjoint_action(alg, i, form)
+                D, items = coadjoint_action(alg, i, form)
+                assert D == alg.integer_rows[0]
+                assert all(type(n) is type(*form.values()) for _, n in items)
+                got = from_pair((D, items))
                 assert got == ref_coadjoint_action(alg, i, form)
                 _exact(got.values())
 

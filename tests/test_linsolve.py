@@ -8,7 +8,7 @@ import starlift
 from starlift._rat import QQ
 from starlift.linsolve import echelonize, kernel_of, preimage, rank_of
 
-from conftest import as_pair, cleared
+from conftest import as_pair, cleared, from_pair
 
 rationals = st.builds(QQ, st.integers(-9, 9), st.integers(1, 9))
 matrices = st.lists(
@@ -29,10 +29,10 @@ def _cols(rows, ncols):
 
 
 # The row-form systems below, posed through the column-image entry points
-# as (D, items) pairs.
+# as (D, items) pairs, with the (D, nums) answers read as rationals.
 def solve(rows, rhs, ncols):
-    return preimage(dict(enumerate(map(as_pair, _cols(rows, ncols)))),
-                    as_pair({i: b for i, b in enumerate(rhs) if b}))
+    return from_pair(preimage(dict(enumerate(map(as_pair, _cols(rows, ncols)))),
+                              as_pair({i: b for i, b in enumerate(rhs) if b})))
 
 
 def rank(rows, ncols=5):
@@ -40,7 +40,7 @@ def rank(rows, ncols=5):
 
 
 def kernel_basis(rows, ncols):
-    return kernel_of(dict(enumerate(map(as_pair, _cols(rows, ncols)))))
+    return list(map(from_pair, kernel_of(dict(enumerate(map(as_pair, _cols(rows, ncols)))))))
 
 
 def test_solve_unique():
@@ -179,4 +179,71 @@ def test_no_caller_builds_a_rational_view_to_solve():
                           for sub in ast.walk(arg)
                           if isinstance(sub, ast.Attribute) and sub.attr == "coeffs"]
     assert calls >= 10
+    assert found == []
+
+
+SOLVERS = ("kernel_of", "preimage", "invariant_kernel", "_preimage")
+CLEARERS = ("make", "_integer", "_cleared")
+CONVERSIONS = ("dict", "list", "tuple", "sorted", "zip", "map", "enumerate", "iter", "reversed")
+ANSWER = object()  # a solver call's result, among the names an expression passes on
+
+
+def _callee(call):
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def _passed(node) -> set:
+    """The names whose values node passes on, with ANSWER for a solver call:
+    every name it reads, except in the arguments of a call other than a
+    builtin conversion, whose result is a new value (a method call still
+    passes on its receiver)."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Call) and _callee(node) in SOLVERS:
+        return {ANSWER}
+    if isinstance(node, ast.Call) and _callee(node) not in CONVERSIONS:
+        return _passed(node.func)
+    return set().union(*map(_passed, ast.iter_child_nodes(node)))
+
+
+def _bound(node) -> set:
+    """The names a binding target stores to."""
+    return {sub.id for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)}
+
+
+def test_no_caller_clears_a_solver_answer():
+    """linsolve imports nothing from _rat, and the (D, nums) answers of
+    kernel_of, preimage and invariant_kernel reach a constructor as they
+    are: in no function of the package does a .make, _integer or _cleared
+    call take such an answer, directly or through a name bound to one (by
+    assignment, unpacking, a for loop, a comprehension or an update)."""
+    package = Path(starlift.__file__).parent
+    linsolve_tree = ast.parse((package / "linsolve.py").read_text())
+    assert not [node for node in ast.walk(linsolve_tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module == "_rat" or "_rat" in [a.name for a in node.names])]
+    bindings, found = 0, []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            answers = {ANSWER}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and ANSWER in _passed(node.value):
+                    answers |= set().union(*map(_bound, node.targets))
+                elif (isinstance(node, (ast.For, ast.comprehension))
+                      and ANSWER in _passed(node.iter)):
+                    answers |= _bound(node.target)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and isinstance(node.func.value, ast.Name)
+                      and any(ANSWER in _passed(arg) for arg in node.args)):
+                    answers.add(node.func.value.id)
+            bindings += len(answers) - 1
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and _callee(node) in CLEARERS
+                      and any(_passed(arg) & answers
+                              for arg in node.args + [kw.value for kw in node.keywords])]
+    assert bindings >= 8
     assert found == []

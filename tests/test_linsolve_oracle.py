@@ -4,8 +4,10 @@ key order, answers over the basis keys as the positional answers
 relabelled, the integer elimination against the Fraction elimination it
 replaced, and c_s_graded_dims against the successive-difference
 computation it replaced. The rational columns drawn here reach linsolve as
-(D, items) pairs (conftest.as_pair); echelonize gets integer rows
-(conftest.cleared), and its Fraction oracle the rational rows."""
+(D, items) pairs (conftest.as_pair), and its (D, nums) answers are read as
+rationals (conftest.from_pair); echelonize gets integer rows
+(conftest.cleared), and its Fraction oracle the rational rows, whose
+answers are its primitive integer rows divided by their pivot entries."""
 import math
 from unittest import mock
 
@@ -20,7 +22,7 @@ from starlift import linsolve
 from starlift._rat import QQ, ZERO
 from starlift.linsolve import echelonize, kernel_of, preimage, rank_of
 
-from conftest import as_pair, cleared
+from conftest import as_pair, cleared, from_pair
 
 # Keys are arbitrary hashables, as the callers use them: ints, strings,
 # monomial tuples and (generator, monomial) pairs.
@@ -89,14 +91,24 @@ def _columns(images):
     return dict(enumerate(map(as_pair, images)))
 
 
+def _kernel(images: dict) -> list:
+    """kernel_of's vectors as rational dicts."""
+    return list(map(from_pair, kernel_of(images)))
+
+
+def _preimage(images: dict, target: tuple):
+    """preimage's solution as a rational dict, or None."""
+    return from_pair(preimage(images, target))
+
+
 @settings(max_examples=300, deadline=None)
 @given(systems())
 def test_entry_points_match_sympy(system):
     keys, images, target = system
     M = _oracle(keys, images)
     assert rank_of(map(as_pair, images)) == M.rank()
-    assert kernel_of(_columns(images)) == _rref_nullspace(M, len(images))
-    x = preimage(_columns(images), as_pair(target))
+    assert _kernel(_columns(images)) == _rref_nullspace(M, len(images))
+    x = _preimage(_columns(images), as_pair(target))
     assert x == _canonical_solution(_oracle(keys, images, target), len(images))
     if x is not None:
         image = {}
@@ -155,15 +167,15 @@ def test_keyed_answers_are_positional_answers_relabelled(system):
     keyed = dict(zip(labels, map(as_pair, images)))
     positional = _columns(images)
 
-    kernel = kernel_of(positional)
+    kernel = _kernel(positional)
     assert kernel == _rref_nullspace(_oracle(keys, images), len(images))
     assert kernel  # rank-deficient
-    assert kernel_of(keyed) == [{labels[j]: c for j, c in vec.items()} for vec in kernel]
+    assert _kernel(keyed) == [{labels[j]: c for j, c in vec.items()} for vec in kernel]
 
-    x = preimage(positional, as_pair(target))
+    x = _preimage(positional, as_pair(target))
     assert x == _canonical_solution(_oracle(keys, images, target), len(images))
     relabelled = None if x is None else {labels[j]: c for j, c in x.items()}
-    assert preimage(keyed, as_pair(target)) == relabelled
+    assert _preimage(keyed, as_pair(target)) == relabelled
 
 
 # ---- the Fraction elimination, kept verbatim as the oracle of the integer one ---
@@ -253,10 +265,12 @@ def _cols_of(rows):
 @settings(max_examples=400, deadline=None)
 @given(integer_and_rational_rows(), st.data())
 def test_integer_elimination_answers_as_the_fraction_elimination(rows, data):
-    """The same pivots in the same order, every row with the same entries in
-    the same key order, and the same kernels, ranks and preimages, on targets
-    inside the image and outside it."""
+    """The same pivots in the same order, every row divided by its pivot
+    entry with the same entries in the same key order, and the same kernels,
+    ranks and preimages, on targets inside the image and outside it, as
+    when linsolve eliminates by the Fraction rows, cleared."""
     echelon, ref = echelonize(list(map(cleared, rows))), ref_echelonize(rows)
+    echelon = {c: {cc: QQ(n, row[c]) for cc, n in row.items()} for c, row in echelon.items()}
     assert echelon == ref
     assert list(echelon) == list(ref)
     for c in ref:
@@ -267,12 +281,13 @@ def test_integer_elimination_answers_as_the_fraction_elimination(rows, data):
     coeffs = data.draw(st.lists(SMALL | st.just(0), min_size=len(images), max_size=len(images)))
     inside = as_pair(_combination(list(cols.values()), coeffs))
     outside = as_pair(data.draw(st.dictionaries(st.integers(0, len(rows) - 1), ENTRIES["mixed"])))
-    answers = [kernel_of(images), rank_of(images.values()),
-               preimage(images, inside), preimage(images, outside)]
+    answers = [_kernel(images), rank_of(images.values()),
+               _preimage(images, inside), _preimage(images, outside)]
     assert answers[2] is not None
-    with mock.patch.object(linsolve, "echelonize", ref_echelonize):
-        assert answers == [kernel_of(images), rank_of(images.values()),
-                           preimage(images, inside), preimage(images, outside)]
+    with mock.patch.object(linsolve, "echelonize", lambda rows: {
+            c: cleared(row) for c, row in ref_echelonize(rows).items()}):
+        assert answers == [_kernel(images), rank_of(images.values()),
+                           _preimage(images, inside), _preimage(images, outside)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -338,8 +353,8 @@ def test_pair_columns_match_sympy_on_their_rational_matrix(system):
     keys, columns, rational, target, rational_target = system
     M = _oracle(keys, rational)
     assert rank_of(columns) == M.rank()
-    assert kernel_of(dict(enumerate(columns))) == _rref_nullspace(M, len(columns))
-    assert (preimage(dict(enumerate(columns)), target)
+    assert _kernel(dict(enumerate(columns))) == _rref_nullspace(M, len(columns))
+    assert (_preimage(dict(enumerate(columns)), target)
             == _canonical_solution(_oracle(keys, rational, rational_target), len(columns)))
 
 

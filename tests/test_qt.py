@@ -37,7 +37,7 @@ from starlift.errors import CYBViolation, Degenerate, NotAntisymmetric, NotCentr
 from starlift.quasitriangular import (_d_tensor_id, alpha_matrix_rank, c_s_coderivation,
                                       mu_of_rprime)
 
-from conftest import data_path, dense_c, dense_r, rational_rows, sparse_r
+from conftest import data_path, dense_c, dense_r, from_pair, rational_rows, sparse_r
 from test_actor_oracle import _rebased, unimodular
 from test_kernel_oracle import COEFFS, _rescaled
 from test_basis_independence import _rebased_r
@@ -439,7 +439,7 @@ def ref_c_s_basis(s, maxdeg, qt):
         images.append((copoisson_delta(x, qt.g)
                        - ref_d_tensor_id(x, qt.g).scale(QQ(s))).numerators)
     return [PBWElement.make(qt.dual, {basis[j]: c for j, c in vec.items()})
-            for vec in linsolve.kernel_of(dict(enumerate(images)))]
+            for vec in map(from_pair, linsolve.kernel_of(dict(enumerate(images))))]
 
 
 @pytest.mark.parametrize("name, maxdeg", [("sl2-qt", 4), ("nonabelian2", 3)])
