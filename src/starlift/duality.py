@@ -1,7 +1,8 @@
 """Restricted-dual linear forms (envelope.LinearForm) on the function
 algebra: their pairing, the rho-twisted coproduct and convolution product,
-Poisson traces, and the filtered morphism theta from Poisson traces into
-the dual enveloping algebra.
+Poisson traces (S(g*)^g, built by envelope.invariants_s_dual and checked
+here against every monomial bracket), and the filtered morphism theta from
+Poisson traces into the dual enveloping algebra.
 
 Pairing convention: the form with single key alpha evaluates on x^beta as
 delta_{alpha beta} * alpha! (per-variable factorials). With it, untwisted
@@ -17,7 +18,7 @@ from . import linsolve
 from ._rat import ZERO
 from .cohochschild import monomials
 from .core import FormalSeriesTensor, LieAlgebraSpec, coproduct_insert, multiply
-from .envelope import LinearForm, PBWElement, pbw_basis
+from .envelope import LinearForm, PBWElement, invariants_s_dual, pbw_basis
 from .errors import NotATrace, NotInMSquared, SingularPairing, SlotMismatch, TruncationTooLow
 from .star import star_conjugate
 
@@ -105,35 +106,25 @@ def rho_product(l1: LinearForm, l2: LinearForm, rho: FormalSeriesTensor) -> Line
     return LinearForm(l1.alg, {vec: val * (D // den) for vec, val, den in vals}, D1 * D2 * D)
 
 
-def _monomial_brackets(alg: LieAlgebraSpec, d: int):
-    """(va, vb, ((vec, n), ...)) over the monomial pairs whose bracket has
-    degree d: {x^va, x^vb} = sum n/Dc x^vec, read off alg.slot_brackets."""
-    for da in range(1, d + 1):
-        for va in monomials(alg.dim, da):
-            for vb in monomials(alg.dim, d + 1 - da):
-                yield va, vb, alg.slot_brackets[va, vb][1]
-
-
 def poisson_traces(alg: LieAlgebraSpec, maxdeg: int) -> list:
-    """Basis of forms of order <= maxdeg annihilating all Poisson brackets,
-    degree by degree (degree d forms against brackets of degree d)."""
-    out = [LinearForm.one(alg)]
-    for d in range(1, maxdeg + 1):
-        images = {vec: (alg.integer_rows[0], []) for vec in monomials(alg.dim, d)}
-        for va, vb, terms in _monomial_brackets(alg, d):
-            for vec, n in terms:
-                if n:
-                    images[vec][1].append(((va, vb), n * _vec_factorial(vec)))
-        out += [LinearForm(alg, nums, D) for D, nums in linsolve.kernel_of(images)]
-    return out
+    """Basis of the forms of order <= maxdeg that kill every Poisson
+    bracket: S(g*)^g, as envelope.invariants_s_dual builds it. The
+    brackets of each degree are spanned by those with a generator, since
+    {u, v} = sum_i {x_i, (d_i u) v} (sum_i {x_i, d_i u} = sum_ij d_i d_j u
+    {x_i, x_j} = 0, symmetric against antisymmetric), and a form kills
+    every {x_i, .} exactly when it is coadjoint-invariant, the factorial
+    pairing being g-invariant."""
+    return invariants_s_dual(alg, maxdeg)
 
 
 def is_poisson_trace(l: LinearForm) -> bool:
-    """Direct check that l kills {u, v} for all monomial pairs in range."""
+    """Direct check that l kills {x^va, x^vb} for all monomial pairs in
+    range, read off alg.slot_brackets."""
+    alg = l.alg
     a = {vec: n * _vec_factorial(vec) for vec, n in l.numerators[1]}
-    return not any(sum(a.get(vec, 0) * n for vec, n in terms)
-                   for d in range(1, l.order + 1)
-                   for _, _, terms in _monomial_brackets(l.alg, d))
+    return not any(sum(a.get(vec, 0) * n for vec, n in alg.slot_brackets[va, vb][1])
+                   for d in range(1, l.order + 1) for da in range(1, d + 1)
+                   for va in monomials(alg.dim, da) for vb in monomials(alg.dim, d + 1 - da))
 
 
 def convolution_bracket(rho: FormalSeriesTensor) -> LieAlgebraSpec:

@@ -174,23 +174,21 @@ def center(alg: LieAlgebraSpec, maxdeg: int) -> list:
         act)]
 
 
-def coadjoint_action(alg: LieAlgebraSpec, i: int, form: dict) -> tuple:
-    """ad*(x_i) on a polynomial in the dual variables, by Leibniz, as
-    (Dc, [(vec, n), ...]), n / Dc at vec: form maps exponent vectors over
-    the dual basis to ints (then every n is one) or rationals;
+def coadjoint_action(alg: LieAlgebraSpec, i: int, vec: tuple) -> tuple:
+    """ad*(x_i) on the dual monomial with exponent vector vec, by Leibniz,
+    as (Dc, [(vec', n), ...]), n / Dc at vec', n an int;
     ad*(x_i) xi_a = -sum_m c_{im}^a xi_m."""
     Dc, rows = alg.integer_rows
     out: dict = {}  # the coefficients times Dc
     for m, targets in rows.get(i, {}).items():
         for a, n in targets:
-            for vec, coef in form.items():
-                if vec[a]:
-                    nv = list(vec)
-                    nv[a] -= 1
-                    nv[m] += 1
-                    k = tuple(nv)
-                    out[k] = out.get(k, 0) - coef * vec[a] * n
-    return Dc, [(vec, c) for vec, c in out.items() if c]
+            if vec[a]:
+                nv = list(vec)
+                nv[a] -= 1
+                nv[m] += 1
+                k = tuple(nv)
+                out[k] = out.get(k, 0) - vec[a] * n
+    return Dc, [(k, c) for k, c in out.items() if c]
 
 
 def invariants_s_dual(alg: LieAlgebraSpec, maxdeg: int) -> list:
@@ -198,7 +196,7 @@ def invariants_s_dual(alg: LieAlgebraSpec, maxdeg: int) -> list:
     the coadjoint action, one degree at a time), returned as LinearForms."""
     return [LinearForm(alg, nums, D) for d in range(maxdeg + 1)
             for D, nums in invariant_kernel(alg, _compositions(d, alg.dim), lambda mono: mono,
-                                            lambda i, mono: coadjoint_action(alg, i, {mono: 1}))]
+                                            lambda i, mono: coadjoint_action(alg, i, mono))]
 
 
 def dual_bracket(r: RMatrix) -> LieAlgebraSpec:

@@ -66,15 +66,15 @@ def qt_validate(g: LieAlgebraSpec, rprime) -> QTStructure:
     res = cyb(rp, require_antisymmetric=False)
     if not res.is_zero():
         raise CYBViolation("CYB(r') must vanish exactly",
-                           residual_terms=len(res.coeffs))
+                           residual_terms=len(res.numerators[1]))
 
     t = _nonzero(pair for (i, j), v in rp.entries for pair in (((i, j), v), ((j, i), v)))
     t_series = RMatrix(g, t, "quasitriangular-candidate").to_series(2)
     if not is_invariant(t_series):
         for k in range(d):  # reported at the first (k, i, j) in index order
-            bad = g_action(k, t_series).coeffs
+            bad = g_action(k, t_series).numerators[1]
             if bad:
-                i, j = min((a.index(1), b.index(1)) for a, b in bad)
+                i, j = min((a.index(1), b.index(1)) for (a, b), _ in bad)
                 raise TNotInvariant(f"symmetric part not ad-invariant at ({k},{i},{j})")
 
     rmat = RMatrix(g, _nonzero(pair for (i, j), v in rp.entries

@@ -1,9 +1,11 @@
 """The g-invariant kernels (center, invariants_s_dual, invariant_basis,
 is_invariant), which act on weight-zero monomials by a Lie-generating set of
-actors, against the versions that act by every basis element: equal bases,
-listed in the same order, on algebras with and without diagonal basis
-elements and on unimodular basis changes of sl2."""
+actors, against the versions that act by every basis element, and
+poisson_traces against the kernel of the pairings with every monomial
+bracket: equal bases, listed in the same order, on algebras with and
+without diagonal basis elements and on unimodular basis changes of sl2."""
 import itertools
+from math import factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from starlift import (
     invariants_s_dual,
     is_invariant,
     load_lie_algebra,
+    poisson_traces,
 )
 from starlift import linsolve
 from starlift._rat import QQ
@@ -57,11 +60,27 @@ def ref_invariants_s_dual(alg, maxdeg):
         for mono in monos:
             col = {}
             for i in range(alg.dim):
-                for m, c in from_pair(coadjoint_action(alg, i, {mono: QQ(1)})).items():
+                for m, c in from_pair(coadjoint_action(alg, i, mono)).items():
                     col[(i, m)] = c
             images.append(col)
         for vec in map(from_pair, linsolve.kernel_of(dict(enumerate(map(as_pair, images))))):
             out.append(LinearForm.make(alg, {monos[j]: c for j, c in vec.items()}))
+    return out
+
+
+def ref_poisson_traces(alg, maxdeg):
+    """The forms of order <= maxdeg that kill every {x^va, x^vb}, degree by
+    degree (degree d forms against brackets of degree d)."""
+    out = [LinearForm.one(alg)]
+    for d in range(1, maxdeg + 1):
+        images = {vec: (alg.integer_rows[0], []) for vec in monomials(alg.dim, d)}
+        for da in range(1, d + 1):
+            for va in monomials(alg.dim, da):
+                for vb in monomials(alg.dim, d + 1 - da):
+                    for vec, n in alg.slot_brackets[va, vb][1]:
+                        if n:
+                            images[vec][1].append(((va, vb), n * prod(map(factorial, vec))))
+        out += [LinearForm(alg, nums, D) for D, nums in linsolve.kernel_of(images)]
     return out
 
 
@@ -186,6 +205,7 @@ def _same_list(got, want):
 def _check_kernels(alg, n):
     _same_list(center(alg, n), ref_center(alg, n))
     _same_list(invariants_s_dual(alg, n), ref_invariants_s_dual(alg, n))
+    _same_list(poisson_traces(alg, n), ref_poisson_traces(alg, n))
     for k in (1, 2, 3):  # k = 3 splits into several slot-degree compositions
         want = ref_invariant_basis(alg, k, n)
         _same_list(invariant_basis(alg, k, n), want)

@@ -1,4 +1,5 @@
 import ast
+from math import gcd
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from starlift._rat import QQ
 from starlift.linsolve import echelonize, kernel_of, preimage, rank_of
 
 from conftest import as_pair, cleared, from_pair
+from test_linsolve_oracle import ref_echelonize
 
 rationals = st.builds(QQ, st.integers(-9, 9), st.integers(1, 9))
 matrices = st.lists(
@@ -98,19 +100,23 @@ def test_kernel_of_zero_map_is_everything():
 
 
 def test_echelon_and_rref_consistency():
+    """Rows whose reduced form has pivot entries 2 and 3 once primitive:
+    each pivot row is a primitive integer row with a positive pivot entry
+    and no entry in another pivot column, and divided by its pivot entry it
+    is the row of the Fraction elimination."""
     rows = [
-        {0: QQ(1), 1: QQ(1)},
-        {0: QQ(1), 2: QQ(1)},
-        {1: QQ(-1), 2: QQ(1)},
+        {0: QQ(1), 1: QQ(1), 2: QQ(1, 6)},
+        {0: QQ(1), 1: QQ(-1), 2: QQ(5, 6)},
+        {0: QQ(-2), 2: QQ(-1)},
     ]
-    ech = echelonize(list(map(cleared, rows)))
-    red = echelonize(list(map(cleared, rows)))
-    assert len(ech) == len(red) == 2
-    for pivot, row in red.items():
-        assert row[pivot] == QQ(1)
-        for other in red:
-            if other != pivot:
-                assert other not in row
+    ech, ref = echelonize(list(map(cleared, rows))), ref_echelonize(rows)
+    assert ech == {0: {0: 2, 2: 1}, 1: {1: 3, 2: -1}}
+    assert list(ech) == list(ref)
+    for pivot, row in ech.items():
+        assert all(type(v) is int for v in row.values())
+        assert row[pivot] > 0 and gcd(*row.values()) == 1
+        assert {c: QQ(n, row[pivot]) for c, n in row.items()} == ref[pivot]
+        assert not set(row) & set(ech) - {pivot}
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,3 +253,20 @@ def test_no_caller_clears_a_solver_answer():
                               for arg in node.args + [kw.value for kw in node.keywords])]
     assert bindings >= 8
     assert found == []
+
+
+def test_only_invariant_kernel_and_c_s_basis_solve_a_kernel():
+    """linsolve.kernel_of is named (called, imported, aliased or looked up
+    by its string) only in core.invariant_kernel, which every g-invariant
+    space goes through, and in quasitriangular.c_s_basis: no g-invariant
+    space can grow a second kernel of its own."""
+    found = set()
+    for path in sorted(Path(starlift.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if ((isinstance(node, ast.Name) and node.id == "kernel_of")
+                        or (isinstance(node, ast.Attribute) and node.attr == "kernel_of")
+                        or (isinstance(node, ast.alias) and node.name == "kernel_of")
+                        or (isinstance(node, ast.Constant) and node.value == "kernel_of")):
+                    found.add((path.stem, getattr(top, "name", None)))
+    assert found == {("core", "invariant_kernel"), ("quasitriangular", "c_s_basis")}
